@@ -7,9 +7,9 @@ residues) reduces to three value types defined here:
   in variables drawn from the namespaces ``s`` (torus weights), ``theta``
   (framing roots), ``eta`` (tautological placeholders) and ``z`` (residue
   variables).
-* ``SparsePolynomial``: a dict-backed polynomial keyed by monomials, with
-  exact rational coefficients (plain ints where integral, ``Fraction``
-  otherwise; the two mix and compare transparently).
+* ``SparsePolynomial``: a dict from packed monomials to exact rational
+  coefficients (plain ints where integral, ``Fraction`` otherwise; the two
+  mix and compare transparently).
 * ``FactoredRational``: ``scalar * poly * prod_i L_i**e_i`` with primitive
   pairwise non-proportional linear factors ``L_i`` and integer exponents.
   Euler classes of weight multisets live here natively, so localization
@@ -18,6 +18,10 @@ residues) reduces to three value types defined here:
 Variables are plain tuples ``(namespace, index)``.  The total order on
 variables is namespace rank (s < theta < eta < z) then index; monomial
 comparisons are graded lexicographic with earlier variables dominating.
+A monomial is one int with a fixed bit field per variable (see
+``var_shift``), so multiplying monomials is an int addition; the order
+is decoded only where it is visible: ``sorted_terms`` (which the
+serializer uses), ``leading`` and printing.
 
 Example::
 
@@ -30,16 +34,18 @@ Example::
     Fraction(9, 1)
 
 No polynomial gcd is ever computed: cancellation happens only by exact
-trial division by linear factors, which is complete for the factored
+division by linear factors, which is complete for the factored
 denominators this engine produces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
-from .errors import DivisionByZero, MissingVariable, NotPolynomial
+from .errors import DivisionByZero, ExponentOverflow, MissingVariable, NotPolynomial
 
 NAMESPACES = ("s", "theta", "eta", "z")
 _NS_RANK = {ns: i for i, ns in enumerate(NAMESPACES)}
@@ -81,89 +87,162 @@ def parse_var(name: str) -> Var:
     raise ValueError(f"not a variable name: {name!r}")
 
 
-# A monomial is a tuple of (var, exponent) pairs, sorted by var_key,
-# exponents >= 1.  The empty tuple is the constant monomial.
+# A monomial is a nonnegative int holding one FIELD_BITS-bit exponent field
+# per variable.  The fields run in three interleaved lanes, s_i in lane 0,
+# z_i in lane 1, and theta_i and eta_i alternating in lane 2, so the s- and
+# z-polynomials of the hot loops stay short ints and no index is bounded.
+# The constant monomial is 0.  Stored exponents stay at most MAX_EXPONENT,
+# one bit short of the field, so adding two monomials never carries into
+# the next field; a result that reaches the top bit raises ExponentOverflow.
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = FIELD_MASK >> 1
+_GUARD_SPAN = 64 * FIELD_BITS
+_GUARDS = sum((MAX_EXPONENT + 1) << (FIELD_BITS * i) for i in range(64))
+# namespace -> (lane, stride, offset); (ns, i) owns field
+# lane + 3 * (stride * (i - 1) + offset)
+_LANES = {"s": (0, 1, 0), "z": (1, 1, 0), "theta": (2, 2, 0), "eta": (2, 2, 1)}
+
+
+def var_shift(v: Var) -> int:
+    """Bit offset of the exponent field of v in a packed monomial."""
+    lane, stride, offset = _LANES[v[0]]
+    if v[1] < 1:
+        raise ValueError(f"variable index must be positive: {v}")
+    return FIELD_BITS * (lane + 3 * (stride * (v[1] - 1) + offset))
+
+
+def _refuse_carry(monomials) -> None:
+    """Raise ExponentOverflow when any of the packed monomials has an
+    exponent past MAX_EXPONENT."""
+    acc = reduce(or_, monomials, 0)
+    while acc:
+        if acc & _GUARDS:
+            raise ExponentOverflow(
+                f"an exponent exceeds {MAX_EXPONENT}, the packed field limit")
+        acc >>= _GUARD_SPAN
+
+
+def _pack(mono) -> int:
+    """Packed monomial of (var, exponent) pairs in any order; a repeated
+    variable adds its exponents."""
+    key = 0
+    for v, e in mono:
+        sh = var_shift(v)
+        total = ((key >> sh) & FIELD_MASK) + e
+        if total < 0:
+            raise ValueError(f"negative exponent of {var_name(v)}")
+        if total > MAX_EXPONENT:
+            raise ExponentOverflow(
+                f"exponent {total} of {var_name(v)} exceeds {MAX_EXPONENT}")
+        key += e << sh
+    return key
+
+
+def _fields(m: int) -> list:
+    """(namespace rank, index, exponent) of each variable of a packed
+    monomial, in variable order."""
     out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        ka, kb = var_key(va), var_key(vb)
-        if ka == kb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif ka < kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    slot = 0
+    while m:
+        e = m & FIELD_MASK
+        if e:
+            j, lane = divmod(slot, 3)
+            out.append((0, j + 1, e) if lane == 0 else (3, j + 1, e)
+                       if lane == 1 else (1 + j % 2, j // 2 + 1, e))
+        m >>= FIELD_BITS
+        slot += 1
+    out.sort()
+    return out
 
 
-def _mono_degree(m: tuple) -> int:
-    return sum(e for _, e in m)
+def _unpack(m: int) -> tuple:
+    """(var, exponent) pairs of a packed monomial, sorted by var_key."""
+    return tuple(((NAMESPACES[r], i), e) for r, i, e in _fields(m))
 
 
-def _mono_sort_key(m: tuple):
+def _mono_degree(m: int) -> int:
+    d = 0
+    while m:
+        d += m & FIELD_MASK
+        m >>= FIELD_BITS
+    return d
+
+
+def _mono_sort_key(m: int):
     # Ascending sort by this key lists monomials in descending graded-lex
     # order, leading term first.
-    return (-_mono_degree(m), tuple((var_key(v), -e) for v, e in m))
+    f = _fields(m)
+    return (-sum(e for _, _, e in f), [(r, i, -e) for r, i, e in f])
 
 
-def _mono_divides(v: Var, m: tuple) -> bool:
-    return any(w == v for w, _ in m)
-
-
-def _mono_div_var(m: tuple, v: Var) -> tuple:
-    out = []
-    for w, e in m:
-        if w == v:
-            if e > 1:
-                out.append((w, e - 1))
-        else:
-            out.append((w, e))
-    return tuple(out)
+def mul_linear(terms: dict, items) -> dict:
+    """Packed terms times a nonzero linear form given as packed_items()."""
+    # the first variable's terms cannot collide with one another
+    pv, cf = items[0]
+    out = {m + pv: c * cf for m, c in terms.items()}
+    get = out.get
+    for pv, cf in items[1:]:
+        for m, c in terms.items():
+            key = m + pv
+            nc = get(key, _ZERO) + c * cf
+            if nc:
+                out[key] = nc
+            elif key in out:
+                del out[key]
+    _refuse_carry(out)
+    return out
 
 
 class SparsePolynomial:
-    """Polynomial with exact rational coefficients, keyed by sparse monomials."""
+    """Polynomial with exact rational coefficients, keyed by packed
+    monomials."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        """Canonical constructor from {((var, e), ...): coefficient}; the
+        pairs may come in any order and equal monomials are merged."""
+        out: dict = {}
+        for mono, c in (terms or {}).items():
+            m = _pack(mono)
+            nc = out.get(m, _ZERO) + (c if type(c) is int else _num(Fraction(c)))
+            if nc:
+                out[m] = nc
+            elif m in out:
+                del out[m]
+        self.terms = out
+
+    @classmethod
+    def from_packed(cls, terms: dict) -> "SparsePolynomial":
+        """Wrap {packed monomial: nonzero coefficient} without copying."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "SparsePolynomial":
-        return cls()
+        return cls.from_packed({})
 
     @classmethod
     def one(cls) -> "SparsePolynomial":
-        return cls({(): _ONE})
+        return cls.from_packed({0: _ONE})
 
     @classmethod
     def constant(cls, c) -> "SparsePolynomial":
-        return cls({(): _num(Fraction(c))})
+        c = _num(Fraction(c))
+        return cls.from_packed({0: c} if c else {})
 
     @classmethod
     def variable(cls, v: Var) -> "SparsePolynomial":
-        return cls({((v, 1),): _ONE})
+        return cls.from_packed({1 << var_shift(v): _ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): _ONE}
+        return self.terms == {0: _ONE}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -174,7 +253,8 @@ class SparsePolynomial:
     __hash__ = None
 
     def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial({m: -c for m, c in self.terms.items()})
+        return SparsePolynomial.from_packed(
+            {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "SparsePolynomial":
         if isinstance(other, (int, Fraction)):
@@ -186,9 +266,7 @@ class SparsePolynomial:
                 out[m] = nc
             elif m in out:
                 del out[m]
-        p = SparsePolynomial.__new__(SparsePolynomial)
-        p.terms = out
-        return p
+        return SparsePolynomial.from_packed(out)
 
     __radd__ = __add__
 
@@ -202,23 +280,29 @@ class SparsePolynomial:
             c = _num(Fraction(other))
             if not c:
                 return SparsePolynomial.zero()
-            return SparsePolynomial({m: co * c for m, co in self.terms.items()})
-        out: dict = {}
+            return SparsePolynomial.from_packed(
+                {m: co * c for m, co in self.terms.items()})
         if len(self.terms) > len(other.terms):
-            a, b = other, self
+            a, b = other.terms, self.terms
         else:
-            a, b = self, other
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                m = _mono_mul(ma, mb)
-                nc = out.get(m, _ZERO) + ca * cb
+            a, b = self.terms, other.terms
+        if not a:
+            return SparsePolynomial.zero()
+        # the first row of products cannot collide with itself
+        rows = iter(a.items())
+        ma, ca = next(rows)
+        out = {ma + mb: ca * cb for mb, cb in b.items()}
+        get = out.get
+        for ma, ca in rows:
+            for mb, cb in b.items():
+                m = ma + mb
+                nc = get(m, _ZERO) + ca * cb
                 if nc:
                     out[m] = nc
                 elif m in out:
                     del out[m]
-        p = SparsePolynomial.__new__(SparsePolynomial)
-        p.terms = out
-        return p
+        _refuse_carry(out)
+        return SparsePolynomial.from_packed(out)
 
     __rmul__ = __mul__
 
@@ -234,12 +318,6 @@ class SparsePolynomial:
             n >>= 1
         return result
 
-    def total_degree(self) -> int:
-        """Maximum monomial degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
-
     def homogeneous_degree(self) -> int | None:
         """Common degree of all terms, or None if degrees are mixed.
 
@@ -253,67 +331,37 @@ class SparsePolynomial:
         return None
 
     def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
-
-    def max_exponent(self, v: Var) -> int:
-        """Largest exponent of v across terms (0 when absent)."""
-        best = 0
-        for m in self.terms:
-            for w, e in m:
-                if w == v and e > best:
-                    best = e
-        return best
-
-    def split_by_exponent(self, v: Var) -> dict:
-        """Decompose as sum_k v**k * (coefficient polynomial without v)."""
-        out: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            k = 0
-            rest = []
-            for w, e in m:
-                if w == v:
-                    k = e
-                else:
-                    rest.append((w, e))
-            out.setdefault(k, {})[tuple(rest)] = c
-        return {k: SparsePolynomial(d) for k, d in out.items()}
-
-    def coefficient_of(self, v: Var, k: int) -> "SparsePolynomial":
-        return self.split_by_exponent(v).get(k, SparsePolynomial.zero())
+        return {v for v, _ in _unpack(reduce(or_, self.terms, 0))}
 
     def substitute(self, mapping: dict) -> "SparsePolynomial":
         """Replace each variable in mapping by a polynomial, in parallel."""
+        shifts = [(var_shift(v), p) for v, p in mapping.items()]
         pows: dict = {}
-
-        def power(v, e):
-            key = (v, e)
-            if key not in pows:
-                pows[key] = mapping[v] ** e
-            return pows[key]
-
-        out = SparsePolynomial.zero()
+        out: dict = {}
         for m, c in self.terms.items():
-            keep = []
-            repl = SparsePolynomial.constant(c)
-            for v, e in m:
-                if v in mapping:
-                    repl = repl * power(v, e)
-                else:
-                    keep.append((v, e))
-            if keep:
-                repl = repl * SparsePolynomial({tuple(keep): _ONE})
-            out = out + repl
-        return out
+            repl = SparsePolynomial.one()
+            for sh, p in shifts:
+                e = (m >> sh) & FIELD_MASK
+                if e:
+                    m -= e << sh
+                    if (sh, e) not in pows:
+                        pows[sh, e] = p ** e
+                    repl = repl * pows[sh, e]
+            for mr, cr in repl.terms.items():
+                key = m + mr
+                nc = out.get(key, _ZERO) + c * cr
+                if nc:
+                    out[key] = nc
+                elif key in out:
+                    del out[key]
+        _refuse_carry(out)
+        return SparsePolynomial.from_packed(out)
 
     def evaluate(self, assignment: dict) -> Fraction:
         total = _ZERO
         for m, c in self.terms.items():
             val = c
-            for v, e in m:
+            for v, e in _unpack(m):
                 if v not in assignment:
                     raise MissingVariable(f"no value for {var_name(v)}")
                 val *= Fraction(assignment[v]) ** e
@@ -321,30 +369,33 @@ class SparsePolynomial:
         return Fraction(total)
 
     def sorted_terms(self) -> list:
-        """Terms in descending graded-lex order, leading term first."""
-        return sorted(self.terms.items(), key=lambda mc: _mono_sort_key(mc[0]))
+        """(monomial pairs, coefficient) in descending graded-lex order,
+        leading term first."""
+        # monomials are distinct, so the sort never compares coefficients
+        keyed = sorted((_mono_sort_key(m), c) for m, c in self.terms.items())
+        return [(tuple(((NAMESPACES[r], i), -e) for r, i, e in key[1]), c)
+                for key, c in keyed]
 
     def leading(self) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = min(self.terms, key=_mono_sort_key)
-        return m, self.terms[m]
+        return _unpack(m), self.terms[m]
 
     def extract_content(self) -> tuple:
         """Return (content, primitive) with primitive integer coefficients,
         gcd 1, positive leading coefficient.  Zero returns (1, zero)."""
         if not self.terms:
             return _ONE, self
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
-        _, lead = self.leading()
-        if lead < 0:
+        values = self.terms.values()
+        content = Fraction(gcd(*(c.numerator for c in values)),
+                           lcm(*(c.denominator for c in values)))
+        low = min(values)
+        # only the leading sign matters, and a one-signed polynomial
+        # needs no search for its leading term
+        if (self.leading()[1] if low < 0 < max(values) else low) < 0:
             content = -content
-        prim = SparsePolynomial(
+        prim = SparsePolynomial.from_packed(
             {m: _num(c / content) for m, c in self.terms.items()})
         return content, prim
 
@@ -373,25 +424,39 @@ class SparsePolynomial:
 def exact_divide_linear(p: SparsePolynomial, form: "LinearForm") -> SparsePolynomial | None:
     """Quotient p / form when the division is exact, else None.
 
-    Standard reduction by the leading term; for a linear divisor the
-    remainder stays divisible whenever the input was, so a single failed
-    step certifies non-divisibility.
+    Synthetic division in one variable x of the form, written a*x + r:
+    with p = sum_k x^k p_k, the quotient's slices are
+    q_{k-1} = (p_k - r*q_k) / a from the top down, and the division is
+    exact iff r*q_0 == p_0.  One pass, no monomial order needed.
     """
     if form.is_zero():
         raise DivisionByZero("division by the zero form")
-    lead_var = form.leading_var()
-    lead_coeff = form.coeffs[lead_var]
+    x = form.leading_var()
+    a = form.coeffs[x]
+    sx = var_shift(x)
+    rest = form.packed_items(skip=x)
+    slices: dict = {}
+    for m, c in p.terms.items():
+        k = (m >> sx) & FIELD_MASK
+        slices.setdefault(k, {})[m - (k << sx)] = c
     quotient: dict = {}
-    rem = p
-    while rem.terms:
-        m, c = rem.leading()
-        if not _mono_divides(lead_var, m):
-            return None
-        qm = _mono_div_var(m, lead_var)
-        qc = _num(Fraction(c) / lead_coeff)
-        quotient[qm] = quotient.get(qm, _ZERO) + qc
-        rem = rem - form.as_poly() * SparsePolynomial({qm: qc})
-    return SparsePolynomial(quotient)
+    carry: dict = {}  # r * q_k, due against p_k
+    for k in range(max(slices, default=0), 0, -1):
+        cur = slices.get(k, {})
+        for m, c in carry.items():
+            nc = cur.get(m, _ZERO) - c
+            if nc:
+                cur[m] = nc
+            else:
+                del cur[m]
+        q = cur if a == 1 else {m: _num(Fraction(c) / a) for m, c in cur.items()}
+        shift = (k - 1) << sx
+        for m, c in q.items():
+            quotient[m + shift] = c
+        carry = mul_linear(q, rest) if rest else {}
+    if slices.get(0, {}) != carry:
+        return None
+    return SparsePolynomial.from_packed(quotient)
 
 
 class LinearForm:
@@ -400,7 +465,7 @@ class LinearForm:
     __slots__ = ("coeffs", "_key")
 
     def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {v: _num(Fraction(c))
+        self.coeffs = {v: c if type(c) is int else _num(Fraction(c))
                        for v, c in (coeffs or {}).items() if c != 0}
         self._key = tuple(sorted(
             ((var_key(v), c) for v, c in self.coeffs.items())
@@ -449,18 +514,27 @@ class LinearForm:
         leading coefficient positive."""
         if not self.coeffs:
             return _ONE, self
-        num = 0
-        den = 1
-        for c in self.coeffs.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
-        if self.coeffs[self.leading_var()] < 0:
-            content = -content
+        values = self.coeffs.values()
+        sign = -1 if self._key[0][1] < 0 else 1
+        if all(type(c) is int for c in values):
+            g = sign * gcd(*values)
+            if g == 1:
+                return Fraction(1), self
+            return Fraction(g), LinearForm(
+                {v: c // g for v, c in self.coeffs.items()})
+        content = sign * Fraction(gcd(*(c.numerator for c in values)),
+                                  lcm(*(c.denominator for c in values)))
         return content, LinearForm({v: c / content for v, c in self.coeffs.items()})
 
+    def packed_items(self, skip=None) -> list:
+        """(1 << var_shift(v), coefficient) per variable other than skip,
+        the form as mul_linear takes it."""
+        return [(1 << var_shift(v), c) for v, c in self.coeffs.items()
+                if v != skip]
+
     def as_poly(self) -> SparsePolynomial:
-        return SparsePolynomial({((v, 1),): c for v, c in self.coeffs.items()})
+        return SparsePolynomial.from_packed(
+            {1 << var_shift(v): c for v, c in self.coeffs.items()})
 
     def evaluate(self, assignment: dict) -> Fraction:
         total = _ZERO
@@ -509,7 +583,7 @@ class LinearForm:
 def linear_form_of(weight, namespace: str) -> LinearForm:
     """Linear form of an integer weight vector in the given namespace,
     coordinate i paired with index i+1."""
-    return LinearForm({(namespace, i + 1): Fraction(c)
+    return LinearForm({(namespace, i + 1): c
                        for i, c in enumerate(weight) if c})
 
 
@@ -543,7 +617,8 @@ class FactoredRational:
                 pending_zero = True
                 continue
             content, prim = form.primitive()
-            scalar *= content ** exp
+            if content != 1:
+                scalar *= content ** exp
             merged[prim] = merged.get(prim, 0) + exp
         if pending_zero or scalar == 0 or poly.is_zero():
             return cls(_ONE, SparsePolynomial.zero(), ())
@@ -708,6 +783,7 @@ def sum_factored(items) -> FactoredRational:
         for form, exp in r.factors:
             if exp < 0:
                 needed[form] = max(needed.get(form, 0), -exp)
+    powers: dict = {}
     total = SparsePolynomial.zero()
     for r in items:
         contrib = r.poly * r.scalar
@@ -718,9 +794,12 @@ def sum_factored(items) -> FactoredRational:
             elif exp > 0:
                 exps[form] = exp
             # exp < 0 with form not in needed cannot happen by construction
-        for form, exp in exps.items():
-            if exp:
-                contrib = contrib * (form.as_poly() ** exp)
+        for fe in exps.items():
+            if fe[1]:
+                power = powers.get(fe)
+                if power is None:
+                    power = powers[fe] = fe[0].as_poly() ** fe[1]
+                contrib = contrib * power
         total = total + contrib
     return FactoredRational.build(
         _ONE, total, tuple((f, -e) for f, e in needed.items())

@@ -281,12 +281,15 @@ def cmd_enumerate(job: JobSpec) -> tuple:
     for np_ in chains:
         row = {"chain": nested_to_json(np_)}
         if job.classify:
-            nil = is_nilfil(np_)
+            # nilfil needs pointed dims and the identity fiber needs
+            # d - 1 <= n; where they do not apply the row says null
+            nil = is_nilfil(np_) if np_.dims[0] == 1 else None
+            fiber = nil and (in_flag_fiber(np_, identity_sigma(np_.d))
+                             if np_.d - 1 <= np_.n else None)
             wt, wb = fixed_ranks(canonical_enumeration(np_))
             row["admissible"] = is_admissible(np_)
             row["nilfil"] = nil
-            row["identity_fiber"] = bool(
-                nil and in_flag_fiber(np_, identity_sigma(np_.d)))
+            row["identity_fiber"] = fiber
             row["fixed_ranks"] = [wt, wb]
         rows.append(row)
     doc = {

@@ -45,6 +45,10 @@ class InconsistentVirtualDimension(NahilbError):
     """Fixed points of one space report different virtual dimensions."""
 
 
+class InconsistentDegree(NahilbError):
+    """An integral's degree differs from the integrand's minus vdim."""
+
+
 class NoFixedPoints(NahilbError):
     """The space has an empty fixed-point set."""
 
@@ -59,6 +63,10 @@ class RequiresFullFlag(NahilbError):
 
 class NonElimination(NahilbError):
     """A residue round failed to eliminate its variable."""
+
+
+class ExponentOverflow(NahilbError):
+    """An exponent outgrows its field in the packed monomial encoding."""
 
 
 class NotPolynomial(NahilbError):

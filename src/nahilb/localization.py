@@ -20,6 +20,7 @@ from .algebra import (
 )
 from .errors import (
     IndexOutOfRange,
+    InconsistentDegree,
     InconsistentVirtualDimension,
     NoFixedPoints,
     NotBisymmetric,
@@ -215,8 +216,9 @@ def _check_degree(value: FactoredRational, P: TautClass, vdim: int):
     pdeg = P.poly.homogeneous_degree()
     if value.is_zero() or pdeg is None:
         return
-    assert value.homogeneous_degree() == pdeg - vdim, \
-        f"degree {value.homogeneous_degree()} != {pdeg} - {vdim}"
+    degree = value.homogeneous_degree()
+    if degree != pdeg - vdim:
+        raise InconsistentDegree(f"degree {degree} != {pdeg} - {vdim}")
 
 
 def reduce_full_flag(n: int, r, P: TautClass) -> IntegralResult:

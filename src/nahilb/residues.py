@@ -19,14 +19,17 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .algebra import (
+    FIELD_MASK,
     FactoredRational,
     LinearForm,
     SparsePolynomial,
     linear_form_of,
+    mul_linear,
     sum_factored,
-    var_key,
+    var_shift,
 )
 from .errors import (
+    IndexOutOfRange,
     NonElimination,
     RequiresNilfil,
     RequiresPointedDims,
@@ -57,6 +60,18 @@ def _max_z_index(poly: SparsePolynomial) -> int:
     return max((idx for ns, idx in poly.variables() if ns == "z"), default=0)
 
 
+def _z_factors(pairs, kind: str) -> tuple:
+    """(form, exponent) pairs with positive exponents and z in every form."""
+    out = []
+    for form, exp in pairs:
+        if int(exp) <= 0:
+            raise ValueError(f"{kind} exponents must be positive")
+        if form.max_index("z") < 1:
+            raise ValueError(f"{kind} factor {form} is free of z")
+        out.append((form, int(exp)))
+    return tuple(out)
+
+
 class ResidueForm:
     """numerator / product of linear factors in z_1..z_{z_count}.
 
@@ -73,29 +88,10 @@ class ResidueForm:
                  deferred=()):
         self.numerator = numerator
         self.z_count = int(z_count)
-        top = _max_z_index(numerator)
-        norm = []
-        for form, exp in factors:
-            exp = int(exp)
-            if exp <= 0:
-                raise ValueError("denominator exponents must be positive")
-            zi = form.max_index("z")
-            if zi < 1:
-                raise ValueError(f"denominator factor {form} is free of z")
-            top = max(top, zi)
-            norm.append((form, exp))
-        self.factors = tuple(norm)
-        norm = []
-        for form, exp in deferred:
-            exp = int(exp)
-            if exp <= 0:
-                raise ValueError("deferred exponents must be positive")
-            zi = form.max_index("z")
-            if zi < 1:
-                raise ValueError(f"deferred factor {form} is free of z")
-            top = max(top, zi)
-            norm.append((form, exp))
-        self.deferred = tuple(norm)
+        self.factors = _z_factors(factors, "denominator")
+        self.deferred = _z_factors(deferred, "deferred")
+        top = max([_max_z_index(numerator)] + [
+            form.max_index("z") for form, _ in self.factors + self.deferred])
         if top > self.z_count:
             raise ValueError(f"z_{top} exceeds z_count={self.z_count}")
 
@@ -117,69 +113,30 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     -1 past the factors still pending.  margin loosens that cutoff and
     must never change the result.
     """
-    # Exponent vectors are packed into single ints, one 16-bit field per
-    # variable, so a product against a linear factor is an int addition;
-    # exponents stay far below 2**16 for any form this engine sees.
-    univ = set(f.numerator.variables())
-    for form, _ in f.factors:
-        univ.update(form.coeffs)
-    for form, _ in f.deferred:
-        univ.update(form.coeffs)
-    order = sorted(univ, key=var_key)
-    mask = (1 << 16) - 1
-    shift = {v: 16 * i for i, v in enumerate(order)}
-
-    def pack(p: SparsePolynomial) -> dict:
-        out = {}
-        for m, c in p.terms.items():
-            key = 0
-            for v, e in m:
-                key |= e << shift[v]
-            out[key] = c
-        return out
-
-    def items_of(form: LinearForm, skip=None) -> list:
-        return [(1 << shift[v], c) for v, c in form.coeffs.items() if v != skip]
-
-    def mul_form(d: dict, items: list) -> dict:
-        out: dict = {}
-        for pv, cf in items:
-            for m, c in d.items():
-                key = m + pv
-                nc = out.get(key, 0) + c * cf
-                if nc:
-                    out[key] = nc
-                elif key in out:
-                    del out[key]
-        return out
-
-    num = pack(f.numerator)
+    num = dict(f.numerator.terms)
     factors = list(f.factors)
     pending = list(f.deferred)
     for M in range(f.z_count, 0, -1):
         for form, e in [fe for fe in pending if fe[0].max_index("z") == M]:
-            fi = items_of(form)
+            fi = form.packed_items()
             for _ in range(e):
-                num = mul_form(num, fi)
+                num = mul_linear(num, fi)
         pending = [fe for fe in pending if fe[0].max_index("z") < M]
         if not num:
             return SparsePolynomial.zero()
         zM = ("z", M)
         active = [fe for fe in factors if fe[0].max_index("z") == M]
         factors = [fe for fe in factors if fe[0].max_index("z") < M]
-        sM = shift.get(zM)
+        sM = var_shift(zM)
         state: dict = {}
-        if sM is None:
-            state[0] = num
-        else:
-            for m, c in num.items():
-                e = (m >> sM) & mask
-                state.setdefault(e, {})[m - (e << sM)] = c
+        for m, c in num.items():
+            e = (m >> sM) & FIELD_MASK
+            state.setdefault(e, {})[m - (e << sM)] = c
         rem = sum(e for _, e in active)
         for form, e in active:
             rem -= e
             c = form.coeffs[zM]
-            rest = items_of(form, skip=zM)
+            rest = form.packed_items(skip=zM)
             floor = rem - 1 - margin
             tcap = (max(state) if state else 0) - e - floor
             series = []
@@ -195,31 +152,25 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
                     if t:
                         if not rest:
                             break
-                        q = mul_form(q, rest)
+                        q = mul_linear(q, rest)
                         if not q:
                             break
                     ct = series[t]
                     ne = expo - e - t
                     acc = new_state.get(ne)
                     if acc is None:
-                        acc = new_state[ne] = {}
+                        new_state[ne] = {m: co * ct for m, co in q.items()}
+                        continue
+                    get = acc.get
                     for m, co in q.items():
-                        nc = acc.get(m, 0) + co * ct
+                        nc = get(m, 0) + co * ct
                         if nc:
                             acc[m] = nc
                         elif m in acc:
                             del acc[m]
             state = {k: v for k, v in new_state.items() if v}
         num = {m: RESIDUE_SIGN * c for m, c in state.get(-1, {}).items()}
-    terms = {}
-    for m, c in num.items():
-        mono = []
-        for v in order:
-            e = (m >> shift[v]) & mask
-            if e:
-                mono.append((v, e))
-        terms[tuple(mono)] = c
-    result = SparsePolynomial(terms)
+    result = SparsePolynomial.from_packed(num)
     if _max_z_index(result) or factors:
         raise NonElimination(f"z-variables survive the residue: {result}")
     return result
@@ -315,15 +266,13 @@ def _restrict_to_z(P: TautClass, points) -> SparsePolynomial:
     for ns, idx in P.poly.variables():
         if ns != "eta":
             continue
-        vec = points[idx]
-        assert all(c == 0 for c in vec[k:]), \
-            f"{vec} uses coordinates beyond z_{k}"
-        mapping[(ns, idx)] = linear_form_of(vec[:k], "z").as_poly()
+        mapping[(ns, idx)] = _zform_of(points[idx], k).as_poly()
     return P.poly.substitute(mapping) if mapping else P.poly
 
 
 def _zform_of(vec, k: int) -> LinearForm:
-    assert all(c == 0 for c in vec[k:]), f"{vec} uses coordinates beyond z_{k}"
+    if any(vec[k:]):
+        raise IndexOutOfRange(f"{vec} uses coordinates beyond z_{k}")
     return linear_form_of(vec[:k], "z")
 
 

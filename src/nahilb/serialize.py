@@ -62,12 +62,10 @@ def poly_to_json(p: SparsePolynomial) -> list:
 
 
 def poly_from_json(doc: list) -> SparsePolynomial:
-    terms = {}
-    for item in doc:
-        mono = tuple(sorted(
-            (parse_var(name), int(e)) for name, e in item["exps"].items()))
-        terms[mono] = Fraction(item["coeff"])
-    return SparsePolynomial(terms)
+    return SparsePolynomial({
+        tuple((parse_var(name), int(e)) for name, e in item["exps"].items()):
+            Fraction(item["coeff"])
+        for item in doc})
 
 
 def rational_to_json(r: FactoredRational) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import FactoredRational, LinearForm, SparsePolynomial, linear_form_of
-from .errors import NotInFiber, RequiresPointedDims
+from .errors import IndexOutOfRange, NotInFiber, RequiresPointedDims
 from .partitions import (
     Enumeration,
     extend_sigma,
@@ -218,7 +218,9 @@ def s_tangent_levels(e: Enumeration) -> list:
             if w[j] == m:
                 cur[pts[j]] = cur.get(pts[j], 0) - 1
         cur = {k: v for k, v in cur.items() if v}
-        assert all(v > 0 for v in cur.values()), "level multiset went negative"
+        if any(v < 0 for v in cur.values()):
+            raise IndexOutOfRange("level multiset went negative: the "
+                                  "enumeration is not a chain order")
         out.append(dict(cur))
     return out
 
@@ -268,7 +270,9 @@ def s_fiber_levels(e: Enumeration, sigma) -> list:
             if w[j] == m:
                 cur[pts[j]] = cur.get(pts[j], 0) - 1
         cur = {k: v for k, v in cur.items() if v}
-        assert all(v > 0 for v in cur.values()), "level multiset went negative"
+        if any(v < 0 for v in cur.values()):
+            raise IndexOutOfRange("level multiset went negative: the "
+                                  "enumeration is not a chain order")
         out.append(dict(cur))
     return out
 

@@ -5,10 +5,11 @@ relies on."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nahilb.algebra import (
+    MAX_EXPONENT,
     FactoredRational,
     LinearForm,
     SparsePolynomial,
@@ -18,8 +19,14 @@ from nahilb.algebra import (
     linear_form_of,
     rational_equal,
     sum_factored,
+    var_key,
 )
-from nahilb.errors import DegenerateRestriction, DivisionByZero, MissingVariable
+from nahilb.errors import (
+    DegenerateRestriction,
+    DivisionByZero,
+    ExponentOverflow,
+    MissingVariable,
+)
 
 
 def s(i):
@@ -165,6 +172,17 @@ class TestExactDivideLinear:
         with pytest.raises(DivisionByZero):
             exact_divide_linear(s(1), LinearForm())
 
+    def test_leading_variable_absent_from_dividend(self):
+        # the form's smallest variable is eta2, which q never uses
+        q = s(1) * s(2) - 3 * s(2) ** 2
+        form = LinearForm({("eta", 2): 1, ("z", 1): -2})
+        assert exact_divide_linear(q * form.as_poly(), form) == q
+
+    def test_leading_variable_not_first_in_monomials(self):
+        q = s(1) * s(2) + s(1) ** 2 * SparsePolynomial.variable(("z", 3))
+        form = LinearForm({("s", 2): 2, ("z", 3): 1})
+        assert exact_divide_linear(q * form.as_poly(), form) == q
+
 
 class TestCanonicalForms:
     def test_int_and_fraction_coefficients_interchangeable(self):
@@ -291,3 +309,85 @@ def test_sum_factored_matches_evaluation(terms, point):
 def test_rational_equal_across_presentations(a, form):
     lhs = FactoredRational.build(1, a * form.as_poly(), [(form, -1)])
     assert rational_equal(lhs, FactoredRational.from_poly(a))
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the packed kernel over every namespace
+
+_VARS = [("s", 1), ("s", 2), ("theta", 1), ("eta", 2), ("z", 1), ("z", 3)]
+
+
+def _polys(max_size=5):
+    mono = st.lists(st.tuples(st.sampled_from(_VARS), st.integers(1, 3)),
+                    max_size=3).map(tuple)
+    return st.dictionaries(mono, _coeffs, max_size=max_size).map(
+        SparsePolynomial)
+
+
+_int_forms = st.dictionaries(
+    st.sampled_from(_VARS), st.integers(-3, 3).filter(bool),
+    min_size=1, max_size=3).map(LinearForm)
+
+_mixed_points = st.fixed_dictionaries(
+    {v: st.integers(-30, 30).map(Fraction) for v in _VARS})
+
+
+@given(_polys(), _int_forms)
+@settings(max_examples=150, deadline=None)
+def test_exact_divide_linear_recovers_quotient(q, form):
+    assert exact_divide_linear(q * form.as_poly(), form) == q
+
+
+@given(_polys(), _int_forms, _polys(max_size=2), _mixed_points)
+@settings(max_examples=150, deadline=None)
+def test_exact_divide_linear_refuses_non_multiples(q, form, extra, point):
+    p = q * form.as_poly() + extra
+    # a point on form = 0 where p does not vanish certifies that the
+    # form does not divide p
+    x = form.leading_var()
+    on_form = dict(point)
+    on_form[x] = Fraction(0)
+    on_form[x] = -form.evaluate(on_form) / form.coeffs[x]
+    assume(p.evaluate(on_form) != 0)
+    assert exact_divide_linear(p, form) is None
+
+
+@given(st.lists(st.builds(
+    lambda c, p, fs: FactoredRational.build(c, p, fs),
+    _coeffs.filter(bool), _polys(max_size=3),
+    st.lists(st.tuples(_int_forms, st.integers(-2, 2)), max_size=3)),
+    max_size=4), _mixed_points)
+@settings(max_examples=80, deadline=None)
+def test_sum_factored_simplify_matches_evaluation(terms, point):
+    try:
+        expected = sum((t.evaluate(point) for t in terms), Fraction(0))
+        got = sum_factored(terms).simplify().evaluate(point)
+    except DivisionByZero:
+        return
+    assert got == expected
+
+
+@given(st.sampled_from(_VARS), st.integers(MAX_EXPONENT - 40, MAX_EXPONENT),
+       st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_exponent_past_the_field_raises(v, a, b):
+    # a silent carry would change the product's monomial
+    neighbour = ("s", 3)
+    x = SparsePolynomial({((v, a), (neighbour, 1)): 1})
+    y = SparsePolynomial({((v, b),): 1})
+    if a + b > MAX_EXPONENT:
+        with pytest.raises(ExponentOverflow):
+            x * y
+        with pytest.raises(ExponentOverflow):
+            SparsePolynomial({((v, a), (v, b)): 1})
+    else:
+        assert (x * y).sorted_terms() == [(tuple(sorted(
+            [(v, a + b), (neighbour, 1)], key=lambda ve: var_key(ve[0]))), 1)]
+
+
+def test_constructor_refuses_exponent_past_the_field():
+    with pytest.raises(ExponentOverflow):
+        SparsePolynomial({((("z", 1), MAX_EXPONENT + 1),): 1})
+    x = SparsePolynomial.variable(("z", 1))
+    with pytest.raises(ExponentOverflow):
+        x ** (MAX_EXPONENT + 1)

@@ -189,6 +189,28 @@ class TestMain:
             "classify", "-n", "2", "--dims", "1,2"])
         assert via_flag == via_command
 
+    def test_classify_chains_longer_than_the_flag(self, capsys):
+        # d - 1 > n: nilfil chains have no identity fiber to test
+        code, out, _ = run_main(capsys, [
+            "classify", "-n", "2", "--dims", "1,1,1,1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == len(doc["chains"]) > 0
+        for row in doc["chains"]:
+            assert row["nilfil"] is True
+            assert row["identity_fiber"] is None
+
+    def test_classify_unpointed_dims(self, capsys):
+        code, out, _ = run_main(capsys, [
+            "classify", "-n", "2", "--dims", "2,1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == len(doc["chains"]) > 0
+        for row in doc["chains"]:
+            assert row["nilfil"] is None
+            assert row["identity_fiber"] is None
+            assert isinstance(row["admissible"], bool)
+
     def test_contribution_single_point(self, capsys):
         code, out, _ = run_main(capsys, [
             "contribution", "-n", "3", "--dims", "1", "--class", "1"])

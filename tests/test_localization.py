@@ -6,10 +6,14 @@ computed against a hand-rolled fixed-point sum, and the full-flag
 reduction.  The fixed-rank gate and the degree law are property tests.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import nahilb
 from nahilb.algebra import (
     FactoredRational,
     LinearForm,
@@ -374,3 +378,42 @@ class TestIntegralResult:
         r = IntegralResult(FactoredRational.one(), 3, "localization", "nhilb")
         assert "localization" in repr(r)
         assert "nhilb" in repr(r)
+
+
+# ---------------------------------------------------------------------------
+# result guards are real checks, not asserts that python -O strips
+
+_GUARD_SCRIPT = """
+from nahilb.algebra import FactoredRational, SparsePolynomial
+from nahilb.errors import InconsistentDegree, IndexOutOfRange
+from nahilb.localization import TautClass, _check_degree
+from nahilb.partitions import Enumeration
+from nahilb.weights import tangent_class
+assert False, "asserts must be stripped in this run"
+"""
+
+
+@pytest.mark.parametrize("call, error", [
+    # a value of degree 1 cannot integrate a degree-0 class over vdim 5
+    ("_check_degree(FactoredRational.from_poly("
+     "SparsePolynomial.variable(('s', 1))), TautClass(1, 0, 2), 5)",
+     "InconsistentDegree"),
+    # (2,) is not a chain order after the origin: a level goes negative
+    ("tangent_class(Enumeration(1, (1, 1), [(0,), (2,)]))",
+     "IndexOutOfRange"),
+])
+def test_guards_raise_under_python_O(call, error):
+    script = _GUARD_SCRIPT + f"""
+try:
+    {call}
+except {error}:
+    print("raised")
+"""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nahilb.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"

@@ -70,6 +70,27 @@ class TestScalarsAndForms:
         doc = roundtrip_doc(poly_to_json(p))
         assert poly_from_json(doc) == p
 
+    def test_polynomial_mixing_namespaces(self):
+        # sort_keys writes "eta1" before "s2" and "theta1", the reverse of
+        # the variable order; decoding must not depend on that
+        theta1 = SparsePolynomial.variable(("theta", 1))
+        eta1 = SparsePolynomial.variable(("eta", 1))
+        for p in (theta1 * eta1 + s(2) * eta1,
+                  s(1) * eta1 ** 2 - 3 * s(2) ** 2 * eta1,
+                  theta1 ** 2 * eta1 + theta1 * eta1 ** 2):
+            q = poly_from_json(roundtrip_doc(poly_to_json(p)))
+            assert q == p
+            assert (q - p).is_zero()
+            assert q * q == p * p
+            assert str(q) == str(p)
+
+    def test_polynomial_any_exponent_order(self):
+        doc = [{"coeff": "2", "exps": {"eta1": 1, "theta1": 1}},
+               {"coeff": "-1", "exps": {"theta1": 1, "eta1": 1}}]
+        p = SparsePolynomial.variable(("theta", 1)) \
+            * SparsePolynomial.variable(("eta", 1))
+        assert poly_from_json(doc) == p
+
     def test_zero_polynomial(self):
         doc = roundtrip_doc(poly_to_json(SparsePolynomial.zero()))
         assert poly_from_json(doc) == SparsePolynomial.zero()
