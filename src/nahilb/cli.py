@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from .partitions import (
     in_flag_fiber,
     is_admissible,
     is_nilfil,
+    point_budget,
 )
 from .residues import integrate_residue_nilfil
 from .serialize import (
@@ -64,6 +64,7 @@ class JobSpec:
     samples: int = 0
     checks: tuple = ()
     output: str | None = None
+    max_points: int | None = None
 
     def validate(self) -> None:
         if self.command in ("enumerate", "classify", "contribution",
@@ -409,7 +410,11 @@ _COMMANDS = {
 def run(job: JobSpec) -> tuple:
     """Execute a job; returns (JSON document, exit code)."""
     job.validate()
-    return _COMMANDS[job.command](job)
+    token = point_budget.set(job.max_points)
+    try:
+        return _COMMANDS[job.command](job)
+    finally:
+        point_budget.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +522,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         return default
 
     max_points = pick("max_points")
-    if max_points is not None:
-        os.environ["NAHILB_MAX_POINTS"] = str(int(max_points))
-
     dims = pick("dims", default=())
     if isinstance(dims, str):
         dims = _parse_dims(dims)
@@ -548,6 +550,7 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         samples=int(pick("samples", default=0) or 0),
         checks=checks,
         output=getattr(args, "output", None),
+        max_points=None if max_points is None else int(max_points),
     )
     if job.command == "compare" and getattr(args, "space", None) is None \
             and "space" not in config:

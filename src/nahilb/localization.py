@@ -44,9 +44,6 @@ from .weights import (
     tangent_net_count,
 )
 
-SPACES = ("nhilb", "nilfil")
-
-
 class TautClass:
     """Polynomial integrand in theta_1..theta_q and eta_1..eta_{d-1}.
 
@@ -154,60 +151,76 @@ def restrict_class(P: TautClass, e: Enumeration) -> SparsePolynomial:
     return P.poly.substitute(mapping) if mapping else P.poly
 
 
-def _point_value(e: Enumeration, space: str, P: TautClass):
-    """Contribution of one chain plus the net ranks used for vdim checks."""
-    if space == "nilfil":
-        if not is_nilfil(e.nested()):
-            raise RequiresNilfil(f"{e.nested()} has a non-nilpotent step")
-        tangent = tangent_class_punctual(e)
-    else:
-        tangent = tangent_class(e)
+def passes_gate(tangent, obstruction) -> bool:
+    """The fixed-rank gate: a chain contributes only when the fixed parts
+    of its tangent and obstruction have equal rank."""
+    return tangent.fixed_rank() == obstruction.fixed_rank()
+
+
+def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
+    """(value, tangent net rank - obstruction net rank) of one chain: the
+    restriction of P times e(moving obstruction) over e(moving tangent)
+    * e(extra), or None as the value when the chain fails the gate."""
     obstruction = obstruction_class(e)
-    ranks = (tangent.net_rank(), obstruction.net_rank())
-    if tangent.fixed_rank() != obstruction.fixed_rank():
-        return FactoredRational.zero(), ranks
+    rank = tangent.net_rank() - obstruction.net_rank()
+    if not passes_gate(tangent, obstruction):
+        return None, rank
     value = FactoredRational.from_poly(restrict_class(P, e))
     value = value * euler_class(obstruction.moving(), "s")
     value = value / euler_class(tangent.moving(), "s")
-    return value.simplify(), ranks
+    if extra is not None:
+        value = value / euler_class(extra, "s")
+    return value.simplify(), rank
+
+
+def fixed_point_sum(n: int, dims, P: TautClass, select, tangent_of,
+                    extra_of=None, vdim=None) -> FactoredRational:
+    """Sum of the gated terms of the chains of (n, dims) that select
+    admits (every chain when select is None), each at its canonical
+    enumeration.  Given vdim, every chain's net rank must equal it."""
+    terms = []
+    for np_ in enumerate_nested(n, dims):
+        if select is not None and not select(np_):
+            continue
+        e = canonical_enumeration(np_)
+        extra = None if extra_of is None else extra_of(e)
+        value, rank = gated_term(e, tangent_of(e), P, extra)
+        if vdim is not None and rank != vdim:
+            raise InconsistentVirtualDimension(
+                f"{np_} reports {rank}, expected {vdim}")
+        if value is not None:
+            terms.append(value)
+    return sum_factored(terms)
+
+
+def _space(space: str) -> tuple:
+    """(chain filter or None, tangent builder, tangent net count)."""
+    if space == "nilfil":
+        return is_nilfil, tangent_class_punctual, punctual_net_count
+    if space == "nhilb":
+        return None, tangent_class, tangent_net_count
+    raise ValueError(f"unknown space {space!r}")
 
 
 def contribution(e: Enumeration, n: int, space: str,
                  P: TautClass) -> FactoredRational:
     """Localization contribution of a single fixed chain."""
-    if space not in SPACES:
-        raise ValueError(f"unknown space {space!r}")
+    select, tangent_of, _ = _space(space)
     if e.n != n:
         raise ValueError(f"enumeration lives in {e.n} variables, not {n}")
-    value, _ = _point_value(e, space, P)
-    return value
-
-
-def _expected_vdim(n: int, dims, space: str) -> int:
-    if space == "nilfil":
-        return punctual_net_count(n, dims) - obstruction_net_count(dims)
-    return tangent_net_count(n, dims) - obstruction_net_count(dims)
+    if select is not None and not select(e.nested()):
+        raise RequiresNilfil(f"{e.nested()} has a non-nilpotent step")
+    value, _ = gated_term(e, tangent_of(e), P)
+    return FactoredRational.zero() if value is None else value
 
 
 def integrate_localization(n: int, dims, space: str,
                            P: TautClass) -> IntegralResult:
     """Equivariant virtual integral of P as a sum over fixed chains."""
-    if space not in SPACES:
-        raise ValueError(f"unknown space {space!r}")
+    select, tangent_of, net_count = _space(space)
     dims = tuple(int(x) for x in dims)
-    points = enumerate_nested(n, dims)
-    if space == "nilfil":
-        points = [p for p in points if is_nilfil(p)]
-    vdim = _expected_vdim(n, dims, space)
-    terms = []
-    for np_ in points:
-        e = canonical_enumeration(np_)
-        value, (tan_net, obs_net) = _point_value(e, space, P)
-        if tan_net - obs_net != vdim:
-            raise InconsistentVirtualDimension(
-                f"{np_} reports {tan_net - obs_net}, expected {vdim}")
-        terms.append(value)
-    value = sum_factored(terms)
+    vdim = net_count(n, dims) - obstruction_net_count(dims)
+    value = fixed_point_sum(n, dims, P, select, tangent_of, vdim=vdim)
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "localization", space)
 
@@ -238,22 +251,9 @@ def reduce_full_flag(n: int, r, P: TautClass) -> IntegralResult:
         if r < 0:
             raise RequiresFullFlag(f"need r >= 0, got {r}")
         dims = (1,) * (r + 1)
-    vdim = _expected_vdim(n, dims, "nhilb")
-    terms = []
-    for np_ in enumerate_nested(n, dims):
-        if not is_nilfil(np_):
-            continue
-        e = canonical_enumeration(np_)
-        tangent = tangent_class_punctual(e)
-        obstruction = obstruction_class(e)
-        if tangent.fixed_rank() != obstruction.fixed_rank():
-            continue
-        value = FactoredRational.from_poly(restrict_class(P, e))
-        value = value * euler_class(obstruction.moving(), "s")
-        value = value / euler_class(tangent.moving(), "s")
-        value = value / euler_class(epunct_class(e), "s")
-        terms.append(value.simplify())
-    value = sum_factored(terms)
+    vdim = tangent_net_count(n, dims) - obstruction_net_count(dims)
+    value = fixed_point_sum(n, dims, P, is_nilfil, tangent_class_punctual,
+                            epunct_class)
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "localization", "nhilb")
 
@@ -268,12 +268,8 @@ def cy_restrict(v: FactoredRational, n: int) -> FactoredRational:
 def virtual_dimension(n: int, dims, space: str) -> int:
     """Net tangent rank minus obstruction rank, constant over the fixed
     set; raises when the space has no fixed points at all."""
-    if space not in SPACES:
-        raise ValueError(f"unknown space {space!r}")
+    select, _, net_count = _space(space)
     dims = tuple(int(x) for x in dims)
-    points = enumerate_nested(n, dims)
-    if space == "nilfil":
-        points = [p for p in points if is_nilfil(p)]
-    if not points:
+    if not any(select is None or select(p) for p in enumerate_nested(n, dims)):
         raise NoFixedPoints(f"no fixed chains for n={n}, dims={dims}, {space}")
-    return _expected_vdim(n, dims, space)
+    return net_count(n, dims) - obstruction_net_count(dims)

@@ -13,6 +13,7 @@ that order.
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 from itertools import combinations
 
 from .errors import (
@@ -27,14 +28,21 @@ DEFAULT_MAX_POINTS = 12
 HARD_MAX_POINTS = 14
 MAX_ENUMERATION_POINTS = 8
 
+# a budget set here, for instance by the command line for one job, is read
+# before NAHILB_MAX_POINTS and lasts until the setter resets it
+point_budget: ContextVar = ContextVar("point_budget", default=None)
+
 
 def max_points() -> int:
     """Active point budget for exhaustive enumeration.
 
-    NAHILB_MAX_POINTS overrides the default of 12; values are clamped to
-    [1, 14] and unreadable values fall back to the default.
+    point_budget, else NAHILB_MAX_POINTS, overrides the default of 12;
+    values are clamped to [1, 14] and unreadable values fall back to the
+    default.
     """
-    raw = os.environ.get("NAHILB_MAX_POINTS")
+    raw = point_budget.get()
+    if raw is None:
+        raw = os.environ.get("NAHILB_MAX_POINTS")
     if raw is None:
         return DEFAULT_MAX_POINTS
     try:
@@ -125,12 +133,6 @@ class NestedPartition:
 
     def top(self) -> frozenset:
         return self.layers[-1]
-
-    def level_of(self, p: tuple) -> int:
-        for i, layer in enumerate(self.layers):
-            if p in layer:
-                return i
-        raise IndexOutOfRange(f"point {p} not in the chain")
 
     def key(self) -> tuple:
         return tuple(tuple(sorted(layer, key=point_key)) for layer in self.layers)
@@ -335,12 +337,19 @@ def is_admissible(np_: NestedPartition) -> bool:
     return True
 
 
+def require_pointed(dims) -> tuple:
+    """dims as an int tuple, refusing shapes whose first layer is not the
+    single origin point."""
+    dims = tuple(int(x) for x in dims)
+    if not dims or dims[0] != 1:
+        raise RequiresPointedDims(f"dims must start with 1, got {dims}")
+    return dims
+
+
 def is_nilfil(np_: NestedPartition) -> bool:
     """Nilpotent filtration rule: past the first layer, no added point may
     have a coordinate successor inside its own layer."""
-    if np_.dims[0] != 1:
-        raise RequiresPointedDims(
-            f"nilfil needs dims starting with 1, got {np_.dims}")
+    require_pointed(np_.dims)
     for k in range(1, len(np_.layers)):
         layer = np_.layers[k]
         for u in layer - np_.layers[k - 1]:

@@ -15,8 +15,9 @@ out; the weighted-residue identity in the test suite pins the factor.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .algebra import (
     FIELD_MASK,
@@ -25,32 +26,39 @@ from .algebra import (
     SparsePolynomial,
     linear_form_of,
     mul_linear,
-    sum_factored,
     var_shift,
 )
 from .errors import (
     IndexOutOfRange,
     NonElimination,
     RequiresNilfil,
-    RequiresPointedDims,
     TooManyPoints,
 )
-from .localization import IntegralResult, TautClass, restrict_class, _check_degree
+from .localization import (
+    IntegralResult,
+    TautClass,
+    _check_degree,
+    fixed_point_sum,
+    passes_gate,
+)
 from .partitions import (
     NestedPartition,
     canonical_enumeration,
-    enumerate_nested,
     identity_sigma,
     in_flag_fiber,
     is_nilfil,
     point_levels,
+    require_pointed,
 )
 from .weights import (
-    euler_class,
     fiber_tangent_class,
+    flag_terms,
     obstruction_class,
     obstruction_net_count,
+    obstruction_terms,
     punctual_net_count,
+    punctual_terms,
+    term_zforms,
 )
 
 RESIDUE_SIGN = -1
@@ -176,35 +184,19 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     return result
 
 
-def _z_blocks(dhat) -> list:
-    """Level of each z-variable, 1-based list of length sum(dhat)."""
-    return list(point_levels((1,) + tuple(dhat)))[1:]
-
-
-def _vandermonde_factors(levels) -> list:
-    """Linear factors of the cross-block Vandermonde: pairs in the same
-    block keep both orders, cross-block pairs one."""
-    k = len(levels)
-    out = []
-    for l in range(1, k + 1):
-        for m in range(l + 1, k + 1):
-            form = LinearForm({("z", l): 1, ("z", m): -1})
-            out.append((form, 1))
-            if levels[l - 1] == levels[m - 1]:
-                out.append((-form, 1))
-    return out
-
-
-def _parameter_factors(n: int, k: int) -> list:
-    return [(LinearForm({("s", i): Fraction(1), ("z", l): Fraction(-1)}), 1)
-            for i in range(1, n + 1) for l in range(1, k + 1)]
-
-
-def _block_factorial(dhat) -> Fraction:
-    out = 1
-    for x in dhat:
-        out *= factorial(x)
-    return Fraction(1, out)
+def _residue(num, tangent, w, margin: int, factors=(),
+             deferred=()) -> SparsePolynomial:
+    """Residue of num over the z-forms of a tangent's terms at the levels
+    w, with the extra (form, exponent) factors dividing and the deferred
+    ones multiplying.  Negative tangent terms multiply too.  The block
+    factorials of w are divided back out."""
+    den, mul = [], []
+    for sign, form in term_zforms(tangent):
+        (den if sign > 0 else mul).append((form, 1))
+    form = ResidueForm(num, den + list(factors), len(w) - 1,
+                       deferred=mul + list(deferred))
+    blocks = prod(factorial(size) for size in Counter(w).values())
+    return iterated_residue(form, margin) * Fraction(1, blocks)
 
 
 def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat,
@@ -218,10 +210,8 @@ def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat,
     k = sum(dhat)
     if k > n:
         raise TooManyPoints(f"needs {k} flag steps in {n} variables")
-    levels = _z_blocks(dhat)
-    form = ResidueForm(Q, _parameter_factors(n, k), k,
-                       deferred=_vandermonde_factors(levels))
-    return iterated_residue(form, margin) * _block_factorial(dhat)
+    w = point_levels((1,) + dhat)
+    return _residue(Q, flag_terms(w, n), w, margin)
 
 
 def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
@@ -236,27 +226,10 @@ def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
     if d - 1 > n:
         raise TooManyPoints(f"fiber needs d-1 <= n, got d={d}, n={n}")
     sigma = identity_sigma(d)
-    terms = []
-    for np_ in enumerate_nested(n, dims):
-        if not is_nilfil(np_) or not in_flag_fiber(np_, sigma):
-            continue
-        e = canonical_enumeration(np_)
-        tangent = fiber_tangent_class(e, sigma)
-        obstruction = obstruction_class(e)
-        if tangent.fixed_rank() != obstruction.fixed_rank():
-            continue
-        value = FactoredRational.from_poly(restrict_class(P, e))
-        value = value * euler_class(obstruction.moving(), "s")
-        value = value / euler_class(tangent.moving(), "s")
-        terms.append(value.simplify())
-    return sum_factored(terms).expand()
-
-
-def _require_pointed_dims(dims) -> tuple:
-    dims = tuple(int(x) for x in dims)
-    if not dims or dims[0] != 1:
-        raise RequiresPointedDims(f"dims must start with 1, got {dims}")
-    return dims
+    return fixed_point_sum(
+        n, dims, P,
+        lambda np_: is_nilfil(np_) and in_flag_fiber(np_, sigma),
+        lambda e: fiber_tangent_class(e, sigma)).expand()
 
 
 def _restrict_to_z(P: TautClass, points) -> SparsePolynomial:
@@ -282,36 +255,17 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass,
 
     Needs no fixed-point enumeration and no bound between the chain
     length and n; agreement with the localization sum where both apply
-    is part of the acceptance suite.
+    is part of the acceptance suite.  The positive punctual tangent terms
+    divide; its negative terms (the Vandermonde) and the obstruction
+    multiply, deferred.
     """
-    dims = _require_pointed_dims(dims)
-    d = sum(dims)
-    k = d - 1
+    dims = require_pointed(dims)
     w = point_levels(dims)
-    zlf = [LinearForm()] + [LinearForm({("z", l): 1}) for l in range(1, k + 1)]
-    zeta = {("eta", j): zlf[j].as_poly() for j in range(1, k + 1)}
-    num = P.poly.substitute({v: p for v, p in zeta.items()
-                             if v in P.poly.variables()})
-    deferred = _vandermonde_factors(list(w)[1:])
-    for i in range(1, k + 1):
-        for kk in range(i + 1, k + 1):
-            for j in range(1, k + 1):
-                for m in range(k + 1):
-                    if w[j] <= w[m] and w[kk] <= w[m]:
-                        form = zlf[i] + zlf[j] + zlf[kk] - zlf[m]
-                        if not form.is_zero():
-                            deferred.append((form, 1))
-    factors = _parameter_factors(n, k)
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            for kk in range(1, k + 1):
-                if w[j] < w[kk]:
-                    form = zlf[i] + zlf[j] - zlf[kk]
-                    if not form.is_zero():
-                        factors.append((form, 1))
-    raw = iterated_residue(ResidueForm(num, factors, k, deferred=deferred),
-                           margin)
-    value = FactoredRational.from_poly(raw * _block_factorial(dims[1:]))
+    num = P.poly.substitute({("eta", j): SparsePolynomial.variable(("z", j))
+                             for j in range(1, len(w))})
+    obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]
+    value = FactoredRational.from_poly(
+        _residue(num, punctual_terms(w, n), w, margin, deferred=obstruction))
     vdim = punctual_net_count(n, dims) - obstruction_net_count(dims)
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "residue", "nilfil")
@@ -321,7 +275,7 @@ def residue_term(np_: NestedPartition, n: int, dims, P: TautClass,
                  margin: int = 0) -> SparsePolynomial:
     """Contribution of one fiber chain to the residue decomposition:
     the residue of the kernel against the chain's own Euler data."""
-    dims = _require_pointed_dims(dims)
+    dims = require_pointed(dims)
     if tuple(np_.dims) != dims or np_.n != n:
         raise ValueError(f"chain has n={np_.n}, dims={np_.dims}")
     sigma = identity_sigma(np_.d)
@@ -330,19 +284,13 @@ def residue_term(np_: NestedPartition, n: int, dims, P: TautClass,
     e = canonical_enumeration(np_)
     tangent = fiber_tangent_class(e, sigma)
     obstruction = obstruction_class(e)
-    if tangent.fixed_rank() != obstruction.fixed_rank():
+    if not passes_gate(tangent, obstruction):
         return SparsePolynomial.zero()
     k = e.d - 1
-    num = _restrict_to_z(P, e.points)
-    deferred = _vandermonde_factors(list(e.w)[1:])
-    for vec, mult in obstruction.moving().items():
-        deferred.append((_zform_of(vec, k), mult))
-    factors = _parameter_factors(n, k)
-    for vec, mult in tangent.moving().items():
-        factors.append((_zform_of(vec, k), mult))
-    raw = iterated_residue(ResidueForm(num, factors, k, deferred=deferred),
-                           margin)
-    return raw * _block_factorial(dims[1:])
+    return _residue(
+        _restrict_to_z(P, e.points), flag_terms(e.w, n), e.w, margin,
+        [(_zform_of(v, k), m) for v, m in tangent.moving().items()],
+        [(_zform_of(v, k), m) for v, m in obstruction.moving().items()])
 
 
 def residue_term_vanishes(np_: NestedPartition, n: int, dims,

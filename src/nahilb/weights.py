@@ -6,24 +6,36 @@ weights of a virtual representation: the tangent space of the nested
 Hilbert scheme, its punctual analogue, the obstruction bundle, or the
 tangent space of a flag fiber.
 
-Two routes exist for the main complexes.  The direct route multiplies out
-the indexed character formula; the recursive route accumulates level
-multisets S_m and assembles sum_m sum_{v in layer m} (S_m - v).  The
-recursive route is the default; the direct products are kept as oracles
-and the test suite checks they agree on every chain it can enumerate.
+The indexed character formulas are stated once, as generators of terms
+(sign, c, plus, m) that read only the levels w and n (or sigma): each
+term is sign * (e_c + sum of u_p over p in plus - u_m), where u_0 = 0
+and c or m may be None.  Three maps read that statement: term_weights
+evaluates the terms at a chain (the direct builders), term_count counts
+them with sign (the net ranks), and term_zforms turns point p into the
+residue variable z_p (the residue forms).
+
+The recursive route accumulates level multisets S_m and assembles
+sum_m sum_{v in layer m} (S_m - v).  It never reads the term statement;
+it is the default for the tangent, obstruction and fiber tangent, and
+the test suite checks the direct builders against it on every chain it
+can enumerate.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from operator import add, eq, le, lt, sub
 
 from .algebra import FactoredRational, LinearForm, SparsePolynomial, linear_form_of
-from .errors import IndexOutOfRange, NotInFiber, RequiresPointedDims
+from .errors import IndexOutOfRange, NotInFiber
 from .partitions import (
     Enumeration,
     extend_sigma,
     in_flag_fiber,
     point_levels,
+    require_pointed,
     unit_vector,
 )
 
@@ -90,84 +102,135 @@ class SignedWeightMultiset:
         return f"SignedWeightMultiset({{{inner}}})"
 
 
-def _require_pointed(e: Enumeration):
-    if not e.dims or e.dims[0] != 1:
-        raise RequiresPointedDims(
-            f"operation needs dims starting with 1, got {e.dims}")
+# the written statement: index sets and the three maps that read them
 
 
-# direct indexed products
+def _coordinate_terms(n: int, d: int, first: int):
+    """e_i - u_k for every coordinate i and every k >= first."""
+    for i in range(1, n + 1):
+        for k in range(first, d):
+            yield 1, i, (), k
+
+
+def _pair_terms(w, first: int, keep):
+    """u_i + u_j - u_k for 1 <= i <= j and k >= first with keep(w_j, w_k)."""
+    d = len(w)
+    for i in range(1, d):
+        for j in range(i, d):
+            for k in range(first, d):
+                if keep(w[j], w[k]):
+                    yield 1, None, (i, j), k
+
+
+def _point_terms(w, first: int):
+    """-(u_j - u_k) for j >= 1 and k >= first with w_j <= w_k."""
+    d = len(w)
+    for j in range(1, d):
+        for k in range(first, d):
+            if w[j] <= w[k]:
+                yield -1, None, (j,), k
+
+
+def tangent_terms(w, n: int):
+    """Tangent space of the nested Hilbert scheme."""
+    return chain(_coordinate_terms(n, len(w), 0), _pair_terms(w, 0, le),
+                 _point_terms(w, 0))
+
+
+def punctual_terms(w, n: int):
+    """Tangent space of the punctual (nilpotent filtration) locus."""
+    return chain(_coordinate_terms(n, len(w), 1), _pair_terms(w, 1, lt),
+                 _point_terms(w, 1))
+
+
+def flag_terms(w, n: int):
+    """The punctual tangent without its pair terms: the kernel of every
+    residue form, s_i - z_l over the cross-block Vandermonde."""
+    return chain(_coordinate_terms(n, len(w), 1), _point_terms(w, 1))
+
+
+def fiber_terms(w, sigma):
+    """Tangent space of the flag fiber over the coset sigma."""
+    d = len(w)
+    coordinates = ((1, sigma[i - 1], (), k) for i in range(1, d)
+                   for k in range(1, d) if w[i] <= w[k])
+    return chain(coordinates, _pair_terms(w, 1, lt), _point_terms(w, 1))
+
+
+def epunct_terms(w, n: int):
+    """Bundle relating the two tangents: tangent = punctual + this."""
+    coordinates = ((1, i, (), None) for i in range(1, n + 1))
+    return chain(coordinates, _pair_terms(w, 1, eq))
+
+
+def obstruction_terms(w):
+    """Obstruction bundle; every sign is +1."""
+    d = len(w)
+    for i in range(1, d):
+        for k in range(i + 1, d):
+            for j in range(1, d):
+                for m in range(d):
+                    if w[j] <= w[m] and w[k] <= w[m]:
+                        yield 1, None, (i, j, k), m
+
+
+def term_weights(e: Enumeration, terms) -> SignedWeightMultiset:
+    """Weight vector of each term at the chain e, with its sign as the
+    multiplicity."""
+    pts, n = e.points, e.n
+    units = (None,) + tuple(unit_vector(n, i) for i in range(1, n + 1))
+    zero = (0,) * n
+    counts: dict = {}
+    for sign, c, plus, m in terms:
+        v = zero if c is None else units[c]
+        for p in plus:
+            v = tuple(map(add, v, pts[p]))
+        if m is not None:
+            v = tuple(map(sub, v, pts[m]))
+        counts[v] = counts.get(v, 0) + sign
+    return SignedWeightMultiset(n, counts)
+
+
+def term_count(terms) -> int:
+    """Net rank: the number of terms counted with their signs."""
+    return sum(t[0] for t in terms)
+
+
+def term_zforms(terms):
+    """(sign, form) of each term whose form is nonzero, with e_c read as
+    s_c and u_p as the residue variable z_p (z_0 = 0)."""
+    for sign, c, plus, m in terms:
+        coeffs = Counter(("z", p) for p in plus if p)
+        if c is not None:
+            coeffs[("s", c)] += 1
+        if m:
+            coeffs[("z", m)] -= 1
+        form = LinearForm(coeffs)
+        if not form.is_zero():
+            yield sign, form
 
 
 def tangent_class_direct(e: Enumeration) -> SignedWeightMultiset:
     """Tangent weights at a fixed point of the nested Hilbert scheme."""
-    pts, w, d, n = e.points, e.w, e.d, e.n
-    out = SignedWeightMultiset(n)
-    for i in range(1, n + 1):
-        ei = unit_vector(n, i)
-        for k in range(d):
-            out.bump(_vec_sub(ei, pts[k]))
-    for i in range(1, d):
-        for j in range(i, d):
-            for k in range(d):
-                if w[j] <= w[k]:
-                    out.bump(_vec_sub(_vec_add(pts[i], pts[j]), pts[k]))
-    for j in range(1, d):
-        for k in range(d):
-            if w[j] <= w[k]:
-                out.bump(_vec_sub(pts[j], pts[k]), -1)
-    return out
+    return term_weights(e, tangent_terms(e.w, e.n))
 
 
 def tangent_class_punctual(e: Enumeration) -> SignedWeightMultiset:
     """Tangent weights of the punctual (nilpotent filtration) locus."""
-    _require_pointed(e)
-    pts, w, d, n = e.points, e.w, e.d, e.n
-    out = SignedWeightMultiset(n)
-    for i in range(1, n + 1):
-        ei = unit_vector(n, i)
-        for k in range(1, d):
-            out.bump(_vec_sub(ei, pts[k]))
-    for i in range(1, d):
-        for j in range(i, d):
-            for k in range(1, d):
-                if w[j] < w[k]:
-                    out.bump(_vec_sub(_vec_add(pts[i], pts[j]), pts[k]))
-    for j in range(1, d):
-        for k in range(1, d):
-            if w[j] <= w[k]:
-                out.bump(_vec_sub(pts[j], pts[k]), -1)
-    return out
+    require_pointed(e.dims)
+    return term_weights(e, punctual_terms(e.w, e.n))
 
 
 def epunct_class(e: Enumeration) -> SignedWeightMultiset:
     """Weights of the bundle relating the full and punctual tangents:
     tangent = punctual tangent + this class, checked by the test suite."""
-    _require_pointed(e)
-    pts, w, d, n = e.points, e.w, e.d, e.n
-    out = SignedWeightMultiset(n)
-    for i in range(1, n + 1):
-        out.bump(unit_vector(n, i))
-    for i in range(1, d):
-        for j in range(i, d):
-            for k in range(1, d):
-                if w[j] == w[k]:
-                    out.bump(_vec_sub(_vec_add(pts[i], pts[j]), pts[k]))
-    return out
+    require_pointed(e.dims)
+    return term_weights(e, epunct_terms(e.w, e.n))
 
 
 def obstruction_class_direct(e: Enumeration) -> SignedWeightMultiset:
     """Obstruction weights; all multiplicities are nonnegative."""
-    pts, w, d, n = e.points, e.w, e.d, e.n
-    out = SignedWeightMultiset(n)
-    for i in range(1, d):
-        for j in range(1, d):
-            for k in range(i + 1, d):
-                s = _vec_add(_vec_add(pts[i], pts[j]), pts[k])
-                for m in range(d):
-                    if w[j] <= w[m] and w[k] <= w[m]:
-                        out.bump(_vec_sub(s, pts[m]))
-    return out
+    return term_weights(e, obstruction_terms(e.w))
 
 
 def fiber_tangent_class_direct(e: Enumeration, sigma) -> SignedWeightMultiset:
@@ -175,23 +238,7 @@ def fiber_tangent_class_direct(e: Enumeration, sigma) -> SignedWeightMultiset:
     sigma = tuple(sigma)
     if not in_flag_fiber(e.nested(), sigma):
         raise NotInFiber(f"{e.nested()} is not on the fiber of {sigma}")
-    pts, w, d, n = e.points, e.w, e.d, e.n
-    out = SignedWeightMultiset(n)
-    for i in range(1, d):
-        ei = unit_vector(n, sigma[i - 1])
-        for k in range(1, d):
-            if w[i] <= w[k]:
-                out.bump(_vec_sub(ei, pts[k]))
-    for i in range(1, d):
-        for j in range(i, d):
-            for k in range(1, d):
-                if w[j] < w[k]:
-                    out.bump(_vec_sub(_vec_add(pts[i], pts[j]), pts[k]))
-    for j in range(1, d):
-        for k in range(1, d):
-            if w[j] <= w[k]:
-                out.bump(_vec_sub(pts[j], pts[k]), -1)
-    return out
+    return term_weights(e, fiber_terms(e.w, sigma))
 
 
 # recursive level multisets
@@ -340,10 +387,7 @@ def flag_tangent_euler(sigma, n: int, dims) -> FactoredRational:
     """Euler class of the flag variety tangent space at the coset sigma;
     dims is the pointed layer tuple, whose tail gives the flag steps."""
     sigma = tuple(sigma)
-    dims = tuple(int(x) for x in dims)
-    if not dims or dims[0] != 1:
-        raise RequiresPointedDims(f"dims must start with 1, got {dims}")
-    dhat = dims[1:]
+    dhat = require_pointed(dims)[1:]
     k = sum(dhat)
     ext = extend_sigma(sigma, n)
     w = list(point_levels((1,) + dhat))[1:]  # levels 1..r on the flag slots
@@ -362,29 +406,12 @@ def flag_tangent_euler(sigma, n: int, dims) -> FactoredRational:
 
 
 def tangent_net_count(n: int, dims) -> int:
-    dims = tuple(dims)
-    w = point_levels(dims)
-    d = sum(dims)
-    fam2 = sum(1 for i in range(1, d) for j in range(i, d) for k in range(d)
-               if w[j] <= w[k])
-    fam3 = sum(1 for j in range(1, d) for k in range(d) if w[j] <= w[k])
-    return n * d + fam2 - fam3
+    return term_count(tangent_terms(point_levels(dims), n))
 
 
 def punctual_net_count(n: int, dims) -> int:
-    dims = tuple(dims)
-    w = point_levels(dims)
-    d = sum(dims)
-    fam2 = sum(1 for i in range(1, d) for j in range(i, d)
-               for k in range(1, d) if w[j] < w[k])
-    fam3 = sum(1 for j in range(1, d) for k in range(1, d) if w[j] <= w[k])
-    return n * (d - 1) + fam2 - fam3
+    return term_count(punctual_terms(point_levels(dims), n))
 
 
 def obstruction_net_count(dims) -> int:
-    dims = tuple(dims)
-    w = point_levels(dims)
-    d = sum(dims)
-    return sum(1 for i in range(1, d) for j in range(1, d)
-               for k in range(i + 1, d) for m in range(d)
-               if w[j] <= w[m] and w[k] <= w[m])
+    return term_count(obstruction_terms(point_levels(dims)))

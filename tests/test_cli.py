@@ -2,6 +2,7 @@
 deterministic JSON output."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,17 @@ class TestMain:
             "enumerate", "-n", "2", "--dims", "6", "--max-points", "5"])
         assert code == 1
         assert err.startswith("error:")
+
+    def test_max_points_does_not_outlive_its_call(self, capsys):
+        env = dict(os.environ)
+        code, _, err = run_main(capsys, [
+            "enumerate", "-n", "2", "--dims", "6", "--max-points", "5"])
+        assert code == 1
+        assert "exceeds the point budget 5" in err
+        code, out, _ = run_main(capsys, ["enumerate", "-n", "2", "--dims", "6"])
+        assert code == 0
+        assert json.loads(out)["count"] == 11
+        assert dict(os.environ) == env
 
 
 class TestRun:

@@ -7,10 +7,18 @@ products.  Sweeps here stay small; the acceptance tests run the big ones.
 """
 
 from fractions import Fraction
+from itertools import chain as chain_terms
 
 import pytest
 
-from nahilb.algebra import FactoredRational, SparsePolynomial, evaluate, linear_form_of, rational_equal
+from nahilb.algebra import (
+    FactoredRational,
+    LinearForm,
+    SparsePolynomial,
+    evaluate,
+    linear_form_of,
+    rational_equal,
+)
 from nahilb.errors import NotInFiber, RequiresPointedDims
 from nahilb.partitions import (
     NestedPartition,
@@ -21,6 +29,7 @@ from nahilb.partitions import (
     in_flag_fiber,
     is_admissible,
     is_nilfil,
+    point_levels,
     porteous,
 )
 from nahilb.weights import (
@@ -34,11 +43,15 @@ from nahilb.weights import (
     obstruction_class,
     obstruction_class_direct,
     obstruction_net_count,
+    obstruction_terms,
     punctual_net_count,
+    punctual_terms,
     tangent_class,
     tangent_class_direct,
     tangent_class_punctual,
     tangent_net_count,
+    term_weights,
+    term_zforms,
 )
 
 
@@ -317,6 +330,30 @@ class TestNetCounts:
                 if dims[0] == 1:
                     assert tangent_class_punctual(e).net_rank() == \
                         punctual_net_count(n, dims)
+
+
+class TestZformMap:
+    def test_zforms_are_the_weight_vectors_with_symbolic_points(self):
+        """Substituting z_l -> (s-form of u_l) into a term's z-form gives
+        the s-form of its weight vector, sign included, for the punctual
+        tangent and obstruction terms the residue formula reads."""
+        for n in (1, 2, 3):
+            for dims in _shapes(n, 5):
+                if dims[0] != 1:
+                    continue
+                w = point_levels(dims)
+                for np_ in enumerate_nested(n, dims):
+                    e = canonical_enumeration(np_)
+                    zs = {("z", l): linear_form_of(e.points[l], "s")
+                          for l in range(1, e.d)}
+                    for term in chain_terms(punctual_terms(w, n),
+                                            obstruction_terms(w)):
+                        got = LinearForm()
+                        for sign, form in term_zforms([term]):
+                            got = form.substitute(zs).scale(sign)
+                        (v, mult), = term_weights(e, [term]).items()
+                        want = linear_form_of(v, "s").scale(mult)
+                        assert got == want, (e, term)
 
 
 class TestEulerClass:
