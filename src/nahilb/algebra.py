@@ -421,42 +421,59 @@ class SparsePolynomial:
     __repr__ = __str__
 
 
+def slices_of(terms: dict, x: Var) -> dict:
+    """{k: packed terms of the coefficient of x^k} of packed terms."""
+    sx = var_shift(x)
+    out: dict = {}
+    for m, c in terms.items():
+        k = (m >> sx) & FIELD_MASK
+        out.setdefault(k, {})[m - (k << sx)] = c
+    return out
+
+
+def divide_slices(slices: dict, a, neg: list, floor: int) -> dict:
+    """Slices of p / (a*x + r) as a Laurent series in 1/x, kept down to
+    x^floor, from the slices of p and neg = -r as packed items.
+
+    Synthetic division from the top slice down:
+    q_{k-1} = (p_k + (-r)*q_k) / a.  Continued to floor = -1 it ends
+    with q_{-1}, the remainder over a, which is zero exactly when
+    a*x + r divides p.
+    """
+    out: dict = {}
+    q: dict = {}
+    for k in range(max(slices, default=floor), floor, -1):
+        q = mul_linear(q, neg) if q and neg else {}
+        for m, c in slices.get(k, {}).items():
+            nc = q.get(m, _ZERO) + c
+            if nc:
+                q[m] = nc
+            else:
+                del q[m]
+        if a != 1:
+            q = {m: c // a if not c % a else Fraction(c, a)
+                 for m, c in q.items()}
+        if q:
+            out[k - 1] = q
+    return out
+
+
 def exact_divide_linear(p: SparsePolynomial, form: "LinearForm") -> SparsePolynomial | None:
     """Quotient p / form when the division is exact, else None.
 
-    Synthetic division in one variable x of the form, written a*x + r:
-    with p = sum_k x^k p_k, the quotient's slices are
-    q_{k-1} = (p_k - r*q_k) / a from the top down, and the division is
-    exact iff r*q_0 == p_0.  One pass, no monomial order needed.
+    One pass of divide_slices in one variable x of the form, exact iff
+    its remainder vanishes; no monomial order is needed.
     """
     if form.is_zero():
         raise DivisionByZero("division by the zero form")
     x = form.leading_var()
-    a = form.coeffs[x]
-    sx = var_shift(x)
-    rest = form.packed_items(skip=x)
-    slices: dict = {}
-    for m, c in p.terms.items():
-        k = (m >> sx) & FIELD_MASK
-        slices.setdefault(k, {})[m - (k << sx)] = c
-    quotient: dict = {}
-    carry: dict = {}  # r * q_k, due against p_k
-    for k in range(max(slices, default=0), 0, -1):
-        cur = slices.get(k, {})
-        for m, c in carry.items():
-            nc = cur.get(m, _ZERO) - c
-            if nc:
-                cur[m] = nc
-            else:
-                del cur[m]
-        q = cur if a == 1 else {m: _num(Fraction(c) / a) for m, c in cur.items()}
-        shift = (k - 1) << sx
-        for m, c in q.items():
-            quotient[m + shift] = c
-        carry = mul_linear(q, rest) if rest else {}
-    if slices.get(0, {}) != carry:
+    neg = [(pv, -c) for pv, c in form.packed_items(skip=x)]
+    q = divide_slices(slices_of(p.terms, x), form.coeffs[x], neg, -1)
+    if -1 in q:
         return None
-    return SparsePolynomial.from_packed(quotient)
+    sx = var_shift(x)
+    return SparsePolynomial.from_packed(
+        {m + (k << sx): c for k, qk in q.items() for m, c in qk.items()})
 
 
 class LinearForm:
@@ -519,7 +536,7 @@ class LinearForm:
         if all(type(c) is int for c in values):
             g = sign * gcd(*values)
             if g == 1:
-                return Fraction(1), self
+                return _ONE, self
             return Fraction(g), LinearForm(
                 {v: c // g for v, c in self.coeffs.items()})
         content = sign * Fraction(gcd(*(c.numerator for c in values)),

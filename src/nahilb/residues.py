@@ -2,9 +2,10 @@
 
 The residue operator expands a rational form as a Laurent series in the
 regime z_1 << ... << z_k, eliminating variables from the highest index
-down; each step takes minus the coefficient of z_M^{-1}.  The engine
-consumes forms whose denominators are products of linear factors, which
-covers every integrand produced here.
+down; each step divides by the factors in z_M through synthetic division
+continued past z_M^0 and takes minus the coefficient of z_M^{-1}.  The
+engine consumes forms whose denominators are products of linear factors,
+which covers every integrand produced here.
 
 The flag decomposition behind the main formula sums over unordered
 block cosets while the residue telescopes over ordered assignments of
@@ -17,16 +18,16 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .algebra import (
-    FIELD_MASK,
     FactoredRational,
     LinearForm,
     SparsePolynomial,
+    divide_slices,
     linear_form_of,
     mul_linear,
-    var_shift,
+    slices_of,
 )
 from .errors import (
     IndexOutOfRange,
@@ -115,11 +116,12 @@ class ResidueForm:
 def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     """Iterated residue at infinity, eliminating z_{z_count} down to z_1.
 
-    Per round, each factor whose top z-variable is the current one is
-    expanded as a geometric series in 1/z_M; the series are folded into
-    the numerator while discarding exponents that can no longer reach
-    -1 past the factors still pending.  margin loosens that cutoff and
-    must never change the result.
+    Per round, the numerator is divided by each factor whose top
+    z-variable is the current one, z_M, as a Laurent series in 1/z_M:
+    each unit of a factor's exponent is one pass of synthetic division
+    (algebra.divide_slices) continued past z_M^0.  Each pass stops at
+    the exponents that can no longer reach -1 past the factors still
+    pending; margin loosens that cutoff and must never change the result.
     """
     num = dict(f.numerator.terms)
     factors = list(f.factors)
@@ -135,49 +137,19 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
         zM = ("z", M)
         active = [fe for fe in factors if fe[0].max_index("z") == M]
         factors = [fe for fe in factors if fe[0].max_index("z") < M]
-        sM = var_shift(zM)
-        state: dict = {}
-        for m, c in num.items():
-            e = (m >> sM) & FIELD_MASK
-            state.setdefault(e, {})[m - (e << sM)] = c
+        state = slices_of(num, zM)
+        sign = RESIDUE_SIGN
         rem = sum(e for _, e in active)
         for form, e in active:
-            rem -= e
+            # c*z_M + r is -(|c|*z_M - r) when c < 0
             c = form.coeffs[zM]
-            rest = form.packed_items(skip=zM)
-            floor = rem - 1 - margin
-            tcap = (max(state) if state else 0) - e - floor
-            series = []
-            for t in range(max(tcap, 0) + 1):
-                co = Fraction((-1) ** t * comb(e - 1 + t, t), c ** (e + t))
-                series.append(co.numerator if co.denominator == 1 else co)
-            new_state: dict = {}
-            for expo, poly in state.items():
-                # running product poly * rest^t; multiplying by the small
-                # linear rest each step beats forming the powers outright
-                q = poly
-                for t in range(expo - e - floor + 1):
-                    if t:
-                        if not rest:
-                            break
-                        q = mul_linear(q, rest)
-                        if not q:
-                            break
-                    ct = series[t]
-                    ne = expo - e - t
-                    acc = new_state.get(ne)
-                    if acc is None:
-                        new_state[ne] = {m: co * ct for m, co in q.items()}
-                        continue
-                    get = acc.get
-                    for m, co in q.items():
-                        nc = get(m, 0) + co * ct
-                        if nc:
-                            acc[m] = nc
-                        elif m in acc:
-                            del acc[m]
-            state = {k: v for k, v in new_state.items() if v}
-        num = {m: RESIDUE_SIGN * c for m, c in state.get(-1, {}).items()}
+            flip = -1 if c < 0 else 1
+            sign *= flip ** e
+            neg = [(pv, -flip * cf) for pv, cf in form.packed_items(skip=zM)]
+            for _ in range(e):
+                rem -= 1
+                state = divide_slices(state, flip * c, neg, rem - 1 - margin)
+        num = {m: sign * c for m, c in state.get(-1, {}).items()}
     result = SparsePolynomial.from_packed(num)
     if _max_z_index(result) or factors:
         raise NonElimination(f"z-variables survive the residue: {result}")
@@ -232,14 +204,13 @@ def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
         lambda e: fiber_tangent_class(e, sigma)).expand()
 
 
-def _restrict_to_z(P: TautClass, points) -> SparsePolynomial:
-    """P with eta_j sent to the z-form of the j-th chain point."""
-    k = len(points) - 1
-    mapping = {}
-    for ns, idx in P.poly.variables():
-        if ns != "eta":
-            continue
-        mapping[(ns, idx)] = _zform_of(points[idx], k).as_poly()
+def _restrict_to_z(P: TautClass, d: int, zform) -> SparsePolynomial:
+    """P with each eta_j sent to the z-polynomial zform(j); a chain of d
+    points has no eta_j with j >= d."""
+    etas = [idx for ns, idx in P.poly.variables() if ns == "eta"]
+    if etas and max(etas) >= d:
+        raise IndexOutOfRange(f"eta_{max(etas)} needs more than {d} points")
+    mapping = {("eta", j): zform(j) for j in etas}
     return P.poly.substitute(mapping) if mapping else P.poly
 
 
@@ -261,8 +232,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass,
     """
     dims = require_pointed(dims)
     w = point_levels(dims)
-    num = P.poly.substitute({("eta", j): SparsePolynomial.variable(("z", j))
-                             for j in range(1, len(w))})
+    num = _restrict_to_z(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]
     value = FactoredRational.from_poly(
         _residue(num, punctual_terms(w, n), w, margin, deferred=obstruction))
@@ -282,13 +252,14 @@ def residue_term(np_: NestedPartition, n: int, dims, P: TautClass,
     if not in_flag_fiber(np_, sigma):
         raise RequiresNilfil(f"{np_} is not on the identity fiber")
     e = canonical_enumeration(np_)
+    k = e.d - 1
+    num = _restrict_to_z(P, e.d, lambda j: _zform_of(e.points[j], k).as_poly())
     tangent = fiber_tangent_class(e, sigma)
     obstruction = obstruction_class(e)
     if not passes_gate(tangent, obstruction):
         return SparsePolynomial.zero()
-    k = e.d - 1
     return _residue(
-        _restrict_to_z(P, e.points), flag_terms(e.w, n), e.w, margin,
+        num, flag_terms(e.w, n), e.w, margin,
         [(_zform_of(v, k), m) for v, m in tangent.moving().items()],
         [(_zform_of(v, k), m) for v, m in obstruction.moving().items()])
 

@@ -193,7 +193,11 @@ class TestCanonicalForms:
 
     def test_primitive_linear_form(self):
         content, prim = lf(s1=-2, s2=4).primitive()
-        assert content == -2
+        assert content == -2 and type(content) is Fraction
+        assert prim == lf(s1=1, s2=-2)
+        # unit content is the int 1, which build skips without a Fraction
+        content, prim = prim.primitive()
+        assert content == 1 and type(content) is int
         assert prim == lf(s1=1, s2=-2)
 
     def test_extract_content(self):

@@ -9,6 +9,7 @@ is pinned by exact anchor values.
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -19,7 +20,12 @@ from nahilb.algebra import (
     rational_equal,
     sum_factored,
 )
-from nahilb.errors import RequiresNilfil, RequiresPointedDims, TooManyPoints
+from nahilb.errors import (
+    IndexOutOfRange,
+    RequiresNilfil,
+    RequiresPointedDims,
+    TooManyPoints,
+)
 from nahilb.localization import TautClass, chern_taut, integrate_localization
 from nahilb.partitions import (
     NestedPartition,
@@ -175,6 +181,22 @@ class TestIteratedResidue:
                 assert rational_equal(FactoredRational.from_poly(got),
                                       partial_fraction_sum(P, n))
 
+    @pytest.mark.parametrize("c", [1, -1, 2, -2, 3])
+    def test_single_pole_closed_form(self, c):
+        # 1/(c*z1 + r)^e = c^-e z1^-e sum_t C(e-1+t, t) (-r/c)^t z1^-t, so
+        # the z1^-1 coefficient of z1^k times it has t = k - e + 1
+        r = s(1) - s(2) * 2
+        form = LinearForm({("z", 1): c, ("s", 1): 1, ("s", 2): -2})
+        for e, k, margin in product((1, 2, 3), range(6), (0, 2)):
+            got = iterated_residue(
+                ResidueForm(z(1) ** k, [(form, e)], 1), margin)
+            if k < e - 1:
+                assert got == SparsePolynomial.zero()
+                continue
+            want = ((r * Fraction(-1, c)) ** (k - e + 1)
+                    * Fraction(-comb(k, e - 1), c ** e))
+            assert got == want, (c, e, k, margin)
+
     def test_deferred_factors_multiply_in(self):
         base = ResidueForm(z(1) * (s(1) - z(1)),
                            [(szlf(1, 1), 1), (szlf(2, 1), 1)], 1)
@@ -325,6 +347,11 @@ class TestIntegrateResidue:
         with pytest.raises(RequiresPointedDims):
             integrate_residue_nilfil(2, (2, 1), TautClass(1, 0, 3))
 
+    def test_rejects_eta_beyond_the_chain(self):
+        P = TautClass(eta(4), 0, 5, check=False)
+        with pytest.raises(IndexOutOfRange):
+            integrate_residue_nilfil(3, (1, 1, 1), P)
+
     def test_margin_stability(self):
         P = TautClass(1, 0, 3)
         a = integrate_residue_nilfil(2, (1, 1, 1), P)
@@ -365,6 +392,11 @@ class TestResidueTerms:
             frozenset({(0, 0)}), frozenset({(0, 0), (0, 1)})])
         with pytest.raises(RequiresNilfil):
             residue_term(off, 2, (1, 1), TautClass(1, 0, 2))
+
+    def test_rejects_eta_beyond_the_chain(self):
+        P = TautClass(eta(4), 0, 5, check=False)
+        with pytest.raises(IndexOutOfRange):
+            residue_term(porteous(3, (1, 1, 1)), 3, (1, 1, 1), P)
 
     def test_rejects_mismatched_shape(self):
         with pytest.raises(ValueError):
