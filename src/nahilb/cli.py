@@ -445,8 +445,16 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse raising a ParseError (exit 1) where it would exit 2,
+    which is the code of a compare or verify run that found a mismatch."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="nahilb",
         description="Exact equivariant integrals on nested Hilbert schemes"
                     " of points in affine space.")
@@ -509,48 +517,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _typed(key: str, value, kinds: tuple):
+    """value when it is one of the JSON types of its flag, else ParseError;
+    a bool is not an int."""
+    if isinstance(value, kinds) and (bool in kinds
+                                     or not isinstance(value, bool)):
+        return value
+    names = " or ".join(k.__name__ for k in kinds)
+    raise ParseError(f"config {key!r} must be {names}, got {value!r}")
+
+
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     config = _load_config(args.config) if getattr(args, "config", None) else {}
 
-    def pick(name, config_key=None, default=None):
+    def pick(name, kinds, config_key=None, default=None):
         cli = getattr(args, name, None)
         if cli is not None:
             return cli
         key = config_key or name
         if key in config:
-            return config[key]
+            return _typed(key, config[key], kinds)
         return default
 
-    max_points = pick("max_points")
-    dims = pick("dims", default=())
+    dims = pick("dims", (str, list), default=())
     if isinstance(dims, str):
         dims = _parse_dims(dims)
     else:
-        dims = tuple(int(x) for x in dims)
+        dims = tuple(_typed("dims", x, (int,)) for x in dims)
 
-    checks = pick("checks", default=())
+    checks = pick("checks", (str, list), default=())
     if isinstance(checks, str):
         checks = tuple(x for x in checks.split(",") if x)
     else:
-        checks = tuple(checks)
+        checks = tuple(_typed("checks", x, (str,)) for x in checks)
 
     job = JobSpec(
         command=args.command,
-        n=int(pick("n", default=0) or 0),
+        n=pick("n", (int,), default=0),
         dims=dims,
-        space=pick("space", default="nhilb"),
-        method=pick("method", default="localization"),
-        class_spec=str(pick("class_spec", "class", default="1")),
-        q=int(pick("q", default=0) or 0),
-        cy=bool(pick("cy", default=False)),
-        expand=bool(pick("expand", default=False)),
+        space=pick("space", (str,), default="nhilb"),
+        method=pick("method", (str,), default="localization"),
+        class_spec=pick("class_spec", (str,), "class", default="1"),
+        q=pick("q", (int,), default=0),
+        cy=pick("cy", (bool,), default=False),
+        expand=pick("expand", (bool,), default=False),
         classify=bool(getattr(args, "classify", None)
                       or args.command == "classify"),
-        seed=int(pick("seed", default=DEFAULT_SEED)),
-        samples=int(pick("samples", default=0) or 0),
+        seed=pick("seed", (int,), default=DEFAULT_SEED),
+        samples=pick("samples", (int,), default=0),
         checks=checks,
         output=getattr(args, "output", None),
-        max_points=None if max_points is None else int(max_points),
+        max_points=pick("max_points", (int,)),
     )
     if job.command == "compare" and getattr(args, "space", None) is None \
             and "space" not in config:
@@ -559,9 +576,8 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        job = _job_from_args(args)
+        job = _job_from_args(_build_parser().parse_args(argv))
         doc, code = run(job)
     except (NahilbError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

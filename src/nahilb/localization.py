@@ -160,17 +160,20 @@ def passes_gate(tangent, obstruction) -> bool:
 def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
     """(value, tangent net rank - obstruction net rank) of one chain: the
     restriction of P times e(moving obstruction) over e(moving tangent)
-    * e(extra), or None as the value when the chain fails the gate."""
+    * e(extra), or None as the value when the chain fails the gate.
+
+    The Euler class is taken once, of the signed multiset obstruction -
+    tangent [- extra]: euler_class skips the zero weights, and build
+    merges proportional forms, so this is the quotient's canonical form."""
     obstruction = obstruction_class(e)
     rank = tangent.net_rank() - obstruction.net_rank()
     if not passes_gate(tangent, obstruction):
         return None, rank
-    value = FactoredRational.from_poly(restrict_class(P, e))
-    value = value * euler_class(obstruction.moving(), "s")
-    value = value / euler_class(tangent.moving(), "s")
+    weights = obstruction - tangent
     if extra is not None:
-        value = value / euler_class(extra, "s")
-    return value.simplify(), rank
+        weights = weights - extra
+    value = FactoredRational.from_poly(restrict_class(P, e))
+    return (value * euler_class(weights, "s")).simplify(), rank
 
 
 def fixed_point_sum(n: int, dims, P: TautClass, select, tangent_of,
@@ -202,6 +205,12 @@ def _space(space: str) -> tuple:
     raise ValueError(f"unknown space {space!r}")
 
 
+def _net_rank(n: int, dims, space: str) -> int:
+    """Tangent net rank minus obstruction net rank, which dims alone
+    determine: the virtual dimension of the space."""
+    return _space(space)[2](n, dims) - obstruction_net_count(dims)
+
+
 def contribution(e: Enumeration, n: int, space: str,
                  P: TautClass) -> FactoredRational:
     """Localization contribution of a single fixed chain."""
@@ -217,9 +226,9 @@ def contribution(e: Enumeration, n: int, space: str,
 def integrate_localization(n: int, dims, space: str,
                            P: TautClass) -> IntegralResult:
     """Equivariant virtual integral of P as a sum over fixed chains."""
-    select, tangent_of, net_count = _space(space)
+    select, tangent_of, _ = _space(space)
     dims = tuple(int(x) for x in dims)
-    vdim = net_count(n, dims) - obstruction_net_count(dims)
+    vdim = _net_rank(n, dims, space)
     value = fixed_point_sum(n, dims, P, select, tangent_of, vdim=vdim)
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "localization", space)
@@ -251,7 +260,7 @@ def reduce_full_flag(n: int, r, P: TautClass) -> IntegralResult:
         if r < 0:
             raise RequiresFullFlag(f"need r >= 0, got {r}")
         dims = (1,) * (r + 1)
-    vdim = tangent_net_count(n, dims) - obstruction_net_count(dims)
+    vdim = _net_rank(n, dims, "nhilb")
     value = fixed_point_sum(n, dims, P, is_nilfil, tangent_class_punctual,
                             epunct_class)
     _check_degree(value, P, vdim)
@@ -268,8 +277,8 @@ def cy_restrict(v: FactoredRational, n: int) -> FactoredRational:
 def virtual_dimension(n: int, dims, space: str) -> int:
     """Net tangent rank minus obstruction rank, constant over the fixed
     set; raises when the space has no fixed points at all."""
-    select, _, net_count = _space(space)
+    select = _space(space)[0]
     dims = tuple(int(x) for x in dims)
     if not any(select is None or select(p) for p in enumerate_nested(n, dims)):
         raise NoFixedPoints(f"no fixed chains for n={n}, dims={dims}, {space}")
-    return net_count(n, dims) - obstruction_net_count(dims)
+    return _net_rank(n, dims, space)

@@ -61,18 +61,21 @@ def unit_vector(n: int, i: int) -> tuple:
     return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 
+def _supported(p: tuple, pts) -> bool:
+    """True when every predecessor p - e_i of p lies in pts."""
+    return all(p[:i] + (c - 1,) + p[i + 1:] in pts
+               for i, c in enumerate(p) if c > 0)
+
+
+def _ideal_key(ideal) -> tuple:
+    return tuple(sorted(point_key(p) for p in ideal))
+
+
 def is_order_ideal(points, n: int) -> bool:
     """True when the set is downward closed under coordinatewise order."""
     pts = set(points)
-    for p in pts:
-        if len(p) != n or any(c < 0 for c in p):
-            return False
-        for i in range(n):
-            if p[i] > 0:
-                q = p[:i] + (p[i] - 1,) + p[i + 1:]
-                if q not in pts:
-                    return False
-    return True
+    return all(len(p) == n and all(c >= 0 for c in p) and _supported(p, pts)
+               for p in pts)
 
 
 def addable_points(ideal: frozenset, n: int):
@@ -83,11 +86,7 @@ def addable_points(ideal: frozenset, n: int):
     for p in ideal:
         for i in range(n):
             q = p[:i] + (p[i] + 1,) + p[i + 1:]
-            if q in ideal or q in out:
-                continue
-            if all(q[j] == 0
-                   or q[:j] + (q[j] - 1,) + q[j + 1:] in ideal
-                   for j in range(n)):
+            if q not in ideal and q not in out and _supported(q, ideal):
                 out.add(q)
     return sorted(out, key=point_key)
 
@@ -217,14 +216,7 @@ def enumerate_partitions(n: int, size: int) -> list:
     if size > max_points():
         raise SizeGuardExceeded(
             f"size {size} exceeds the point budget {max_points()}")
-    frontier = {frozenset()}
-    for _ in range(size):
-        nxt = set()
-        for ideal in frontier:
-            for p in addable_points(ideal, n):
-                nxt.add(ideal | {p})
-        frontier = nxt
-    return sorted(frontier, key=lambda s: tuple(sorted(point_key(p) for p in s)))
+    return sorted(_extensions(frozenset(), n, size), key=_ideal_key)
 
 
 def _extensions(ideal: frozenset, n: int, count: int):
@@ -249,21 +241,11 @@ def enumerate_nested(n: int, dims) -> list:
     if sum(dims) > max_points():
         raise SizeGuardExceeded(
             f"total size {sum(dims)} exceeds the point budget {max_points()}")
-    chains = [()]
-    prev_layer = {(): frozenset()}
+    chains = [(frozenset(),)]
     for d in dims:
-        nxt = []
-        nxt_layer = {}
-        for chain in chains:
-            top = prev_layer[chain]
-            for ext in sorted(_extensions(top, n, d),
-                              key=lambda s: tuple(sorted(point_key(p) for p in s))):
-                new_chain = chain + (ext,)
-                nxt.append(new_chain)
-                nxt_layer[new_chain] = ext
-        chains = nxt
-        prev_layer = nxt_layer
-    out = [NestedPartition(n, dims, chain) for chain in chains]
+        chains = [chain + (ext,) for chain in chains
+                  for ext in sorted(_extensions(chain[-1], n, d), key=_ideal_key)]
+    out = [NestedPartition(n, dims, chain[1:]) for chain in chains]
     out.sort(key=lambda np: np.key())
     return out
 
@@ -274,15 +256,9 @@ def canonical_enumeration(np_: NestedPartition) -> Enumeration:
     chosen: list = []
     used: set = set()
     for layer in np_.layers:
-        block = sorted(layer - used, key=point_key)
-        remaining = set(block)
+        remaining = sorted(layer - used, key=point_key)
         while remaining:
-            pick = None
-            for p in sorted(remaining, key=point_key):
-                if all(p[:i] + (p[i] - 1,) + p[i + 1:] in used
-                       for i in range(np_.n) if p[i] > 0):
-                    pick = p
-                    break
+            pick = next((p for p in remaining if _supported(p, used)), None)
             if pick is None:
                 raise IndexOutOfRange("layer is not an order ideal")
             chosen.append(pick)
@@ -299,25 +275,17 @@ def all_enumerations(np_: NestedPartition) -> list:
             f"{MAX_ENUMERATION_POINTS}")
     out = []
 
-    def grow(prefix, used, layer_idx, block_left):
-        if layer_idx == len(np_.layers):
+    def grow(prefix, used, level):
+        while level < len(np_.layers) and np_.layers[level] <= used:
+            level += 1
+        if level == len(np_.layers):
             out.append(Enumeration(np_.n, np_.dims, prefix))
             return
-        if not block_left:
-            nxt = layer_idx + 1
-            if nxt == len(np_.layers):
-                out.append(Enumeration(np_.n, np_.dims, prefix))
-            else:
-                grow(prefix, used, nxt,
-                     sorted(np_.layers[nxt] - used, key=point_key))
-            return
-        for p in block_left:
-            if all(p[:i] + (p[i] - 1,) + p[i + 1:] in used
-                   for i in range(np_.n) if p[i] > 0):
-                grow(prefix + [p], used | {p}, layer_idx,
-                     [q for q in block_left if q != p])
+        for p in np_.layers[level] - used:
+            if _supported(p, used):
+                grow(prefix + [p], used | {p}, level)
 
-    grow([], set(), 0, sorted(np_.layers[0], key=point_key))
+    grow([], frozenset(), 0)
     out.sort(key=lambda e: tuple(point_key(p) for p in e.points))
     return out
 
@@ -397,12 +365,7 @@ def porteous(n: int, dims) -> NestedPartition:
         raise TooManyPoints(
             f"{d} points need ambient dimension >= {d - 1}, got {n}")
     points = [(0,) * n] + [unit_vector(n, i) for i in range(1, d)]
-    layers = []
-    total = 0
-    for dd in dims:
-        total += dd
-        layers.append(frozenset(points[:total]))
-    return NestedPartition(n, dims, layers)
+    return Enumeration(n, dims, points).nested()
 
 
 def identity_sigma(d: int) -> tuple:

@@ -39,6 +39,7 @@ from .localization import (
     IntegralResult,
     TautClass,
     _check_degree,
+    _net_rank,
     fixed_point_sum,
     passes_gate,
 )
@@ -55,9 +56,7 @@ from .weights import (
     fiber_tangent_class,
     flag_terms,
     obstruction_class,
-    obstruction_net_count,
     obstruction_terms,
-    punctual_net_count,
     punctual_terms,
     term_zforms,
 )
@@ -236,7 +235,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass,
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]
     value = FactoredRational.from_poly(
         _residue(num, punctual_terms(w, n), w, margin, deferred=obstruction))
-    vdim = punctual_net_count(n, dims) - obstruction_net_count(dims)
+    vdim = _net_rank(n, dims, "nilfil")
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "residue", "nilfil")
 

@@ -40,14 +40,6 @@ from .partitions import (
 )
 
 
-def _vec_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 class SignedWeightMultiset:
     """Integer-multiplicity multiset of weight vectors in Z^n."""
 
@@ -80,16 +72,14 @@ class SignedWeightMultiset:
             self.n, {w: m for w, m in self.counts.items() if w != zero})
 
     def __add__(self, other) -> "SignedWeightMultiset":
-        out = SignedWeightMultiset(self.n, self.counts)
-        for w, m in other.counts.items():
-            out.bump(w, m)
-        return out
+        counts = Counter(self.counts)
+        counts.update(other.counts)
+        return SignedWeightMultiset(self.n, counts)
 
     def __sub__(self, other) -> "SignedWeightMultiset":
-        out = SignedWeightMultiset(self.n, self.counts)
-        for w, m in other.counts.items():
-            out.bump(w, -m)
-        return out
+        counts = Counter(self.counts)
+        counts.subtract(other.counts)
+        return SignedWeightMultiset(self.n, counts)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SignedWeightMultiset)
@@ -244,31 +234,32 @@ def fiber_tangent_class_direct(e: Enumeration, sigma) -> SignedWeightMultiset:
 # recursive level multisets
 
 
+def _pairs_at(pts, w, level):
+    """u_i + u_j for i <= j with the larger index j at the given level."""
+    return (tuple(map(add, pts[i], pts[j])) for j in range(1, len(w))
+            if w[j] == level for i in range(1, j + 1))
+
+
+def _settled(cur: Counter) -> Counter:
+    """The level multiset without its zero counts; a negative count means
+    the enumeration is not a chain order."""
+    if any(v < 0 for v in cur.values()):
+        raise IndexOutOfRange("level multiset went negative: the "
+                              "enumeration is not a chain order")
+    return +cur
+
+
 def s_tangent_levels(e: Enumeration) -> list:
     """Level multisets S_m for the tangent: start from the coordinate
     weights, at level m adjoin pairs u_i + u_j whose larger index sits at
     level m, then delete the level-m points themselves."""
-    pts, w, d, n = e.points, e.w, e.d, e.n
-    r = len(e.dims) - 1
-    cur: dict = {}
-    for i in range(1, n + 1):
-        cur[unit_vector(n, i)] = cur.get(unit_vector(n, i), 0) + 1
+    pts, w, n = e.points, e.w, e.n
+    cur = Counter(unit_vector(n, i) for i in range(1, n + 1))
     out = []
-    for m in range(r + 1):
-        for j in range(1, d):
-            if w[j] != m:
-                continue
-            for i in range(1, j + 1):
-                v = _vec_add(pts[i], pts[j])
-                cur[v] = cur.get(v, 0) + 1
-        for j in range(1, d):
-            if w[j] == m:
-                cur[pts[j]] = cur.get(pts[j], 0) - 1
-        cur = {k: v for k, v in cur.items() if v}
-        if any(v < 0 for v in cur.values()):
-            raise IndexOutOfRange("level multiset went negative: the "
-                                  "enumeration is not a chain order")
-        out.append(dict(cur))
+    for m in range(len(e.dims)):
+        cur.update(_pairs_at(pts, w, m))
+        cur.subtract(pts[j] for j in range(1, e.d) if w[j] == m)
+        out.append(_settled(cur))
     return out
 
 
@@ -276,21 +267,10 @@ def s_ass_levels(e: Enumeration) -> list:
     """Level multisets for the obstruction: triple sums u_i + u_j + u_k
     with i < k and the j, k levels at most m."""
     pts, w, d = e.points, e.w, e.d
-    r = len(e.dims) - 1
-    out = []
-    for m in range(r + 1):
-        cur: dict = {}
-        for i in range(1, d):
-            for j in range(1, d):
-                if w[j] > m:
-                    continue
-                for k in range(i + 1, d):
-                    if w[k] > m:
-                        continue
-                    v = _vec_add(_vec_add(pts[i], pts[j]), pts[k])
-                    cur[v] = cur.get(v, 0) + 1
-        out.append(cur)
-    return out
+    return [Counter(tuple(map(add, map(add, pts[i], pts[j]), pts[k]))
+                    for i in range(1, d) for j in range(1, d) if w[j] <= m
+                    for k in range(i + 1, d) if w[k] <= m)
+            for m in range(len(e.dims))]
 
 
 def s_fiber_levels(e: Enumeration, sigma) -> list:
@@ -298,39 +278,25 @@ def s_fiber_levels(e: Enumeration, sigma) -> list:
     sigma-coordinates of level m and the pairs whose larger index sits at
     level m - 1, then deletes the level-m points."""
     sigma = tuple(sigma)
-    pts, w, d, n = e.points, e.w, e.d, e.n
-    r = len(e.dims) - 1
-    cur: dict = {}
-    out = [dict(cur)]
-    for m in range(1, r + 1):
-        for i in range(1, d):
-            if w[i] == m:
-                v = unit_vector(n, sigma[i - 1])
-                cur[v] = cur.get(v, 0) + 1
-        for j in range(1, d):
-            if w[j] != m - 1:
-                continue
-            for i in range(1, j + 1):
-                v = _vec_add(pts[i], pts[j])
-                cur[v] = cur.get(v, 0) + 1
-        for j in range(1, d):
-            if w[j] == m:
-                cur[pts[j]] = cur.get(pts[j], 0) - 1
-        cur = {k: v for k, v in cur.items() if v}
-        if any(v < 0 for v in cur.values()):
-            raise IndexOutOfRange("level multiset went negative: the "
-                                  "enumeration is not a chain order")
-        out.append(dict(cur))
+    pts, w, n = e.points, e.w, e.n
+    cur = Counter()
+    out = [Counter()]
+    for m in range(1, len(e.dims)):
+        level = [j for j in range(1, e.d) if w[j] == m]
+        cur.update(unit_vector(n, sigma[j - 1]) for j in level)
+        cur.update(_pairs_at(pts, w, m - 1))
+        cur.subtract(pts[j] for j in level)
+        out.append(_settled(cur))
     return out
 
 
 def _assemble(e: Enumeration, levels: list) -> SignedWeightMultiset:
     """sum over points v of (S_{level of v} translated by -v)."""
-    out = SignedWeightMultiset(e.n)
+    out = Counter()
     for k, v in enumerate(e.points):
         for u, mult in levels[e.w[k]].items():
-            out.bump(_vec_sub(u, v), mult)
-    return out
+            out[tuple(map(sub, u, v))] += mult
+    return SignedWeightMultiset(e.n, out)
 
 
 def tangent_class(e: Enumeration) -> SignedWeightMultiset:
@@ -358,17 +324,13 @@ def fixed_ranks(e: Enumeration) -> tuple:
     three-point sums hitting it on the obstruction side."""
     pts, d = e.points, e.d
     units = {unit_vector(e.n, i) for i in range(1, e.n + 1)}
-    wt = 0
-    wb = 0
-    for m in range(1, d):
-        um = pts[m]
-        if um not in units:
-            pairs = sum(1 for i in range(1, d) for j in range(i, d)
-                        if _vec_add(pts[i], pts[j]) == um)
-            wt += pairs - 1
-        wb += sum(1 for i in range(1, d) for j in range(1, d)
-                  for k in range(i + 1, d)
-                  if _vec_add(_vec_add(pts[i], pts[j]), pts[k]) == um)
+    pairs = Counter(tuple(map(add, pts[i], pts[j]))
+                    for i in range(1, d) for j in range(i, d))
+    triples = Counter(tuple(map(add, map(add, pts[i], pts[j]), pts[k]))
+                      for i in range(1, d) for j in range(1, d)
+                      for k in range(i + 1, d))
+    wt = sum(pairs[u] - 1 for u in pts[1:] if u not in units)
+    wb = sum(triples[u] for u in pts[1:])
     return wt, wb
 
 

@@ -300,6 +300,38 @@ class TestMain:
         assert code == 1
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "-n", "x", "--dims", "1"],
+        ["integrate", "-n", "1", "--dims", "1", "--no-such-flag"],
+        ["integrate", "-n", "1", "--dims", "1", "--space", "nope"],
+    ])
+    def test_parser_errors_exit_1(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "--help"])
+        assert exc.value.code == 0
+        assert "--dims" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", [
+        {"dims": 5},
+        {"checks": 5},
+        {"seed": None},
+        {"cy": "no"},
+        {"n": 2.7},
+    ])
+    def test_config_values_of_the_wrong_type(self, capsys, tmp_path, config):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"n": 2, "dims": [1, 1], **config}))
+        code, out, err = run_main(capsys, ["integrate", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: config")
+
     def test_max_points_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("NAHILB_MAX_POINTS", "12")
         code, _, err = run_main(capsys, [

@@ -38,7 +38,9 @@ from nahilb.localization import (
     chern_taut,
     contribution,
     cy_restrict,
+    gated_term,
     integrate_localization,
+    passes_gate,
     reduce_full_flag,
     restrict_class,
     virtual_dimension,
@@ -48,6 +50,14 @@ from nahilb.partitions import (
     canonical_enumeration,
     enumerate_nested,
     is_admissible,
+    is_nilfil,
+)
+from nahilb.weights import (
+    epunct_class,
+    euler_class,
+    obstruction_class,
+    tangent_class,
+    tangent_class_punctual,
 )
 
 
@@ -328,6 +338,53 @@ class TestReduceFullFlag:
             reduce_full_flag(2, (1, 2), TautClass(1, 0, 3))
         with pytest.raises(RequiresFullFlag):
             reduce_full_flag(2, -1, TautClass(1, 0, 1))
+
+
+def _compositions(d):
+    """Every dims tuple of positive parts summing to d."""
+    if d == 0:
+        yield ()
+    for first in range(1, d + 1):
+        for rest in _compositions(d - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gated_term_is_the_written_quotient(n):
+    """One Euler class of obstruction - tangent [- extra] is, by == on the
+    canonical form, the restriction times e(moving obstruction) over
+    e(moving tangent) [over e(extra)]: every chain with d <= 4 (nhilb, and
+    nilfil for pointed dims) and the full flags r <= 3 with the
+    punctual-to-full correction."""
+    cases = []
+    for d in range(1, 5):
+        for dims in _compositions(d):
+            cases.append((dims, None, tangent_class, None))
+            if dims[0] == 1:
+                cases.append((dims, is_nilfil, tangent_class_punctual, None))
+        cases.append(((1,) * d, is_nilfil, tangent_class_punctual,
+                      epunct_class))
+    gated = 0
+    for dims, select, tangent_of, extra_of in cases:
+        P = chern_taut(sum(dims) - 1, 1, sum(dims))
+        for np_ in enumerate_nested(n, dims):
+            if select is not None and not select(np_):
+                continue
+            e = canonical_enumeration(np_)
+            tangent = tangent_of(e)
+            extra = None if extra_of is None else extra_of(e)
+            value, _ = gated_term(e, tangent, P, extra)
+            if not passes_gate(tangent, obstruction_class(e)):
+                assert value is None
+                continue
+            want = FactoredRational.from_poly(restrict_class(P, e))
+            want = want * euler_class(obstruction_class(e).moving(), "s")
+            want = want / euler_class(tangent.moving(), "s")
+            if extra is not None:
+                want = want / euler_class(extra, "s")
+            assert value == want.simplify(), (np_, extra_of)
+            gated += 1
+    assert gated > 0
 
 
 class TestCyRestrict:
