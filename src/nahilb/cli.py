@@ -79,6 +79,8 @@ class JobSpec:
             raise ParseError(f"unknown method {self.method!r}")
         if self.q < 0:
             raise ParseError(f"q must be >= 0, got {self.q}")
+        if self.samples < 0:
+            raise ParseError(f"samples must be >= 0, got {self.samples}")
 
 
 # ---------------------------------------------------------------------------

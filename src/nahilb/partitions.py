@@ -61,10 +61,15 @@ def unit_vector(n: int, i: int) -> tuple:
     return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 
+def _predecessors(p: tuple) -> frozenset:
+    """The points p - e_i that lie in the positive orthant."""
+    return frozenset(p[:i] + (c - 1,) + p[i + 1:]
+                     for i, c in enumerate(p) if c > 0)
+
+
 def _supported(p: tuple, pts) -> bool:
-    """True when every predecessor p - e_i of p lies in pts."""
-    return all(p[:i] + (c - 1,) + p[i + 1:] in pts
-               for i, c in enumerate(p) if c > 0)
+    """True when every predecessor p - e_i of p lies in the set pts."""
+    return _predecessors(p) <= pts
 
 
 def _ideal_key(ideal) -> tuple:
@@ -169,7 +174,7 @@ class Enumeration:
     so position k has level w[k] determined by dims alone.
     """
 
-    __slots__ = ("n", "dims", "points")
+    __slots__ = ("n", "dims", "points", "w")
 
     def __init__(self, n: int, dims: tuple, points):
         self.n = n
@@ -177,10 +182,7 @@ class Enumeration:
         self.points = tuple(tuple(p) for p in points)
         if len(self.points) != sum(self.dims):
             raise IndexOutOfRange("enumeration length does not match dims")
-
-    @property
-    def w(self) -> tuple:
-        return point_levels(self.dims)
+        self.w = point_levels(self.dims)
 
     @property
     def d(self) -> int:
@@ -273,20 +275,25 @@ def all_enumerations(np_: NestedPartition) -> list:
         raise SizeGuardExceeded(
             f"{np_.d} points exceed the enumeration budget "
             f"{MAX_ENUMERATION_POINTS}")
+    layers = np_.layers
+    preds = {p: _predecessors(p) for p in np_.top()}
+    # each block in point_key order, so the depth-first search emits the
+    # enumerations already sorted
+    blocks = [sorted(layer - below, key=point_key)
+              for below, layer in zip((frozenset(),) + layers, layers)]
     out = []
 
     def grow(prefix, used, level):
-        while level < len(np_.layers) and np_.layers[level] <= used:
+        while level < len(layers) and layers[level] <= used:
             level += 1
-        if level == len(np_.layers):
+        if level == len(layers):
             out.append(Enumeration(np_.n, np_.dims, prefix))
             return
-        for p in np_.layers[level] - used:
-            if _supported(p, used):
+        for p in blocks[level]:
+            if p not in used and preds[p] <= used:
                 grow(prefix + [p], used | {p}, level)
 
     grow([], frozenset(), 0)
-    out.sort(key=lambda e: tuple(point_key(p) for p in e.points))
     return out
 
 

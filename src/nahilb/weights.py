@@ -19,13 +19,30 @@ sum_m sum_{v in layer m} (S_m - v).  It never reads the term statement;
 it is the default for the tangent, obstruction and fiber tangent, and
 the test suite checks the direct builders against it on every chain it
 can enumerate.
+
+Inside this module a weight vector is one int (pack/unpack): coordinate i
+of (c_1, ..., c_n) is a signed FIELD_BITS-bit digit of weight
+2^(FIELD_BITS * (n - i)), written in balanced form, so the first
+coordinate is the most significant, int order is lexicographic tuple
+order, the zero vector is 0, and a sum or difference of vectors is an int
++ or -.  pack refuses a coordinate with |c| >= GUARD = 2^13 with
+IndexOutOfRange, so a signed sum of four packed vectors (the widest the
+builders form: u_i + u_j + u_k - u_m) stays inside its fields and never
+carries.  Tuples appear only at the boundary: the SignedWeightMultiset
+constructor, bump, items and repr.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import (
+    chain,
+    combinations,
+    combinations_with_replacement,
+    product,
+    starmap,
+)
 from operator import add, eq, le, lt, sub
 
 from .algebra import FactoredRational, LinearForm, SparsePolynomial, linear_form_of
@@ -40,46 +57,111 @@ from .partitions import (
 )
 
 
+FIELD_BITS = 16
+GUARD = 1 << 13
+_HALF = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
+
+
+def pack(v) -> int:
+    """The packed int of the integer vector v; see the module docstring."""
+    x = 0
+    for c in v:
+        if not -GUARD < c < GUARD:
+            raise IndexOutOfRange(
+                f"weight coordinate {c} is outside (-{GUARD}, {GUARD})")
+        x = (x << FIELD_BITS) + c
+    return x
+
+
+def unpack(x: int, n: int) -> tuple:
+    """The vector in Z^n whose packed int is x."""
+    out = []
+    for _ in range(n):
+        c = ((x + _HALF) & _MASK) - _HALF
+        out.append(c)
+        x = (x - c) >> FIELD_BITS
+    return tuple(reversed(out))
+
+
+def _packed_points(e: Enumeration) -> tuple:
+    return tuple(map(pack, e.points))
+
+
+def _packed_units(n: int) -> tuple:
+    """(None, e_1, ..., e_n) packed, indexed by the 1-based coordinate."""
+    return (None,) + tuple(pack(unit_vector(n, i)) for i in range(1, n + 1))
+
+
 class SignedWeightMultiset:
-    """Integer-multiplicity multiset of weight vectors in Z^n."""
+    """Integer-multiplicity multiset of weight vectors in Z^n.
+
+    counts maps packed weights to nonzero multiplicities; the constructor,
+    bump and items take and give tuples."""
 
     __slots__ = ("n", "counts")
 
     def __init__(self, n: int, counts: dict | None = None):
         self.n = n
-        self.counts = {tuple(w): int(m) for w, m in (counts or {}).items()
-                       if m != 0}
+        self.counts = {self._key(w): int(m)
+                       for w, m in (counts or {}).items() if m != 0}
+
+    @classmethod
+    def from_packed(cls, n: int, counts: dict) -> "SignedWeightMultiset":
+        """The multiset with these counts of packed weights; zero counts
+        are dropped."""
+        m = cls.__new__(cls)
+        m.n = n
+        m.counts = {w: c for w, c in counts.items() if c}
+        return m
+
+    def _key(self, weight) -> int:
+        """The packed key of a weight tuple, which must lie in Z^n."""
+        weight = tuple(weight)
+        if len(weight) != self.n:
+            raise IndexOutOfRange(f"weight {weight} is not in Z^{self.n}")
+        return pack(weight)
 
     def bump(self, weight: tuple, mult: int = 1):
-        nm = self.counts.get(weight, 0) + mult
+        key = self._key(weight)
+        nm = self.counts.get(key, 0) + mult
         if nm:
-            self.counts[weight] = nm
-        elif weight in self.counts:
-            del self.counts[weight]
+            self.counts[key] = nm
+        elif key in self.counts:
+            del self.counts[key]
 
     def items(self) -> list:
-        return sorted(self.counts.items())
+        """(weight tuple, multiplicity) pairs in lexicographic order."""
+        n = self.n
+        return [(unpack(w, n), m) for w, m in sorted(self.counts.items())]
 
     def net_rank(self) -> int:
         return sum(self.counts.values())
 
     def fixed_rank(self) -> int:
-        return self.counts.get((0,) * self.n, 0)
+        return self.counts.get(0, 0)
 
     def moving(self) -> "SignedWeightMultiset":
-        zero = (0,) * self.n
-        return SignedWeightMultiset(
-            self.n, {w: m for w, m in self.counts.items() if w != zero})
+        return SignedWeightMultiset.from_packed(self.n, {
+            w: m for w, m in self.counts.items() if w})
+
+    def _copy_counts(self, other) -> Counter:
+        """A copy of the counts; other must live in the same Z^n, since
+        packed weights of different lengths would mix their fields."""
+        if other.n != self.n:
+            raise IndexOutOfRange(
+                f"cannot combine weights in Z^{self.n} and Z^{other.n}")
+        return Counter(self.counts)
 
     def __add__(self, other) -> "SignedWeightMultiset":
-        counts = Counter(self.counts)
+        counts = self._copy_counts(other)
         counts.update(other.counts)
-        return SignedWeightMultiset(self.n, counts)
+        return SignedWeightMultiset.from_packed(self.n, counts)
 
     def __sub__(self, other) -> "SignedWeightMultiset":
-        counts = Counter(self.counts)
+        counts = self._copy_counts(other)
         counts.subtract(other.counts)
-        return SignedWeightMultiset(self.n, counts)
+        return SignedWeightMultiset.from_packed(self.n, counts)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SignedWeightMultiset)
@@ -167,18 +249,16 @@ def obstruction_terms(w):
 def term_weights(e: Enumeration, terms) -> SignedWeightMultiset:
     """Weight vector of each term at the chain e, with its sign as the
     multiplicity."""
-    pts, n = e.points, e.n
-    units = (None,) + tuple(unit_vector(n, i) for i in range(1, n + 1))
-    zero = (0,) * n
+    pts, units = _packed_points(e), _packed_units(e.n)
     counts: dict = {}
     for sign, c, plus, m in terms:
-        v = zero if c is None else units[c]
+        v = 0 if c is None else units[c]
         for p in plus:
-            v = tuple(map(add, v, pts[p]))
+            v += pts[p]
         if m is not None:
-            v = tuple(map(sub, v, pts[m]))
+            v -= pts[m]
         counts[v] = counts.get(v, 0) + sign
-    return SignedWeightMultiset(n, counts)
+    return SignedWeightMultiset.from_packed(e.n, counts)
 
 
 def term_count(terms) -> int:
@@ -236,8 +316,13 @@ def fiber_tangent_class_direct(e: Enumeration, sigma) -> SignedWeightMultiset:
 
 def _pairs_at(pts, w, level):
     """u_i + u_j for i <= j with the larger index j at the given level."""
-    return (tuple(map(add, pts[i], pts[j])) for j in range(1, len(w))
-            if w[j] == level for i in range(1, j + 1))
+    return (pts[i] + pts[j] for j in range(1, len(w)) if w[j] == level
+            for i in range(1, j + 1))
+
+
+def _triple_sums(q) -> Counter:
+    """u_i + u_j + u_k over positions i < k and any j of the points q."""
+    return Counter(starmap(add, product(starmap(add, combinations(q, 2)), q)))
 
 
 def _settled(cur: Counter) -> Counter:
@@ -253,8 +338,8 @@ def s_tangent_levels(e: Enumeration) -> list:
     """Level multisets S_m for the tangent: start from the coordinate
     weights, at level m adjoin pairs u_i + u_j whose larger index sits at
     level m, then delete the level-m points themselves."""
-    pts, w, n = e.points, e.w, e.n
-    cur = Counter(unit_vector(n, i) for i in range(1, n + 1))
+    pts, w = _packed_points(e), e.w
+    cur = Counter(_packed_units(e.n)[1:])
     out = []
     for m in range(len(e.dims)):
         cur.update(_pairs_at(pts, w, m))
@@ -265,11 +350,9 @@ def s_tangent_levels(e: Enumeration) -> list:
 
 def s_ass_levels(e: Enumeration) -> list:
     """Level multisets for the obstruction: triple sums u_i + u_j + u_k
-    with i < k and the j, k levels at most m."""
-    pts, w, d = e.points, e.w, e.d
-    return [Counter(tuple(map(add, map(add, pts[i], pts[j]), pts[k]))
-                    for i in range(1, d) for j in range(1, d) if w[j] <= m
-                    for k in range(i + 1, d) if w[k] <= m)
+    with i < k and the j, k levels at most m (so the i level is too)."""
+    pts, w = _packed_points(e), e.w
+    return [_triple_sums([p for p, level in zip(pts[1:], w[1:]) if level <= m])
             for m in range(len(e.dims))]
 
 
@@ -278,12 +361,12 @@ def s_fiber_levels(e: Enumeration, sigma) -> list:
     sigma-coordinates of level m and the pairs whose larger index sits at
     level m - 1, then deletes the level-m points."""
     sigma = tuple(sigma)
-    pts, w, n = e.points, e.w, e.n
+    pts, w, units = _packed_points(e), e.w, _packed_units(e.n)
     cur = Counter()
     out = [Counter()]
     for m in range(1, len(e.dims)):
         level = [j for j in range(1, e.d) if w[j] == m]
-        cur.update(unit_vector(n, sigma[j - 1]) for j in level)
+        cur.update(units[sigma[j - 1]] for j in level)
         cur.update(_pairs_at(pts, w, m - 1))
         cur.subtract(pts[j] for j in level)
         out.append(_settled(cur))
@@ -291,12 +374,14 @@ def s_fiber_levels(e: Enumeration, sigma) -> list:
 
 
 def _assemble(e: Enumeration, levels: list) -> SignedWeightMultiset:
-    """sum over points v of (S_{level of v} translated by -v)."""
-    out = Counter()
-    for k, v in enumerate(e.points):
-        for u, mult in levels[e.w[k]].items():
-            out[tuple(map(sub, u, v))] += mult
-    return SignedWeightMultiset(e.n, out)
+    """sum over points v of (S_{level of v} translated by -v); every count
+    of a level multiset is nonnegative, so elements() lists it."""
+    points_at = [[] for _ in levels]
+    for v, m in zip(_packed_points(e), e.w):
+        points_at[m].append(v)
+    return SignedWeightMultiset.from_packed(e.n, Counter(starmap(
+        sub, chain.from_iterable(product(S.elements(), vs)
+                                 for S, vs in zip(levels, points_at)))))
 
 
 def tangent_class(e: Enumeration) -> SignedWeightMultiset:
@@ -322,15 +407,12 @@ def fixed_ranks(e: Enumeration) -> tuple:
     counts: a non-unit point u contributes (number of two-point sums
     hitting u) - 1 on the tangent side and the number of constrained
     three-point sums hitting it on the obstruction side."""
-    pts, d = e.points, e.d
-    units = {unit_vector(e.n, i) for i in range(1, e.n + 1)}
-    pairs = Counter(tuple(map(add, pts[i], pts[j]))
-                    for i in range(1, d) for j in range(i, d))
-    triples = Counter(tuple(map(add, map(add, pts[i], pts[j]), pts[k]))
-                      for i in range(1, d) for j in range(1, d)
-                      for k in range(i + 1, d))
-    wt = sum(pairs[u] - 1 for u in pts[1:] if u not in units)
-    wb = sum(triples[u] for u in pts[1:])
+    q = _packed_points(e)[1:]
+    units = set(_packed_units(e.n)[1:])
+    pairs = Counter(starmap(add, combinations_with_replacement(q, 2)))
+    triples = _triple_sums(q)
+    wt = sum(pairs[u] - 1 for u in q if u not in units)
+    wb = sum(triples[u] for u in q)
     return wt, wb
 
 
@@ -339,9 +421,8 @@ def euler_class(m: SignedWeightMultiset, namespace: str) -> FactoredRational:
 
     Zero weights are skipped regardless of multiplicity: the product runs
     over nonzero weights only."""
-    zero = (0,) * m.n
     factors = [(linear_form_of(w, namespace), mult)
-               for w, mult in m.items() if w != zero]
+               for w, mult in m.items() if any(w)]
     return FactoredRational.build(Fraction(1), SparsePolynomial.one(), factors)
 
 

@@ -304,6 +304,8 @@ class TestMain:
         ["integrate", "-n", "x", "--dims", "1"],
         ["integrate", "-n", "1", "--dims", "1", "--no-such-flag"],
         ["integrate", "-n", "1", "--dims", "1", "--space", "nope"],
+        ["compare", "-n", "2", "--dims", "1,1", "--class", "eta1",
+         "--samples", "-3"],
     ])
     def test_parser_errors_exit_1(self, capsys, argv):
         code, out, err = run_main(capsys, argv)

@@ -445,7 +445,7 @@ from nahilb.algebra import FactoredRational, SparsePolynomial
 from nahilb.errors import InconsistentDegree, IndexOutOfRange
 from nahilb.localization import TautClass, _check_degree
 from nahilb.partitions import Enumeration
-from nahilb.weights import tangent_class
+from nahilb.weights import GUARD, pack, tangent_class
 assert False, "asserts must be stripped in this run"
 """
 
@@ -458,6 +458,8 @@ assert False, "asserts must be stripped in this run"
     # (2,) is not a chain order after the origin: a level goes negative
     ("tangent_class(Enumeration(1, (1, 1), [(0,), (2,)]))",
      "IndexOutOfRange"),
+    # a packed weight coordinate at the guard would let four-term sums carry
+    ("pack((0, GUARD))", "IndexOutOfRange"),
 ])
 def test_guards_raise_under_python_O(call, error):
     script = _GUARD_SCRIPT + f"""

@@ -12,6 +12,8 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nahilb.algebra import (
     FactoredRational,
@@ -357,6 +359,48 @@ class TestIntegrateResidue:
         a = integrate_residue_nilfil(2, (1, 1, 1), P)
         b = integrate_residue_nilfil(2, (1, 1, 1), P, margin=2)
         assert rational_equal(a.value, b.value)
+
+
+# every pointed shape with at most four points
+_POINTED_D4 = [(1,), (1, 1), (1, 2), (1, 3),
+               (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 1, 1, 1)]
+
+
+@st.composite
+def _block_symmetric(draw, d):
+    """(q, poly): an integer combination of products of at most two of
+    c_1, c_2 (plain or dual, with q = 0 or 1 theta roots) and the eta
+    power sums p_1, p_2, each product of degree at most 3."""
+    q = draw(st.integers(0, 1))
+    factors = [(k, chern_taut(k, q, d, dual).poly)
+               for k in (1, 2) if k <= d for dual in (False, True)]
+    factors += [(k, sum((eta(j) ** k for j in range(1, d)),
+                        SparsePolynomial.zero())) for k in (1, 2)]
+    products = st.lists(st.sampled_from(factors), max_size=2).filter(
+        lambda fs: sum(k for k, _ in fs) <= 3)
+    poly = SparsePolynomial.zero()
+    for coeff, fs in draw(st.lists(st.tuples(
+            st.integers(-3, 3).filter(bool), products),
+            min_size=1, max_size=3)):
+        term = SparsePolynomial.constant(coeff)
+        for _, f in fs:
+            term = term * f
+        poly = poly + term
+    return q, poly
+
+
+@pytest.mark.parametrize("dims", _POINTED_D4)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_methods_agree_on_random_block_symmetric_integrands(n, dims, data):
+    d = sum(dims)
+    q, poly = data.draw(_block_symmetric(d))
+    P = TautClass(poly, q, d)
+    loc = integrate_localization(n, dims, "nilfil", P)
+    res = integrate_residue_nilfil(n, dims, P)
+    assert loc.vdim == res.vdim
+    assert rational_equal(loc.value, res.value)
 
 
 class TestResidueTerms:

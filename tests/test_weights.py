@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import chain as chain_terms
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nahilb.algebra import (
     FactoredRational,
@@ -19,7 +21,7 @@ from nahilb.algebra import (
     linear_form_of,
     rational_equal,
 )
-from nahilb.errors import NotInFiber, RequiresPointedDims
+from nahilb.errors import IndexOutOfRange, NotInFiber, RequiresPointedDims
 from nahilb.partitions import (
     NestedPartition,
     all_enumerations,
@@ -33,6 +35,7 @@ from nahilb.partitions import (
     porteous,
 )
 from nahilb.weights import (
+    GUARD,
     SignedWeightMultiset,
     epunct_class,
     euler_class,
@@ -44,6 +47,7 @@ from nahilb.weights import (
     obstruction_class_direct,
     obstruction_net_count,
     obstruction_terms,
+    pack,
     punctual_net_count,
     punctual_terms,
     tangent_class,
@@ -52,6 +56,7 @@ from nahilb.weights import (
     tangent_net_count,
     term_weights,
     term_zforms,
+    unpack,
 )
 
 
@@ -109,6 +114,55 @@ class TestSignedWeightMultiset:
         m = SignedWeightMultiset(1, {(1,): 1})
         m.bump((1,), -1)
         assert msetdict(m) == {}
+
+
+_coord = st.integers(-GUARD + 1, GUARD - 1)
+
+
+def _vector(n):
+    return st.tuples(*[_coord] * n)
+
+
+class TestPacking:
+    """Packed weight vectors against the tuples they encode."""
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(_vector(n), st.sampled_from((1, -1))),
+        min_size=1, max_size=4)))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_order_and_sums(self, signed):
+        vs = [v for v, _ in signed]
+        n = len(vs[0])
+        for v in vs:
+            assert unpack(pack(v), n) == v
+        for a in vs:
+            for b in vs:
+                assert (pack(a) < pack(b)) == (a < b)
+        total = tuple(sum(sign * v[i] for v, sign in signed)
+                      for i in range(n))
+        assert unpack(sum(sign * pack(v) for v, sign in signed), n) == total
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        _vector(n), st.integers(0, n - 1),
+        st.integers(GUARD, 10 ** 6) | st.integers(-10 ** 6, -GUARD))))
+    @settings(max_examples=100, deadline=None)
+    def test_coordinates_past_the_guard_are_refused(self, case):
+        v, i, c = case
+        bad = v[:i] + (c,) + v[i + 1:]
+        with pytest.raises(IndexOutOfRange):
+            pack(bad)
+        with pytest.raises(IndexOutOfRange):
+            SignedWeightMultiset(len(bad), {bad: 1})
+
+    def test_weights_of_the_wrong_length_are_refused(self):
+        with pytest.raises(IndexOutOfRange):
+            SignedWeightMultiset(2, {(1, 0, 0): 1})
+        a = SignedWeightMultiset(2, {(1, 0): 1})
+        b = SignedWeightMultiset(3, {(0, 1, 0): 1})
+        with pytest.raises(IndexOutOfRange):
+            a + b
+        with pytest.raises(IndexOutOfRange):
+            a - b
 
 
 class TestTangentClass:
