@@ -604,13 +604,26 @@ def linear_form_of(weight, namespace: str) -> LinearForm:
                        for i, c in enumerate(weight) if c})
 
 
+def canonical_factors(pairs) -> tuple:
+    """(form, exponent) pairs of primitive forms with equal forms merged,
+    zero exponents dropped, sorted by form key: FactoredRational.factors."""
+    exps: dict = {}
+    for form, e in pairs:
+        exps[form] = exps.get(form, 0) + e
+    return tuple(sorted(((f, e) for f, e in exps.items() if e),
+                        key=lambda fe: fe[0].key()))
+
+
 class FactoredRational:
     """scalar * poly * prod L_i**e_i in canonical form.
 
-    The factors are primitive, pairwise distinct linear forms sorted by
-    their coefficient key; the polynomial part is primitive with positive
-    leading coefficient; zero is scalar 1 with zero polynomial part.
-    Construct through :meth:`build`, which normalizes.
+    Every instance is canonical: its factors are canonical_factors of
+    primitive forms (positive leading coefficient), its polynomial part is
+    primitive over Z with positive leading coefficient, and zero is scalar
+    1 with zero polynomial part.  build normalizes outside data; __mul__,
+    __truediv__ and simplify only merge exponents, since by Gauss's lemma
+    products of primitive polynomials and exact quotients by primitive
+    forms are primitive, and leading terms multiply.
     """
 
     __slots__ = ("scalar", "poly", "factors")
@@ -623,7 +636,7 @@ class FactoredRational:
     @classmethod
     def build(cls, scalar, poly: SparsePolynomial, factors=()) -> "FactoredRational":
         scalar = Fraction(scalar)
-        merged: dict[LinearForm, int] = {}
+        prims = []
         pending_zero = False
         for form, exp in factors:
             if exp == 0:
@@ -636,16 +649,11 @@ class FactoredRational:
             content, prim = form.primitive()
             if content != 1:
                 scalar *= content ** exp
-            merged[prim] = merged.get(prim, 0) + exp
+            prims.append((prim, exp))
         if pending_zero or scalar == 0 or poly.is_zero():
             return cls(_ONE, SparsePolynomial.zero(), ())
         content, prim_poly = poly.extract_content()
-        scalar *= content
-        pairs = tuple(sorted(
-            ((f, e) for f, e in merged.items() if e != 0),
-            key=lambda fe: fe[0].key(),
-        ))
-        return cls(scalar, prim_poly, pairs)
+        return cls(scalar * content, prim_poly, canonical_factors(prims))
 
     @classmethod
     def zero(cls) -> "FactoredRational":
@@ -680,11 +688,11 @@ class FactoredRational:
             if c == 0 or self.is_zero():
                 return FactoredRational.zero()
             return FactoredRational(self.scalar * c, self.poly, self.factors)
-        return FactoredRational.build(
-            self.scalar * other.scalar,
-            self.poly * other.poly,
-            self.factors + other.factors,
-        )
+        if self.is_zero() or other.is_zero():
+            return FactoredRational.zero()
+        return FactoredRational(self.scalar * other.scalar,
+                                self.poly * other.poly,
+                                canonical_factors(self.factors + other.factors))
 
     __rmul__ = __mul__
 
@@ -693,11 +701,11 @@ class FactoredRational:
             raise DivisionByZero("division by the zero rational")
         if not other.poly.is_one():
             raise ValueError("divisor must have trivial polynomial part")
-        return FactoredRational.build(
-            Fraction(self.scalar) / other.scalar,
-            self.poly,
-            self.factors + tuple((f, -e) for f, e in other.factors),
-        )
+        if self.is_zero():
+            return self
+        inverse = tuple((f, -e) for f, e in other.factors)
+        return FactoredRational(self.scalar / other.scalar, self.poly,
+                                canonical_factors(self.factors + inverse))
 
     def simplify(self) -> "FactoredRational":
         """Cancel denominator factors that exactly divide the polynomial."""
@@ -714,7 +722,7 @@ class FactoredRational:
                 exp += 1
             if exp:
                 new_factors.append((form, exp))
-        return FactoredRational.build(self.scalar, poly, new_factors)
+        return FactoredRational(self.scalar, poly, tuple(new_factors))
 
     def expand(self) -> SparsePolynomial:
         """Multiply out; requires no remaining denominator factors."""

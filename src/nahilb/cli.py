@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -577,19 +578,77 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     return job
 
 
+_FLUSH_AT = 4096  # fragments held before they are joined and written
+
+
+def write_json(doc, write) -> None:
+    """Pass write() the text of json.dumps(doc, sort_keys=True, indent=2)
+    + "\n" in pieces, which json.dumps would encode in pure Python.  Only
+    str, int, bool, None, list, tuple and dict with str keys are accepted;
+    anything else raises TypeError, a key through quote."""
+    parts: list = []
+    append = parts.append
+    quote = json.encoder.encode_basestring_ascii
+
+    def item(o, nl: str) -> None:
+        t = type(o)
+        if t is str:
+            append(quote(o))
+        elif t is int:
+            append(int.__repr__(o))
+        elif t is bool or o is None:
+            append("null" if o is None else "true" if o else "false")
+        elif t is dict or t is list or t is tuple:
+            ends = "{}" if t is dict else "[]"
+            inner = nl + "  "
+            sep = ends[0] + inner
+            if t is dict:
+                for k in sorted(o):
+                    append(f"{sep}{quote(k)}: ")
+                    item(o[k], inner)
+                    sep = "," + inner
+            else:
+                for v in o:
+                    append(sep)
+                    item(v, inner)
+                    sep = "," + inner
+            append(nl + ends[1] if o else ends)
+            if len(parts) >= _FLUSH_AT:
+                write("".join(parts))
+                parts.clear()
+        else:
+            raise TypeError(f"{t.__name__} is not a document type")
+
+    item(doc, "\n")
+    write("".join(parts) + "\n")
+
+
+def _write_output(doc, path: str) -> None:
+    """Write the document to path, or raise ParseError, removing the file
+    when a write fails after it was opened."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+        try:
+            with fh:
+                write_json(doc, fh.write)
+        except OSError:
+            os.remove(path)
+            raise
+    except OSError as exc:
+        raise ParseError(f"cannot write output {path}: {exc}")
+
+
 def main(argv=None) -> int:
     try:
         job = _job_from_args(_build_parser().parse_args(argv))
         doc, code = run(job)
+        if job.output:
+            _write_output(doc, job.output)
+        else:
+            write_json(doc, sys.stdout.write)
     except (NahilbError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if job.output:
-        with open(job.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -163,8 +163,8 @@ def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
     * e(extra), or None as the value when the chain fails the gate.
 
     The Euler class is taken once, of the signed multiset obstruction -
-    tangent [- extra]: euler_class skips the zero weights, and build
-    merges proportional forms, so this is the quotient's canonical form."""
+    tangent [- extra]: euler_class skips the zero weights and merges
+    proportional forms, so this is the quotient's canonical form."""
     obstruction = obstruction_class(e)
     rank = tangent.net_rank() - obstruction.net_rank()
     if not passes_gate(tangent, obstruction):

@@ -12,7 +12,6 @@ from fractions import Fraction
 from .algebra import (
     FactoredRational,
     LinearForm,
-    NAMESPACES,
     SparsePolynomial,
     parse_var,
     var_name,
@@ -24,21 +23,12 @@ from .residues import ResidueForm
 from .weights import SignedWeightMultiset
 
 
-def _frac(c: Fraction) -> str:
-    return str(c)
-
-
 def linear_form_to_json(f: LinearForm) -> dict:
-    out: dict = {}
-    for ns in NAMESPACES:
-        top = f.max_index(ns)
-        if top:
-            arr = [Fraction(0)] * top
-            for (vns, idx), c in f.coeffs.items():
-                if vns == ns:
-                    arr[idx - 1] = c
-            out[ns] = [_frac(c) for c in arr]
-    return out
+    rows: dict = {}
+    for (ns, idx), c in f.coeffs.items():
+        rows.setdefault(ns, {})[idx] = str(c)
+    return {ns: [row.get(i, "0") for i in range(1, max(row) + 1)]
+            for ns, row in rows.items()}
 
 
 def linear_form_from_json(doc: dict) -> LinearForm:
@@ -55,7 +45,7 @@ def poly_to_json(p: SparsePolynomial) -> list:
     out = []
     for mono, coeff in p.sorted_terms():
         out.append({
-            "coeff": _frac(coeff),
+            "coeff": str(coeff),
             "exps": {var_name(v): e for v, e in mono},
         })
     return out
@@ -70,7 +60,7 @@ def poly_from_json(doc: list) -> SparsePolynomial:
 
 def rational_to_json(r: FactoredRational) -> dict:
     return {
-        "scalar": _frac(r.scalar),
+        "scalar": str(r.scalar),
         "numerator": poly_to_json(r.poly),
         "factors": [[linear_form_to_json(f), e] for f, e in r.factors],
     }

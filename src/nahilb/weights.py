@@ -43,9 +43,11 @@ from itertools import (
     product,
     starmap,
 )
+from math import gcd
 from operator import add, eq, le, lt, sub
 
-from .algebra import FactoredRational, LinearForm, SparsePolynomial, linear_form_of
+from .algebra import (FactoredRational, LinearForm, SparsePolynomial,
+                      canonical_factors, linear_form_of)
 from .errors import IndexOutOfRange, NotInFiber
 from .partitions import (
     Enumeration,
@@ -420,10 +422,22 @@ def euler_class(m: SignedWeightMultiset, namespace: str) -> FactoredRational:
     """Product of the weight forms with their multiplicities.
 
     Zero weights are skipped regardless of multiplicity: the product runs
-    over nonzero weights only."""
-    factors = [(linear_form_of(w, namespace), mult)
-               for w, mult in m.items() if any(w)]
-    return FactoredRational.build(Fraction(1), SparsePolynomial.one(), factors)
+    over nonzero weights only.  A packed weight has the sign of its first
+    nonzero coordinate, so its quotient by the signed gcd of its
+    coordinates packs its primitive form, and factors merge as ints."""
+    n = m.n
+    exps: dict = {}
+    num = den = 1
+    for w, mult in m.counts.items():
+        if w:
+            g = gcd(*unpack(w, n)) * (1 if w > 0 else -1)
+            num *= g ** max(mult, 0)
+            den *= g ** max(-mult, 0)
+            exps[w // g] = exps.get(w // g, 0) + mult
+    return FactoredRational(Fraction(num, den), SparsePolynomial.one(),
+                            canonical_factors(
+                                (linear_form_of(unpack(w, n), namespace), e)
+                                for w, e in exps.items() if e))
 
 
 def flag_tangent_euler(sigma, n: int, dims) -> FactoredRational:

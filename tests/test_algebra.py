@@ -228,6 +228,70 @@ class TestCanonicalForms:
         assert r.is_zero()
 
 
+def _fields(r: FactoredRational) -> tuple:
+    return r.scalar, r.poly.terms, r.factors
+
+
+_COEFF = st.sampled_from((1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-2, 3)))
+_FORM = st.dictionaries(st.sampled_from((sv(1), sv(2), sv(3), ("theta", 1))),
+                        _COEFF, min_size=1, max_size=3).map(LinearForm)
+_SCALAR = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _built(draw, poly_one=False):
+    """A built rational whose factors repeat forms of a small pool up to
+    scale (2L and -L/2 merge into one factor), and, unless poly_one, whose
+    polynomial part carries some of those forms, so simplify can cancel."""
+    pool = draw(st.lists(_FORM, min_size=1, max_size=3))
+    scaled = st.tuples(st.sampled_from(pool), _COEFF).map(
+        lambda fc: fc[0].scale(fc[1]))
+    factors = draw(st.lists(st.tuples(scaled, st.integers(-3, 3)),
+                            max_size=5))
+    poly = SparsePolynomial.one()
+    if not poly_one:
+        poly = draw(st.sampled_from((s(1), s(1) * s(2) - 2 * s(3), s(3) + 1)))
+        for form in draw(st.lists(scaled, min_size=1, max_size=3)):
+            poly = poly * form.as_poly()
+        poly = poly * draw(_SCALAR)
+    return FactoredRational.build(draw(_SCALAR), poly, factors)
+
+
+class TestCanonicalWithoutBuild:
+    """Products, quotients and simplify of canonical values merge factor
+    exponents only; each must equal what build makes of the same parts."""
+
+    @given(_built(), _built())
+    @settings(max_examples=150, deadline=None)
+    def test_product(self, a, b):
+        want = FactoredRational.build(a.scalar * b.scalar, a.poly * b.poly,
+                                      a.factors + b.factors)
+        assert _fields(a * b) == _fields(want)
+
+    @given(_built(), _built(poly_one=True))
+    @settings(max_examples=150, deadline=None)
+    def test_quotient(self, a, c):
+        assume(not c.is_zero())
+        want = FactoredRational.build(
+            a.scalar / c.scalar, a.poly,
+            a.factors + tuple((f, -e) for f, e in c.factors))
+        assert _fields(a / c) == _fields(want)
+
+    @given(_built())
+    @settings(max_examples=200, deadline=None)
+    def test_simplify(self, a):
+        poly, kept = a.poly, []
+        for form, exp in a.factors:
+            while exp < 0:
+                q = exact_divide_linear(poly, form)
+                if q is None:
+                    break
+                poly, exp = q, exp + 1
+            kept.append((form, exp))
+        want = FactoredRational.build(a.scalar, poly, kept)
+        assert _fields(a.simplify()) == _fields(want)
+
+
 class TestSubstituteLinear:
     def test_trace_zero_collapse(self):
         r = FactoredRational.build(

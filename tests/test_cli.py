@@ -1,15 +1,18 @@
 """Command line: class-spec parsing, job validation, exit codes, and
 deterministic JSON output."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nahilb.cli as cli
 from nahilb.algebra import FactoredRational, SparsePolynomial, rational_equal
-from nahilb.cli import JobSpec, main, parse_class_spec, run
+from nahilb.cli import JobSpec, main, parse_class_spec, run, write_json
 from nahilb.errors import IndexOutOfRange, NotBisymmetric, ParseError
 from nahilb.localization import (
     IntegralResult,
@@ -169,6 +172,28 @@ class TestMain:
         assert out == ""
         _, stdout_doc, _ = run_main(capsys, argv)
         assert target.read_text() == stdout_doc
+
+    def test_output_to_a_missing_directory_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_main(capsys, [
+            "integrate", "-n", "2", "--dims", "1,1", "--output", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write output")
+        assert not target.exists()
+
+    def test_failed_write_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        def half_written(doc, write):
+            write("{")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "write_json", half_written)
+        target = tmp_path / "x.json"
+        code, out, err = run_main(capsys, [
+            "integrate", "-n", "2", "--dims", "1,1", "--output", str(target)])
+        assert code == 1
+        assert "no space left" in err
+        assert not target.exists()
 
     def test_enumerate_counts_and_classify(self, capsys):
         code, out, _ = run_main(capsys, [
@@ -362,3 +387,90 @@ class TestRun:
     def test_compare_requires_nilfil_space(self):
         with pytest.raises(ParseError):
             run(JobSpec("compare", n=2, dims=(1, 1), space="nhilb"))
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(-10 ** 40, 10 ** 40) | st.text())
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=5), kids, max_size=4)),
+    max_leaves=40)
+
+
+def _written(doc) -> list:
+    pieces: list = []
+    write_json(doc, pieces.append)
+    return pieces
+
+
+class TestWriteJson:
+    @given(_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dumps(self, doc):
+        assert "".join(_written(doc)) \
+            == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_writes_long_documents_in_pieces(self):
+        doc = {"rows": [{"k": [i, str(i)]} for i in range(3000)]}
+        pieces = _written(doc)
+        assert len(pieces) > 1
+        assert "".join(pieces) \
+            == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        1.5, [Fraction(1, 2)], {"a": {1: "x"}}, {"a": [1, {(1, 2): 0}]},
+    ])
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            write_json(doc, lambda text: None)
+
+
+# sha256 of stdout, recorded before the JSON writer and the factor merges
+# replaced json.dumps and FactoredRational.build on these paths
+GOLDEN = [
+    pytest.param(
+        ["contribution", "-n", "2", "--dims", "2,2", "--class", "c2^dual"],
+        "256bd9907e7fc9c7409938a95105d754728f0f199c23012b5106c0920e8f58ec",
+        id="contribution-nhilb"),
+    pytest.param(
+        ["contribution", "-n", "3", "--dims", "1,1,1", "--space", "nilfil",
+         "--class", "eta1*eta2", "--expand"],
+        "99ad949826a38499f30d8b1b189600111384f8d393400abe401fbc6259665ef4",
+        id="contribution-nilfil"),
+    pytest.param(
+        ["integrate", "-n", "2", "--dims", "1,2,1", "--class", "c1^2*c2"],
+        "2fc6aac9f557fcf16821d396e831327f6902fdc3ea166331a6027e1dd0cd2017",
+        id="integrate-localization"),
+    pytest.param(
+        ["integrate", "-n", "2", "--dims", "1,1,1", "--q", "1",
+         "--class", "theta1*c1"],
+        "aa6ddc85c2d28f77bdd7addb0002942d948538f63b22f5c009d952e3f22c2bea",
+        id="integrate-theta"),
+    pytest.param(
+        ["integrate", "-n", "3", "--dims", "1,1,2", "--space", "nilfil",
+         "--method", "residue", "--class", "c2^dual"],
+        "2e6c5fed31d18e95360510b21692eb22a022674b4ebfed02581b663d89f920f6",
+        id="integrate-residue"),
+    pytest.param(
+        ["classify", "-n", "2", "--dims", "1,1,2"],
+        "8a2633ba0da3e9f02e95cf54c208446cf58e940ae95a31cde2ef7355d995423c",
+        id="classify"),
+    pytest.param(
+        ["compare", "-n", "2", "--dims", "1,2,1", "--class", "c1^2"],
+        "49cdf4db74b726254376476d490844e43d69e5e81c1be2904db06105577eec92",
+        id="compare"),
+    pytest.param(
+        ["integrate", "-n", "3", "--dims", "1,1,1", "--class", "c2^dual",
+         "--cy", "--expand"],
+        "0af2eda804f08ebab971d79b68590438360f8f8a826648e1e2c91aed6326814a",
+        id="integrate-cy-expand"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN)
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_main(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

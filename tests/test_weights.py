@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import chain as chain_terms
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nahilb.algebra import (
@@ -437,6 +437,30 @@ class TestEulerClass:
         got = euler_class(SignedWeightMultiset(2), "s")
         assert rational_equal(
             got, FactoredRational.from_poly(SparsePolynomial.one()))
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * n),
+        st.sampled_from((1, -1, 2, -3)), st.integers(-3, 3)), max_size=8)),
+        st.sampled_from(("s", "z")))
+    @example([((1, -2, 0), 2, 1), ((1, -2, 0), -1, -1), ((0, 0, 0), 1, 2),
+              ((-1, 1, 0), 1, 1)], "s")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_building_each_weight_form(self, rows, namespace):
+        # rows of (base, scale, mult) put scale * base in the multiset, so
+        # proportional weights, non-primitive ones, negative leading
+        # coordinates, cancelling multiplicities and zero weights all occur
+        n = len(rows[0][0]) if rows else 2
+        counts: dict = {}
+        for base, scale, mult in rows:
+            w = tuple(scale * c for c in base)
+            counts[w] = counts.get(w, 0) + mult
+        m = SignedWeightMultiset(n, counts)
+        want = FactoredRational.build(
+            Fraction(1), SparsePolynomial.one(),
+            [(linear_form_of(w, namespace), k) for w, k in m.items() if any(w)])
+        got = euler_class(m, namespace)
+        assert (got.scalar, got.poly, got.factors) \
+            == (want.scalar, want.poly, want.factors)
 
 
 class TestFlagTangentEuler:
