@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from nahilb.algebra import (
     FactoredRational,
-    LinearForm,
     SparsePolynomial,
     rational_equal,
     sum_factored,
@@ -31,11 +30,9 @@ def s(i):
 def closed_form():
     sigma1 = s(1) + s(2) + s(3)
     sigma2 = s(1) * s(2) + s(1) * s(3) + s(2) * s(3)
-    sigma3 = [LinearForm({("s", i): Fraction(1)}) for i in (1, 2, 3)]
-    lead = FactoredRational.build(
-        Fraction(20), sigma1 ** 3, [(f, -1) for f in sigma3])
-    middle = FactoredRational.build(
-        Fraction(-31), sigma2 * sigma1, [(f, -1) for f in sigma3])
+    den = [(s(i), -1) for i in (1, 2, 3)]
+    lead = FactoredRational.build(Fraction(20), sigma1 ** 3, den)
+    middle = FactoredRational.build(Fraction(-31), sigma2 * sigma1, den)
     tail = FactoredRational.from_poly(SparsePolynomial.constant(11))
     return sum_factored([lead, middle, tail])
 

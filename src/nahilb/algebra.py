@@ -1,15 +1,14 @@
 """Exact sparse multivariate arithmetic over the rationals.
 
 Everything downstream (weight multisets, localization sums, iterated
-residues) reduces to three value types defined here:
+residues) reduces to two value types defined here:
 
-* ``LinearForm``: a homogeneous degree-one form with rational coefficients
-  in variables drawn from the namespaces ``s`` (torus weights), ``theta``
-  (framing roots), ``eta`` (tautological placeholders) and ``z`` (residue
-  variables).
 * ``SparsePolynomial``: a dict from packed monomials to exact rational
   coefficients (plain ints where integral, ``Fraction`` otherwise; the two
-  mix and compare transparently).
+  mix and compare transparently).  A ``LinearForm`` is a hashable
+  degree-one ``SparsePolynomial`` in variables drawn from the namespaces
+  ``s`` (torus weights), ``theta`` (framing roots), ``eta`` (tautological
+  placeholders) and ``z`` (residue variables).
 * ``FactoredRational``: ``scalar * poly * prod_i L_i**e_i`` with primitive
   pairwise non-proportional linear factors ``L_i`` and integer exponents.
   Euler classes of weight multisets live here natively, so localization
@@ -45,7 +44,8 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 
-from .errors import DivisionByZero, ExponentOverflow, MissingVariable, NotPolynomial
+from .errors import (DegenerateRestriction, DivisionByZero, ExponentOverflow,
+                     MissingVariable, NotLinear, NotPolynomial)
 
 NAMESPACES = ("s", "theta", "eta", "z")
 _NS_RANK = {ns: i for i, ns in enumerate(NAMESPACES)}
@@ -177,13 +177,14 @@ def _mono_sort_key(m: int):
     return (-sum(e for _, _, e in f), [(r, i, -e) for r, i, e in f])
 
 
-def mul_linear(terms: dict, items) -> dict:
-    """Packed terms times a nonzero linear form given as packed_items()."""
+def mul_linear(terms: dict, form: dict) -> dict:
+    """Packed terms times the packed terms of a nonzero linear form."""
     # the first variable's terms cannot collide with one another
-    pv, cf = items[0]
+    items = iter(form.items())
+    pv, cf = next(items)
     out = {m + pv: c * cf for m, c in terms.items()}
     get = out.get
-    for pv, cf in items[1:]:
+    for pv, cf in items:
         for m, c in terms.items():
             key = m + pv
             nc = get(key, _ZERO) + c * cf
@@ -384,7 +385,9 @@ class SparsePolynomial:
 
     def extract_content(self) -> tuple:
         """Return (content, primitive) with primitive integer coefficients,
-        gcd 1, positive leading coefficient.  Zero returns (1, zero)."""
+        gcd 1, positive leading coefficient, of the same type as self; a
+        primitive polynomial is its own primitive part.  Zero returns
+        (1, zero)."""
         if not self.terms:
             return _ONE, self
         values = self.terms.values()
@@ -395,7 +398,9 @@ class SparsePolynomial:
         # needs no search for its leading term
         if (self.leading()[1] if low < 0 < max(values) else low) < 0:
             content = -content
-        prim = SparsePolynomial.from_packed(
+        if content == 1:
+            return _ONE, self
+        prim = self.from_packed(
             {m: _num(c / content) for m, c in self.terms.items()})
         return content, prim
 
@@ -431,9 +436,9 @@ def slices_of(terms: dict, x: Var) -> dict:
     return out
 
 
-def divide_slices(slices: dict, a, neg: list, floor: int) -> dict:
+def divide_slices(slices: dict, a, neg: dict, floor: int) -> dict:
     """Slices of p / (a*x + r) as a Laurent series in 1/x, kept down to
-    x^floor, from the slices of p and neg = -r as packed items.
+    x^floor, from the slices of p and neg = -r as packed terms.
 
     Synthetic division from the top slice down:
     q_{k-1} = (p_k + (-r)*q_k) / a.  Continued to floor = -1 it ends
@@ -461,42 +466,50 @@ def divide_slices(slices: dict, a, neg: list, floor: int) -> dict:
 def exact_divide_linear(p: SparsePolynomial, form: "LinearForm") -> SparsePolynomial | None:
     """Quotient p / form when the division is exact, else None.
 
-    One pass of divide_slices in one variable x of the form, exact iff
-    its remainder vanishes; no monomial order is needed.
+    One pass of divide_slices in the leading variable x of the form,
+    exact iff its remainder vanishes; no monomial order is needed.
     """
     if form.is_zero():
         raise DivisionByZero("division by the zero form")
-    x = form.leading_var()
-    neg = [(pv, -c) for pv, c in form.packed_items(skip=x)]
-    q = divide_slices(slices_of(p.terms, x), form.coeffs[x], neg, -1)
+    (rank, i), a = form.key()[0]
+    x = (NAMESPACES[rank], i)
+    sx = var_shift(x)
+    neg = {pv: -c for pv, c in form.terms.items() if pv != 1 << sx}
+    q = divide_slices(slices_of(p.terms, x), a, neg, -1)
     if -1 in q:
         return None
-    sx = var_shift(x)
     return SparsePolynomial.from_packed(
         {m + (k << sx): c for k, qk in q.items() for m, c in qk.items()})
 
 
-class LinearForm:
-    """Homogeneous degree-one form with rational coefficients."""
+class LinearForm(SparsePolynomial):
+    """Homogeneous degree-one polynomial, hashable, as factor lists need.
 
-    __slots__ = ("coeffs", "_key")
+    Its terms are packed single-variable monomials.  key() lists the
+    (var_key, coefficient) pairs in variable order; it orders factor
+    lists and gives the hash.  Arithmetic is the polynomial arithmetic
+    and returns plain SparsePolynomials; FactoredRational.build turns a
+    degree-one result back into a primitive form.
+    """
+
+    __slots__ = ("_key",)
 
     def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {v: c if type(c) is int else _num(Fraction(c))
-                       for v, c in (coeffs or {}).items() if c != 0}
-        self._key = tuple(sorted(
-            ((var_key(v), c) for v, c in self.coeffs.items())
-        ))
+        """Form of {var: coefficient}; zero coefficients are dropped."""
+        pairs = sorted(
+            (var_key(v), v, c if type(c) is int else _num(Fraction(c)))
+            for v, c in (coeffs or {}).items() if c != 0)
+        self.terms = {1 << var_shift(v): c for _, v, c in pairs}
+        self._key = tuple((k, c) for k, _, c in pairs)
 
     @classmethod
-    def variable(cls, v: Var) -> "LinearForm":
-        return cls({v: _ONE})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearForm) and self._key == other._key
+    def from_packed(cls, terms: dict) -> "LinearForm":
+        """Wrap {packed single-variable monomial: nonzero coefficient}."""
+        form = cls.__new__(cls)
+        form.terms = terms
+        form._key = tuple(sorted(((r, i), c) for m, c in terms.items()
+                                 for r, i, _ in _fields(m)))
+        return form
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -504,94 +517,27 @@ class LinearForm:
     def key(self):
         return self._key
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out.get(v, _ZERO) + c
-        return LinearForm(out)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out.get(v, _ZERO) - c
-        return LinearForm(out)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm({v: -c for v, c in self.coeffs.items()})
-
-    def scale(self, c) -> "LinearForm":
-        return LinearForm({v: co * c for v, co in self.coeffs.items()})
-
-    def leading_var(self) -> Var:
-        """Variable with the smallest id among those present."""
-        return min(self.coeffs, key=var_key)
-
-    def primitive(self) -> tuple:
-        """Return (content, primitive form): integer coprime coefficients,
-        leading coefficient positive."""
-        if not self.coeffs:
-            return _ONE, self
-        values = self.coeffs.values()
-        sign = -1 if self._key[0][1] < 0 else 1
-        if all(type(c) is int for c in values):
-            g = sign * gcd(*values)
-            if g == 1:
-                return _ONE, self
-            return Fraction(g), LinearForm(
-                {v: c // g for v, c in self.coeffs.items()})
-        content = sign * Fraction(gcd(*(c.numerator for c in values)),
-                                  lcm(*(c.denominator for c in values)))
-        return content, LinearForm({v: c / content for v, c in self.coeffs.items()})
-
-    def packed_items(self, skip=None) -> list:
-        """(1 << var_shift(v), coefficient) per variable other than skip,
-        the form as mul_linear takes it."""
-        return [(1 << var_shift(v), c) for v, c in self.coeffs.items()
-                if v != skip]
-
-    def as_poly(self) -> SparsePolynomial:
-        return SparsePolynomial.from_packed(
-            {1 << var_shift(v): c for v, c in self.coeffs.items()})
-
-    def evaluate(self, assignment: dict) -> Fraction:
-        total = _ZERO
-        for v, c in self.coeffs.items():
-            if v not in assignment:
-                raise MissingVariable(f"no value for {var_name(v)}")
-            total += c * Fraction(assignment[v])
-        return Fraction(total)
-
-    def substitute(self, mapping: dict) -> "LinearForm":
-        """Replace variables by linear forms, in parallel."""
-        out: dict = {}
-        for v, c in self.coeffs.items():
-            if v in mapping:
-                for w, cw in mapping[v].coeffs.items():
-                    out[w] = out.get(w, _ZERO) + c * cw
-            else:
-                out[v] = out.get(v, _ZERO) + c
-        return LinearForm(out)
-
     def max_index(self, namespace: str) -> int:
-        """Largest index used in the namespace, or 0 when absent."""
-        best = 0
-        for (ns, idx) in self.coeffs:
-            if ns == namespace and idx > best:
-                best = idx
-        return best
+        """Largest index used in the namespace, or 0 when absent; the key
+        is in variable order, so for z, the last namespace, one step."""
+        rank = _NS_RANK[namespace]
+        for (r, i), _ in reversed(self._key):
+            if r <= rank:
+                return i if r == rank else 0
+        return 0
+
+    # (content, primitive form): integer coprime coefficients, leading
+    # coefficient positive
+    primitive = SparsePolynomial.extract_content
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._key:
             return "0"
         parts = []
-        for v in sorted(self.coeffs, key=var_key):
-            c = self.coeffs[v]
-            if c == 1:
-                parts.append(var_name(v))
-            elif c == -1:
-                parts.append("-" + var_name(v))
-            else:
-                parts.append(f"{c}*{var_name(v)}")
+        for (r, i), c in self._key:
+            name = f"{NAMESPACES[r]}{i}"
+            parts.append(name if c == 1 else "-" + name if c == -1
+                         else f"{c}*{name}")
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
@@ -600,8 +546,13 @@ class LinearForm:
 def linear_form_of(weight, namespace: str) -> LinearForm:
     """Linear form of an integer weight vector in the given namespace,
     coordinate i paired with index i+1."""
-    return LinearForm({(namespace, i + 1): c
-                       for i, c in enumerate(weight) if c})
+    lane, stride, offset = _LANES[namespace]
+    rank = _NS_RANK[namespace]
+    form = LinearForm.__new__(LinearForm)
+    form.terms = {1 << FIELD_BITS * (lane + 3 * (stride * i + offset)): c
+                  for i, c in enumerate(weight) if c}
+    form._key = tuple(((rank, i + 1), c) for i, c in enumerate(weight) if c)
+    return form
 
 
 def canonical_factors(pairs) -> tuple:
@@ -620,7 +571,8 @@ class FactoredRational:
     Every instance is canonical: its factors are canonical_factors of
     primitive forms (positive leading coefficient), its polynomial part is
     primitive over Z with positive leading coefficient, and zero is scalar
-    1 with zero polynomial part.  build normalizes outside data; __mul__,
+    1 with zero polynomial part.  build normalizes outside data, turning
+    each degree-one polynomial factor into its primitive form; __mul__,
     __truediv__ and simplify only merge exponents, since by Gauss's lemma
     products of primitive polynomials and exact quotients by primitive
     forms are primitive, and leading terms multiply.
@@ -646,6 +598,10 @@ class FactoredRational:
                     raise DivisionByZero("zero linear form in a denominator")
                 pending_zero = True
                 continue
+            if type(form) is not LinearForm:
+                if form.homogeneous_degree() != 1:
+                    raise NotLinear(f"factor {form} is not a linear form")
+                form = LinearForm.from_packed(form.terms)
             content, prim = form.primitive()
             if content != 1:
                 scalar *= content ** exp
@@ -733,7 +689,7 @@ class FactoredRational:
             raise NotPolynomial(f"denominator factors remain: {r}")
         out = r.poly * r.scalar
         for form, exp in r.factors:
-            out = out * (form.as_poly() ** exp)
+            out = out * form ** exp
         return out
 
     def evaluate(self, assignment: dict) -> Fraction:
@@ -760,11 +716,9 @@ class FactoredRational:
     def substitute_linear(self, mapping: dict) -> "FactoredRational":
         """Replace variables by linear forms everywhere; a denominator
         factor collapsing to zero raises DegenerateRestriction."""
-        from .errors import DegenerateRestriction
         if self.is_zero():
             return self
-        poly_map = {v: f.as_poly() for v, f in mapping.items()}
-        new_poly = self.poly.substitute(poly_map)
+        new_poly = self.poly.substitute(mapping)
         new_factors = []
         for form, exp in self.factors:
             nf = form.substitute(mapping)
@@ -823,7 +777,7 @@ def sum_factored(items) -> FactoredRational:
             if fe[1]:
                 power = powers.get(fe)
                 if power is None:
-                    power = powers[fe] = fe[0].as_poly() ** fe[1]
+                    power = powers[fe] = fe[0] ** fe[1]
                 contrib = contrib * power
         total = total + contrib
     return FactoredRational.build(
@@ -841,17 +795,15 @@ def rational_equal(a: FactoredRational, b: FactoredRational) -> bool:
 
 
 def evaluate(value, assignment: dict) -> Fraction:
-    """Evaluate a LinearForm, SparsePolynomial or FactoredRational at a
-    point given as a map from variables to rationals."""
-    if isinstance(value, (LinearForm, SparsePolynomial, FactoredRational)):
+    """Evaluate a SparsePolynomial or FactoredRational at a point given
+    as a map from variables to rationals."""
+    if isinstance(value, (SparsePolynomial, FactoredRational)):
         return value.evaluate(assignment)
     raise TypeError(f"cannot evaluate {type(value).__name__}")
 
 
 def homogeneous_degree(value) -> int | None:
     """Common total degree of the value, or None when inhomogeneous."""
-    if isinstance(value, LinearForm):
-        return 0 if value.is_zero() else 1
     if isinstance(value, (SparsePolynomial, FactoredRational)):
         return value.homogeneous_degree()
     raise TypeError(f"no degree for {type(value).__name__}")

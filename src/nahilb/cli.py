@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .algebra import FactoredRational, SparsePolynomial, rational_equal
+from .algebra import (MAX_EXPONENT, FactoredRational, SparsePolynomial,
+                      rational_equal)
 from .errors import IndexOutOfRange, NahilbError, NotPolynomial, ParseError
 from .localization import (
     TautClass,
@@ -60,7 +61,6 @@ class JobSpec:
     q: int = 0
     cy: bool = False
     expand: bool = False
-    classify: bool = False
     seed: int = DEFAULT_SEED
     samples: int = 0
     checks: tuple = ()
@@ -87,6 +87,8 @@ class JobSpec:
 # ---------------------------------------------------------------------------
 # class-spec parser
 
+MAX_NESTING = 100  # parenthesis depth of a class spec, five frames a level
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z]+\d*)"
                        r"|(?P<op>[-+*^()]))")
 
@@ -112,12 +114,14 @@ class _ClassParser:
     """Recursive descent over sums, products, powers and `^dual`.
 
     `dual` is a postfix marker on a Chern atom and must come before any
-    integer power, as in c2^dual^3.
+    integer power, as in c2^dual^3.  Powers above MAX_EXPONENT and
+    parentheses nested deeper than MAX_NESTING are refused.
     """
 
     def __init__(self, tokens: list, q: int, d: int):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.q = q
         self.d = d
 
@@ -158,41 +162,48 @@ class _ClassParser:
         return value
 
     def signed(self) -> SparsePolynomial:
-        if self.peek() == ("op", "-"):
+        negate = False
+        while self.peek() == ("op", "-"):
             self.take()
-            return -self.signed()
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> SparsePolynomial:
         chern = self.atom()
         dual = False
-        exps = []
+        exponent = None  # x^a^b is x^(a*b)
         while self.peek() == ("op", "^"):
             self.take()
             tok = self.take()
             if tok == ("word", "dual"):
-                if not isinstance(chern, int) or dual or exps:
+                if not isinstance(chern, int) or dual or exponent is not None:
                     raise ParseError("dual only applies directly to a c_k")
                 dual = True
             elif tok[0] == "int":
-                exps.append(tok[1])
+                exponent = tok[1] * (1 if exponent is None else exponent)
+                if exponent > MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponent {exponent} exceeds {MAX_EXPONENT}")
             else:
                 raise ParseError(f"bad exponent {tok[1]!r}")
         if isinstance(chern, int):
             value = chern_taut(chern, self.q, self.d, dual=dual).poly
         else:
             value = chern
-        for e in exps:
-            value = value ** e
-        return value
+        return value if exponent is None else value ** exponent
 
     def atom(self):
         tok = self.take()
         if tok[0] == "int":
             return SparsePolynomial.constant(tok[1])
         if tok == ("op", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}")
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         if tok[0] == "word":
             return self.named(tok[1])
@@ -233,9 +244,9 @@ def _rational_stream(rng: Random):
 
 
 def _value_vars(v: FactoredRational) -> set:
-    out = set(v.poly.variables())
+    out = v.poly.variables()
     for form, _ in v.factors:
-        out.update(form.coeffs)
+        out |= form.variables()
     return out
 
 
@@ -284,7 +295,7 @@ def cmd_enumerate(job: JobSpec) -> tuple:
     rows = []
     for np_ in chains:
         row = {"chain": nested_to_json(np_)}
-        if job.classify:
+        if job.command == "classify":
             # nilfil needs pointed dims and the identity fiber needs
             # d - 1 <= n; where they do not apply the row says null
             nil = is_nilfil(np_) if np_.dims[0] == 1 else None
@@ -297,7 +308,7 @@ def cmd_enumerate(job: JobSpec) -> tuple:
             row["fixed_ranks"] = [wt, wb]
         rows.append(row)
     doc = {
-        "command": "classify" if job.classify else "enumerate",
+        "command": job.command,
         "n": job.n,
         "dims": list(job.dims),
         "count": len(rows),
@@ -484,8 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="list the fixed chains")
     common(sp, with_class=False)
-    sp.add_argument("--classify", action="store_true", default=None,
-                    help="add admissibility and fiber flags per chain")
 
     sp = sub.add_parser("classify", help="enumerate with classification flags")
     common(sp, with_class=False)
@@ -564,8 +573,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         q=pick("q", (int,), default=0),
         cy=pick("cy", (bool,), default=False),
         expand=pick("expand", (bool,), default=False),
-        classify=bool(getattr(args, "classify", None)
-                      or args.command == "classify"),
         seed=pick("seed", (int,), default=DEFAULT_SEED),
         samples=pick("samples", (int,), default=0),
         checks=checks,

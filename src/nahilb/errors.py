@@ -69,6 +69,10 @@ class ExponentOverflow(NahilbError):
     """An exponent outgrows its field in the packed monomial encoding."""
 
 
+class NotLinear(NahilbError):
+    """A factor of a factored rational is not a linear form."""
+
+
 class NotPolynomial(NahilbError):
     """A sum that must clear its denominators did not."""
 

@@ -122,20 +122,18 @@ def chern_taut(k: int, q: int, d: int, dual: bool = False) -> TautClass:
     if not 0 <= k <= limit:
         raise IndexOutOfRange(f"no c_{k} with q={q}, d={d}")
     roots = []
-    sign = Fraction(-1 if dual else 1)
+    sign = -1 if dual else 1
     for j in range(d):
-        eta = LinearForm({("eta", j): Fraction(1)}) if j else LinearForm()
+        eta = LinearForm({("eta", j): 1} if j else {})
         if q == 0:
-            roots.append(eta.scale(-sign))
+            roots.append(eta * -sign)
         else:
             for i in range(1, q + 1):
-                theta = LinearForm({("theta", i): Fraction(1)})
-                roots.append((theta - eta).scale(sign))
+                roots.append((LinearForm({("theta", i): 1}) - eta) * sign)
     elem = [SparsePolynomial.one()] + [SparsePolynomial.zero()] * k
     for root in roots:
-        rp = root.as_poly()
         for t in range(min(k, len(roots)), 0, -1):
-            elem[t] = elem[t] + rp * elem[t - 1]
+            elem[t] = elem[t] + root * elem[t - 1]
     return TautClass(elem[k], q, d)
 
 
@@ -147,7 +145,7 @@ def restrict_class(P: TautClass, e: Enumeration) -> SparsePolynomial:
             if idx >= e.d:
                 raise IndexOutOfRange(
                     f"eta_{idx} needs a chain of more than {e.d} points")
-            mapping[(ns, idx)] = linear_form_of(e.points[idx], "s").as_poly()
+            mapping[(ns, idx)] = linear_form_of(e.points[idx], "s")
     return P.poly.substitute(mapping) if mapping else P.poly
 
 

@@ -28,6 +28,7 @@ from .algebra import (
     linear_form_of,
     mul_linear,
     slices_of,
+    var_shift,
 )
 from .errors import (
     IndexOutOfRange,
@@ -127,13 +128,13 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     pending = list(f.deferred)
     for M in range(f.z_count, 0, -1):
         for form, e in [fe for fe in pending if fe[0].max_index("z") == M]:
-            fi = form.packed_items()
             for _ in range(e):
-                num = mul_linear(num, fi)
+                num = mul_linear(num, form.terms)
         pending = [fe for fe in pending if fe[0].max_index("z") < M]
         if not num:
             return SparsePolynomial.zero()
         zM = ("z", M)
+        pz = 1 << var_shift(zM)
         active = [fe for fe in factors if fe[0].max_index("z") == M]
         factors = [fe for fe in factors if fe[0].max_index("z") < M]
         state = slices_of(num, zM)
@@ -141,10 +142,10 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
         rem = sum(e for _, e in active)
         for form, e in active:
             # c*z_M + r is -(|c|*z_M - r) when c < 0
-            c = form.coeffs[zM]
+            c = form.terms[pz]
             flip = -1 if c < 0 else 1
             sign *= flip ** e
-            neg = [(pv, -flip * cf) for pv, cf in form.packed_items(skip=zM)]
+            neg = {pv: -flip * cf for pv, cf in form.terms.items() if pv != pz}
             for _ in range(e):
                 rem -= 1
                 state = divide_slices(state, flip * c, neg, rem - 1 - margin)
@@ -252,7 +253,7 @@ def residue_term(np_: NestedPartition, n: int, dims, P: TautClass,
         raise RequiresNilfil(f"{np_} is not on the identity fiber")
     e = canonical_enumeration(np_)
     k = e.d - 1
-    num = _restrict_to_z(P, e.d, lambda j: _zform_of(e.points[j], k).as_poly())
+    num = _restrict_to_z(P, e.d, lambda j: _zform_of(e.points[j], k))
     tangent = fiber_tangent_class(e, sigma)
     obstruction = obstruction_class(e)
     if not passes_gate(tangent, obstruction):

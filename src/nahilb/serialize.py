@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
+    NAMESPACES,
     FactoredRational,
     LinearForm,
     SparsePolynomial,
@@ -25,8 +26,8 @@ from .weights import SignedWeightMultiset
 
 def linear_form_to_json(f: LinearForm) -> dict:
     rows: dict = {}
-    for (ns, idx), c in f.coeffs.items():
-        rows.setdefault(ns, {})[idx] = str(c)
+    for (rank, idx), c in f.key():
+        rows.setdefault(NAMESPACES[rank], {})[idx] = str(c)
     return {ns: [row.get(i, "0") for i in range(1, max(row) + 1)]
             for ns, row in rows.items()}
 

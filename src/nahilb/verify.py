@@ -109,11 +109,9 @@ def check_hilb3_closed_form(seed: int):
     """Three points in three variables: the integral of c2(dual)^3 has a
     three-term closed form and restricts to 11 on the trace-zero torus."""
     res = integrate_localization(3, (3,), "nhilb", _hilb3_class())
-    e1 = (_s(1) + _s(2) + _s(3)).as_poly()
-    e2 = ((_s(1).as_poly() * _s(2).as_poly())
-          + (_s(1).as_poly() * _s(3).as_poly())
-          + (_s(2).as_poly() * _s(3).as_poly()))
-    e3 = _s(1).as_poly() * _s(2).as_poly() * _s(3).as_poly()
+    e1 = _s(1) + _s(2) + _s(3)
+    e2 = _s(1) * _s(2) + _s(1) * _s(3) + _s(2) * _s(3)
+    e3 = _s(1) * _s(2) * _s(3)
     num = e1 * e1 * e1 * 20 + e2 * e1 * (-31) + e3 * 11
     expected = FactoredRational.build(
         Fraction(1), num, [(_s(i), -1) for i in (1, 2, 3)])
@@ -142,9 +140,7 @@ def check_hilb3_point_terms(seed: int):
         top = frozenset({(0, 0, 0),
                          tuple(1 if c == i else 0 for c in (1, 2, 3)),
                          tuple(2 if c == i else 0 for c in (1, 2, 3))})
-        num = _s(i).as_poly()
-        num = num * num * num
-        num = num * num
+        num = _s(i) ** 6
         expected = FactoredRational.build(Fraction(80), num, [
             (_s(j), -1), (_comb({j: 1, i: -1}), -1), (_comb({j: 1, i: -2}), -1),
             (_s(k), -1), (_comb({k: 1, i: -1}), -1), (_comb({k: 1, i: -2}), -1),
@@ -158,10 +154,8 @@ def check_hilb3_point_terms(seed: int):
         top = frozenset({(0, 0, 0),
                          tuple(1 if c == i else 0 for c in (1, 2, 3)),
                          tuple(1 if c == j else 0 for c in (1, 2, 3))})
-        num = (_comb({i: 2, j: 1}).as_poly()
-               * _comb({i: 1, j: 2}).as_poly()
-               * _comb({i: 1, j: 1}).as_poly()
-               * _s(i).as_poly() * _s(j).as_poly())
+        num = (_comb({i: 2, j: 1}) * _comb({i: 1, j: 2}) * _comb({i: 1, j: 1})
+               * _s(i) * _s(j))
         expected = FactoredRational.build(Fraction(1), num, [
             (_comb({i: 2, j: -1}), -1), (_comb({j: 2, i: -1}), -1),
             (_s(k), -1), (_comb({k: 1, i: -1}), -1), (_comb({k: 1, j: -1}), -1),
@@ -463,8 +457,7 @@ def check_n_stability(seed: int):
     fold = SparsePolynomial.one()
     for i in range(small_n + 1, big_n + 1):
         for l in range(1, d):
-            fold = fold * (LinearForm({("s", i): Fraction(1),
-                                       ("eta", l): Fraction(-1)}).as_poly())
+            fold = fold * LinearForm({("s", i): 1, ("eta", l): -1})
     c2d = chern_taut(2, 0, d, dual=True)
     cases = 0
     for P in (TautClass(1, 0, d), c2d, TautClass(c2d.poly * c2d.poly, 0, d)):

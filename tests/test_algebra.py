@@ -3,6 +3,7 @@ rationals, and the canonical-form contracts the rest of the engine
 relies on."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from nahilb.algebra import (
     MAX_EXPONENT,
+    NAMESPACES,
     FactoredRational,
     LinearForm,
     SparsePolynomial,
@@ -26,6 +28,7 @@ from nahilb.errors import (
     DivisionByZero,
     ExponentOverflow,
     MissingVariable,
+    NotLinear,
 )
 
 
@@ -53,7 +56,77 @@ class TestLinearFormOf:
 
     def test_namespace(self):
         form = linear_form_of((0, 3), "z")
-        assert form.coeffs == {("z", 2): 3}
+        assert form == LinearForm({("z", 2): 3})
+
+    @given(st.sampled_from(NAMESPACES),
+           st.lists(st.integers(-3, 3), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_same_form_as_the_constructor(self, namespace, weight):
+        want = LinearForm({(namespace, i + 1): c
+                           for i, c in enumerate(weight)})
+        got = linear_form_of(weight, namespace)
+        assert got == want and hash(got) == hash(want)
+        assert got.key() == want.key() and str(got) == str(want)
+
+
+def _dict_form(coeffs: dict) -> tuple:
+    """key, text, content and primitive key of the dict-based linear form
+    the packed one replaced, written out from its definitions."""
+    coeffs = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
+    coeffs = {v: c.numerator if c.denominator == 1 else c
+              for v, c in coeffs.items()}
+    key = tuple(sorted((var_key(v), c) for v, c in coeffs.items()))
+    parts = []
+    for v in sorted(coeffs, key=var_key):
+        c, name = coeffs[v], f"{v[0]}{v[1]}"
+        parts.append(name if c == 1 else "-" + name if c == -1
+                     else f"{c}*{name}")
+    text = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    if not coeffs:
+        return key, text, 1, key
+    values = coeffs.values()
+    content = (-1 if key[0][1] < 0 else 1) * Fraction(
+        gcd(*(c.numerator for c in values)),
+        lcm(*(c.denominator for c in values)))
+    return key, text, content, tuple((k, c / content) for k, c in key)
+
+
+_ALL_VARS = [("s", 1), ("s", 3), ("theta", 1), ("theta", 2),
+             ("eta", 1), ("eta", 2), ("z", 1), ("z", 4)]
+_ANY_COEFF = st.one_of(st.integers(-6, 6),
+                       st.builds(Fraction, st.integers(-6, 6),
+                                 st.integers(1, 4)))
+_COEFF_DICTS = st.dictionaries(st.sampled_from(_ALL_VARS), _ANY_COEFF,
+                               max_size=4)
+
+
+class TestLinearForm:
+    """A linear form is a degree-one SparsePolynomial with the key, text,
+    hash, equality and primitive part of the dict-based form it
+    replaced, in all four namespaces."""
+
+    @given(_COEFF_DICTS, _COEFF_DICTS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dict_definition(self, coeffs, other):
+        key, text, content, prim_key = _dict_form(coeffs)
+        form = LinearForm(coeffs)
+        assert form.key() == key
+        assert [type(c) for _, c in form.key()] == [type(c) for _, c in key]
+        assert str(form) == text == SparsePolynomial.__str__(form)
+        assert hash(form) == hash(key)
+        assert (form == LinearForm(other)) == (key == _dict_form(other)[0])
+        shuffled = LinearForm(dict(reversed(coeffs.items())))
+        packed = LinearForm.from_packed(dict(form.terms))
+        for same in (shuffled, packed):
+            assert same == form and same.key() == key
+            assert hash(same) == hash(form)
+        got_content, prim = form.primitive()
+        assert got_content == content
+        assert type(prim) is LinearForm and prim.key() == prim_key
+        for ns in NAMESPACES:
+            assert form.max_index(ns) == max(
+                (i for (n, i), c in coeffs.items() if n == ns and c),
+                default=0)
 
 
 class TestEvaluate:
@@ -176,12 +249,12 @@ class TestExactDivideLinear:
         # the form's smallest variable is eta2, which q never uses
         q = s(1) * s(2) - 3 * s(2) ** 2
         form = LinearForm({("eta", 2): 1, ("z", 1): -2})
-        assert exact_divide_linear(q * form.as_poly(), form) == q
+        assert exact_divide_linear(q * form, form) == q
 
     def test_leading_variable_not_first_in_monomials(self):
         q = s(1) * s(2) + s(1) ** 2 * SparsePolynomial.variable(("z", 3))
         form = LinearForm({("s", 2): 2, ("z", 3): 1})
-        assert exact_divide_linear(q * form.as_poly(), form) == q
+        assert exact_divide_linear(q * form, form) == q
 
 
 class TestCanonicalForms:
@@ -223,6 +296,19 @@ class TestCanonicalForms:
             FactoredRational.build(1, SparsePolynomial.one(),
                                    [(LinearForm(), -1)])
 
+    def test_build_makes_degree_one_polynomials_primitive_forms(self):
+        # s2 - 2*s1 is -(2*s1 - s2): the sign moves into the scalar
+        r = FactoredRational.build(1, SparsePolynomial.one(),
+                                   [(s(2) - s(1) * 2, -1)])
+        assert r.scalar == -1 and r.factors == ((lf(s1=2, s2=-1), -1),)
+        assert type(r.factors[0][0]) is LinearForm
+
+    @pytest.mark.parametrize("factor", [
+        s(1) * s(2), s(1) ** 2, s(1) + 1, SparsePolynomial.constant(3)])
+    def test_build_refuses_factors_of_other_degrees(self, factor):
+        with pytest.raises(NotLinear):
+            FactoredRational.build(1, SparsePolynomial.one(), [(factor, -1)])
+
     def test_zero_form_in_numerator_collapses(self):
         r = FactoredRational.build(1, s(1), [(LinearForm(), 2)])
         assert r.is_zero()
@@ -233,7 +319,8 @@ def _fields(r: FactoredRational) -> tuple:
 
 
 _COEFF = st.sampled_from((1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-2, 3)))
-_FORM = st.dictionaries(st.sampled_from((sv(1), sv(2), sv(3), ("theta", 1))),
+_FORM = st.dictionaries(st.sampled_from((sv(1), sv(2), sv(3), ("theta", 1),
+                                         ("eta", 1), ("z", 2))),
                         _COEFF, min_size=1, max_size=3).map(LinearForm)
 _SCALAR = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -245,14 +332,14 @@ def _built(draw, poly_one=False):
     polynomial part carries some of those forms, so simplify can cancel."""
     pool = draw(st.lists(_FORM, min_size=1, max_size=3))
     scaled = st.tuples(st.sampled_from(pool), _COEFF).map(
-        lambda fc: fc[0].scale(fc[1]))
+        lambda fc: fc[0] * fc[1])
     factors = draw(st.lists(st.tuples(scaled, st.integers(-3, 3)),
                             max_size=5))
     poly = SparsePolynomial.one()
     if not poly_one:
         poly = draw(st.sampled_from((s(1), s(1) * s(2) - 2 * s(3), s(3) + 1)))
         for form in draw(st.lists(scaled, min_size=1, max_size=3)):
-            poly = poly * form.as_poly()
+            poly = poly * form
         poly = poly * draw(_SCALAR)
     return FactoredRational.build(draw(_SCALAR), poly, factors)
 
@@ -375,7 +462,7 @@ def test_sum_factored_matches_evaluation(terms, point):
 @given(_monomials(), _forms)
 @settings(max_examples=40, deadline=None)
 def test_rational_equal_across_presentations(a, form):
-    lhs = FactoredRational.build(1, a * form.as_poly(), [(form, -1)])
+    lhs = FactoredRational.build(1, a * form, [(form, -1)])
     assert rational_equal(lhs, FactoredRational.from_poly(a))
 
 
@@ -403,19 +490,20 @@ _mixed_points = st.fixed_dictionaries(
 @given(_polys(), _int_forms)
 @settings(max_examples=150, deadline=None)
 def test_exact_divide_linear_recovers_quotient(q, form):
-    assert exact_divide_linear(q * form.as_poly(), form) == q
+    assert exact_divide_linear(q * form, form) == q
 
 
 @given(_polys(), _int_forms, _polys(max_size=2), _mixed_points)
 @settings(max_examples=150, deadline=None)
 def test_exact_divide_linear_refuses_non_multiples(q, form, extra, point):
-    p = q * form.as_poly() + extra
+    p = q * form + extra
     # a point on form = 0 where p does not vanish certifies that the
     # form does not divide p
-    x = form.leading_var()
+    (rank, i), a = form.key()[0]
+    x = (NAMESPACES[rank], i)
     on_form = dict(point)
     on_form[x] = Fraction(0)
-    on_form[x] = -form.evaluate(on_form) / form.coeffs[x]
+    on_form[x] = -form.evaluate(on_form) / a
     assume(p.evaluate(on_form) != 0)
     assert exact_divide_linear(p, form) is None
 

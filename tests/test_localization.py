@@ -196,8 +196,8 @@ class TestContribution:
             got = contribution(e, 3, "nhilb", C2_CUBED)
             expected = ratio(
                 80, s(i) ** 6,
-                [sf(j), sf(j) - sf(i), sf(j) - sf(i).scale(2),
-                 sf(k), sf(k) - sf(i), sf(k) - sf(i).scale(2)])
+                [sf(j), sf(j) - sf(i), sf(j) - sf(i) * 2,
+                 sf(k), sf(k) - sf(i), sf(k) - sf(i) * 2])
             assert rational_equal(got, expected)
 
     def test_two_direction_formula(self):
@@ -208,7 +208,7 @@ class TestContribution:
         got = contribution(e, 3, "nhilb", C2_CUBED)
         expected = ratio(
             1, num,
-            [sf(i).scale(2) - sf(j), sf(j).scale(2) - sf(i),
+            [sf(i) * 2 - sf(j), sf(j) * 2 - sf(i),
              sf(k), sf(k) - sf(i), sf(k) - sf(j)])
         assert rational_equal(got, expected)
 

@@ -404,9 +404,9 @@ class TestZformMap:
                                             obstruction_terms(w)):
                         got = LinearForm()
                         for sign, form in term_zforms([term]):
-                            got = form.substitute(zs).scale(sign)
+                            got = form.substitute(zs) * sign
                         (v, mult), = term_weights(e, [term]).items()
-                        want = linear_form_of(v, "s").scale(mult)
+                        want = linear_form_of(v, "s") * mult
                         assert got == want, (e, term)
 
 
@@ -414,13 +414,12 @@ class TestEulerClass:
     def test_zero_weights_skipped(self):
         m = SignedWeightMultiset(2, {(1, 0): 1, (0, 1): 1, (0, 0): 3})
         expected = FactoredRational.from_poly(
-            linear_form_of((1, 0), "s").as_poly()
-            * linear_form_of((0, 1), "s").as_poly())
+            linear_form_of((1, 0), "s") * linear_form_of((0, 1), "s"))
         assert rational_equal(euler_class(m, "s"), expected)
         m = SignedWeightMultiset(2, {(1, 0): 1, (0, 0): -2})
         assert rational_equal(
             euler_class(m, "s"),
-            FactoredRational.from_poly(linear_form_of((1, 0), "s").as_poly()))
+            FactoredRational.from_poly(linear_form_of((1, 0), "s")))
 
     def test_opposite_pair(self):
         m = SignedWeightMultiset(2, {(1, -1): 1, (-1, 1): 1})
