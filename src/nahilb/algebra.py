@@ -29,7 +29,7 @@ Example::
     >>> q = p * p
     >>> q.homogeneous_degree()
     2
-    >>> evaluate(q, {s1: Fraction(1), s2: Fraction(2)})
+    >>> q.evaluate({s1: Fraction(1), s2: Fraction(2)})
     Fraction(9, 1)
 
 No polynomial gcd is ever computed: cancellation happens only by exact
@@ -177,10 +177,11 @@ def _mono_sort_key(m: int):
     return (-sum(e for _, _, e in f), [(r, i, -e) for r, i, e in f])
 
 
-def mul_linear(terms: dict, form: dict) -> dict:
-    """Packed terms times the packed terms of a nonzero linear form."""
-    # the first variable's terms cannot collide with one another
-    items = iter(form.items())
+def mul_packed(terms: dict, rows: dict) -> dict:
+    """Product of packed terms; rows, which must be nonempty, drives the
+    outer loop, so the shorter factor goes there."""
+    # the first row of products cannot collide with itself
+    items = iter(rows.items())
     pv, cf = next(items)
     out = {m + pv: c * cf for m, c in terms.items()}
     get = out.get
@@ -284,26 +285,12 @@ class SparsePolynomial:
             return SparsePolynomial.from_packed(
                 {m: co * c for m, co in self.terms.items()})
         if len(self.terms) > len(other.terms):
-            a, b = other.terms, self.terms
+            rows, terms = other.terms, self.terms
         else:
-            a, b = self.terms, other.terms
-        if not a:
+            rows, terms = self.terms, other.terms
+        if not rows:
             return SparsePolynomial.zero()
-        # the first row of products cannot collide with itself
-        rows = iter(a.items())
-        ma, ca = next(rows)
-        out = {ma + mb: ca * cb for mb, cb in b.items()}
-        get = out.get
-        for ma, ca in rows:
-            for mb, cb in b.items():
-                m = ma + mb
-                nc = get(m, _ZERO) + ca * cb
-                if nc:
-                    out[m] = nc
-                elif m in out:
-                    del out[m]
-        _refuse_carry(out)
-        return SparsePolynomial.from_packed(out)
+        return SparsePolynomial.from_packed(mul_packed(terms, rows))
 
     __rmul__ = __mul__
 
@@ -448,7 +435,7 @@ def divide_slices(slices: dict, a, neg: dict, floor: int) -> dict:
     out: dict = {}
     q: dict = {}
     for k in range(max(slices, default=floor), floor, -1):
-        q = mul_linear(q, neg) if q and neg else {}
+        q = mul_packed(q, neg) if q and neg else {}
         for m, c in slices.get(k, {}).items():
             nc = q.get(m, _ZERO) + c
             if nc:
@@ -793,17 +780,3 @@ def rational_equal(a: FactoredRational, b: FactoredRational) -> bool:
         return True
     return sum_factored([a, -b]).is_zero()
 
-
-def evaluate(value, assignment: dict) -> Fraction:
-    """Evaluate a SparsePolynomial or FactoredRational at a point given
-    as a map from variables to rationals."""
-    if isinstance(value, (SparsePolynomial, FactoredRational)):
-        return value.evaluate(assignment)
-    raise TypeError(f"cannot evaluate {type(value).__name__}")
-
-
-def homogeneous_degree(value) -> int | None:
-    """Common total degree of the value, or None when inhomogeneous."""
-    if isinstance(value, (SparsePolynomial, FactoredRational)):
-        return value.homogeneous_degree()
-    raise TypeError(f"no degree for {type(value).__name__}")

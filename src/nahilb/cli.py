@@ -16,12 +16,10 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from random import Random
 
 from .algebra import (MAX_EXPONENT, FactoredRational, SparsePolynomial,
                       rational_equal)
-from .errors import IndexOutOfRange, NahilbError, NotPolynomial, ParseError
+from .errors import IndexOutOfRange, NahilbError, ParseError
 from .localization import (
     TautClass,
     chern_taut,
@@ -39,11 +37,7 @@ from .partitions import (
     point_budget,
 )
 from .residues import integrate_residue_nilfil
-from .serialize import (
-    integral_result_to_json,
-    nested_to_json,
-    rational_to_json,
-)
+from .serialize import integral_result_to_json, nested_to_json, value_to_json
 from .verify import CHECKS, DEFAULT_SEED, run_checks
 from .weights import fixed_ranks
 
@@ -62,7 +56,6 @@ class JobSpec:
     cy: bool = False
     expand: bool = False
     seed: int = DEFAULT_SEED
-    samples: int = 0
     checks: tuple = ()
     output: str | None = None
     max_points: int | None = None
@@ -80,8 +73,6 @@ class JobSpec:
             raise ParseError(f"unknown method {self.method!r}")
         if self.q < 0:
             raise ParseError(f"q must be >= 0, got {self.q}")
-        if self.samples < 0:
-            raise ParseError(f"samples must be >= 0, got {self.samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +92,11 @@ def _tokenize(text: str) -> list:
         if m is None:
             raise ParseError(f"bad character {text[pos]!r} at position {pos}")
         if m.group("int"):
-            out.append(("int", int(m.group("int"))))
+            try:
+                out.append(("int", int(m.group("int"))))
+            except ValueError:  # past Python's int string conversion limit
+                raise ParseError(
+                    f"integer literal at position {m.start('int')} is too long")
         elif m.group("word"):
             out.append(("word", m.group("word")))
         elif m.group("op"):
@@ -114,7 +109,8 @@ class _ClassParser:
     """Recursive descent over sums, products, powers and `^dual`.
 
     `dual` is a postfix marker on a Chern atom and must come before any
-    integer power, as in c2^dual^3.  Powers above MAX_EXPONENT and
+    integer power, as in c2^dual^3.  Powers above MAX_EXPONENT, powers of
+    a constant c past MAX_EXPONENT bits (exponent * c.bit_length()) and
     parentheses nested deeper than MAX_NESTING are refused.
     """
 
@@ -191,7 +187,14 @@ class _ClassParser:
             value = chern_taut(chern, self.q, self.d, dual=dual).poly
         else:
             value = chern
-        return value if exponent is None else value ** exponent
+        if exponent is None:
+            return value
+        if value.terms.keys() == {0}:
+            bits = value.terms[0].bit_length()
+            if exponent * bits > MAX_EXPONENT:
+                raise ParseError(f"power {exponent} of a {bits}-bit constant"
+                                 f" exceeds {MAX_EXPONENT} bits")
+        return value ** exponent
 
     def atom(self):
         tok = self.take()
@@ -236,58 +239,10 @@ def parse_class_spec(text: str, q: int, d: int) -> TautClass:
 
 
 # ---------------------------------------------------------------------------
-# sampled equality
-
-def _rational_stream(rng: Random):
-    while True:
-        yield Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
-def _value_vars(v: FactoredRational) -> set:
-    out = v.poly.variables()
-    for form, _ in v.factors:
-        out |= form.variables()
-    return out
-
-
-def _sampled_equal(a: FactoredRational, b: FactoredRational, n: int,
-                   samples: int, seed: int) -> bool:
-    rng = Random(seed)
-    stream = _rational_stream(rng)
-    svars = {("s", i) for i in range(1, n + 1)}
-    svars |= _value_vars(a) | _value_vars(b)
-    svars = sorted(svars)
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 1000 * samples:
-            raise NahilbError("sampling kept hitting denominator zeros")
-        point = {v: next(stream) for v in svars}
-        try:
-            va = a.evaluate(point)
-            vb = b.evaluate(point)
-        except NahilbError:
-            continue
-        if va != vb:
-            return False
-        done += 1
-    return True
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 def _rational_doc(v: FactoredRational, expand: bool) -> dict:
-    doc = {"factored": rational_to_json(v), "display": str(v)}
-    if expand:
-        from .serialize import poly_to_json
-        # only values whose denominators clear have an expanded form
-        try:
-            doc["expanded"] = poly_to_json(v.expand())
-        except NotPolynomial:
-            pass
-    return doc
+    return {**value_to_json(v, expand), "display": str(v)}
 
 
 def cmd_enumerate(job: JobSpec) -> tuple:
@@ -373,6 +328,7 @@ def cmd_compare(job: JobSpec) -> tuple:
                          " integral; pass --space nilfil")
     a = _integral(job, "localization")
     b = _integral(job, "residue")
+    equal = rational_equal(a.value, b.value)
     doc = {
         "command": "compare",
         "n": job.n,
@@ -383,13 +339,8 @@ def cmd_compare(job: JobSpec) -> tuple:
         "vdim": a.vdim,
         "value_a": _rational_doc(a.value, job.expand),
         "value_b": _rational_doc(b.value, job.expand),
+        "equal": equal,
     }
-    if job.samples:
-        equal = _sampled_equal(a.value, b.value, job.n, job.samples, job.seed)
-        doc["sampling"] = {"points": job.samples, "seed": job.seed}
-    else:
-        equal = rational_equal(a.value, b.value)
-    doc["equal"] = equal
     return doc, 0 if equal else 2
 
 
@@ -442,7 +393,7 @@ def _parse_dims(text: str) -> tuple:
 
 
 _CONFIG_KEYS = {"n", "dims", "space", "method", "class", "q", "cy", "expand",
-                "seed", "samples", "checks", "max_points"}
+                "seed", "checks", "max_points"}
 
 
 def _load_config(path: str) -> dict:
@@ -514,10 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="run both methods and compare")
     common(sp)
     sp.add_argument("--space", choices=("nhilb", "nilfil"), default=None)
-    sp.add_argument("--samples", type=int, default=None,
-                    help="compare at this many seeded points instead of"
-                         " exactly")
-    sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     sp.add_argument("--checks", default=None,
@@ -574,7 +521,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         cy=pick("cy", (bool,), default=False),
         expand=pick("expand", (bool,), default=False),
         seed=pick("seed", (int,), default=DEFAULT_SEED),
-        samples=pick("samples", (int,), default=0),
         checks=checks,
         output=getattr(args, "output", None),
         max_points=pick("max_points", (int,)),

@@ -12,7 +12,6 @@ that order.
 
 from __future__ import annotations
 
-import os
 from contextvars import ContextVar
 from itertools import combinations
 
@@ -28,28 +27,18 @@ DEFAULT_MAX_POINTS = 12
 HARD_MAX_POINTS = 14
 MAX_ENUMERATION_POINTS = 8
 
-# a budget set here, for instance by the command line for one job, is read
-# before NAHILB_MAX_POINTS and lasts until the setter resets it
+# the point budget of the running job, for instance set by the command line
+# from --max-points; it lasts until the setter resets it
 point_budget: ContextVar = ContextVar("point_budget", default=None)
 
 
 def max_points() -> int:
-    """Active point budget for exhaustive enumeration.
-
-    point_budget, else NAHILB_MAX_POINTS, overrides the default of 12;
-    values are clamped to [1, 14] and unreadable values fall back to the
-    default.
-    """
-    raw = point_budget.get()
-    if raw is None:
-        raw = os.environ.get("NAHILB_MAX_POINTS")
-    if raw is None:
+    """Active point budget for exhaustive enumeration: point_budget
+    clamped to [1, 14], or 12 when it is unset."""
+    budget = point_budget.get()
+    if budget is None:
         return DEFAULT_MAX_POINTS
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_POINTS
-    return max(1, min(HARD_MAX_POINTS, value))
+    return max(1, min(HARD_MAX_POINTS, budget))
 
 
 def point_key(p: tuple) -> tuple:

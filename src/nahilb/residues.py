@@ -26,7 +26,7 @@ from .algebra import (
     SparsePolynomial,
     divide_slices,
     linear_form_of,
-    mul_linear,
+    mul_packed,
     slices_of,
     var_shift,
 )
@@ -129,7 +129,7 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     for M in range(f.z_count, 0, -1):
         for form, e in [fe for fe in pending if fe[0].max_index("z") == M]:
             for _ in range(e):
-                num = mul_linear(num, form.terms)
+                num = mul_packed(num, form.terms)
         pending = [fe for fe in pending if fe[0].max_index("z") < M]
         if not num:
             return SparsePolynomial.zero()
@@ -263,9 +263,3 @@ def residue_term(np_: NestedPartition, n: int, dims, P: TautClass,
         [(_zform_of(v, k), m) for v, m in tangent.moving().items()],
         [(_zform_of(v, k), m) for v, m in obstruction.moving().items()])
 
-
-def residue_term_vanishes(np_: NestedPartition, n: int, dims,
-                          P: TautClass) -> bool:
-    """Whether the chain's residue term is exactly zero; true for every
-    non-Porteous member of the fiber."""
-    return residue_term(np_, n, dims, P).is_zero()

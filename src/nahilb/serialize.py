@@ -1,8 +1,10 @@
-"""JSON encodings for the value types, bijective with canonical forms.
+"""JSON encodings of the documents the command line writes: rationals,
+polynomials, linear forms, fixed chains and integral results, with
+readers for the rationals and their parts.
 
 Coefficients serialize as "num/den" strings so arbitrary precision
-survives the round trip; vectors and layers are plain integer arrays in
-a deterministic order.
+survives the round trip; layers are plain integer arrays in a
+deterministic order.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from .algebra import (
 )
 from .errors import NotPolynomial
 from .localization import IntegralResult
-from .partitions import Enumeration, NestedPartition, point_key
-from .residues import ResidueForm
-from .weights import SignedWeightMultiset
+from .partitions import NestedPartition, point_key
 
 
 def linear_form_to_json(f: LinearForm) -> dict:
@@ -75,15 +75,6 @@ def rational_from_json(doc: dict) -> FactoredRational:
     )
 
 
-def multiset_to_json(m: SignedWeightMultiset) -> list:
-    return [{"weight": list(w), "mult": mult} for w, mult in m.items()]
-
-
-def multiset_from_json(doc: list, n: int) -> SignedWeightMultiset:
-    return SignedWeightMultiset(
-        n, {tuple(item["weight"]): int(item["mult"]) for item in doc})
-
-
 def nested_to_json(np_: NestedPartition) -> dict:
     return {
         "dims": list(np_.dims),
@@ -93,59 +84,22 @@ def nested_to_json(np_: NestedPartition) -> dict:
     }
 
 
-def nested_from_json(doc: dict) -> NestedPartition:
-    layers = [frozenset(tuple(p) for p in layer) for layer in doc["layers"]]
-    n = len(next(iter(layers[0])))
-    return NestedPartition(n, tuple(doc["dims"]), layers)
-
-
-def enumeration_to_json(e: Enumeration) -> dict:
-    return {"order": [list(p) for p in e.points], "w": list(e.w)}
-
-
-def enumeration_from_json(doc: dict, dims) -> Enumeration:
-    points = [tuple(p) for p in doc["order"]]
-    return Enumeration(len(points[0]), tuple(dims), points)
+def value_to_json(v: FactoredRational, expand: bool) -> dict:
+    """The factored value, and with expand its expanded polynomial when
+    the denominators clear; other values omit the expanded form."""
+    doc = {"factored": rational_to_json(v)}
+    if expand:
+        try:
+            doc["expanded"] = poly_to_json(v.expand())
+        except NotPolynomial:
+            pass
+    return doc
 
 
 def integral_result_to_json(res: IntegralResult, expand: bool = False) -> dict:
-    value: dict = {"factored": rational_to_json(res.value)}
-    if expand:
-        # only values whose denominators clear have an expanded form
-        try:
-            value["expanded"] = poly_to_json(res.value.expand())
-        except NotPolynomial:
-            pass
     return {
         "space": res.space,
         "method": res.method,
         "vdim": res.vdim,
-        "value": value,
+        "value": value_to_json(res.value, expand),
     }
-
-
-def integral_result_from_json(doc: dict) -> IntegralResult:
-    return IntegralResult(
-        rational_from_json(doc["value"]["factored"]),
-        int(doc["vdim"]), doc["method"], doc["space"])
-
-
-def residue_form_to_json(f: ResidueForm) -> dict:
-    factors = [[linear_form_to_json(form), -e] for form, e in f.factors]
-    factors += [[linear_form_to_json(form), e] for form, e in f.deferred]
-    return {
-        "numerator": poly_to_json(f.numerator),
-        "factors": factors,
-        "z_count": f.z_count,
-    }
-
-
-def residue_form_from_json(doc: dict) -> ResidueForm:
-    den = []
-    num = []
-    for f, e in doc["factors"]:
-        e = int(e)
-        pair = (linear_form_from_json(f), abs(e))
-        (den if e < 0 else num).append(pair)
-    return ResidueForm(poly_from_json(doc["numerator"]), den,
-                       int(doc["z_count"]), deferred=num)

@@ -29,7 +29,7 @@ order, the zero vector is 0, and a sum or difference of vectors is an int
 IndexOutOfRange, so a signed sum of four packed vectors (the widest the
 builders form: u_i + u_j + u_k - u_m) stays inside its fields and never
 carries.  Tuples appear only at the boundary: the SignedWeightMultiset
-constructor, bump, items and repr.
+constructor, items and repr.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def _packed_units(n: int) -> tuple:
 class SignedWeightMultiset:
     """Integer-multiplicity multiset of weight vectors in Z^n.
 
-    counts maps packed weights to nonzero multiplicities; the constructor,
-    bump and items take and give tuples."""
+    counts maps packed weights to nonzero multiplicities; the constructor
+    and items take and give tuples."""
 
     __slots__ = ("n", "counts")
 
@@ -123,14 +123,6 @@ class SignedWeightMultiset:
         if len(weight) != self.n:
             raise IndexOutOfRange(f"weight {weight} is not in Z^{self.n}")
         return pack(weight)
-
-    def bump(self, weight: tuple, mult: int = 1):
-        key = self._key(weight)
-        nm = self.counts.get(key, 0) + mult
-        if nm:
-            self.counts[key] = nm
-        elif key in self.counts:
-            del self.counts[key]
 
     def items(self) -> list:
         """(weight tuple, multiplicity) pairs in lexicographic order."""

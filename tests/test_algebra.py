@@ -15,9 +15,7 @@ from nahilb.algebra import (
     FactoredRational,
     LinearForm,
     SparsePolynomial,
-    evaluate,
     exact_divide_linear,
-    homogeneous_degree,
     linear_form_of,
     rational_equal,
     sum_factored,
@@ -132,26 +130,26 @@ class TestLinearForm:
 class TestEvaluate:
     def test_linear(self):
         form = lf(s1=1, s3=2)
-        assert evaluate(form, {sv(1): 3, sv(2): 5, sv(3): 7}) == 17
+        assert form.evaluate({sv(1): 3, sv(2): 5, sv(3): 7}) == 17
 
     def test_rational_cancellation(self):
         r = FactoredRational.build(
             2, SparsePolynomial.one(),
             [(lf(s1=1), 1), (lf(s2=1), 1), (lf(s2=1), -1)])
-        assert evaluate(r, {sv(1): 4, sv(2): 9}) == 8
+        assert r.evaluate({sv(1): 4, sv(2): 9}) == 8
 
     def test_vanishing_denominator(self):
         r = FactoredRational.build(
             1, SparsePolynomial.one(), [(lf(s1=1, s2=-1), -1)])
         with pytest.raises(DivisionByZero):
-            evaluate(r, {sv(1): 1, sv(2): 1})
+            r.evaluate({sv(1): 1, sv(2): 1})
 
     def test_missing_variable(self):
         with pytest.raises(MissingVariable):
-            evaluate(s(1) + s(2), {sv(1): 1})
+            (s(1) + s(2)).evaluate({sv(1): 1})
 
     def test_polynomial(self):
-        assert evaluate(s(1) * s(1) + 3, {sv(1): Fraction(1, 2)}) \
+        assert (s(1) * s(1) + 3).evaluate({sv(1): Fraction(1, 2)}) \
             == Fraction(13, 4)
 
 
@@ -188,19 +186,19 @@ class TestHomogeneousDegree:
         cube = (s(1) + s(2)) * (s(1) + s(2)) * (s(1) + s(2))
         r = FactoredRational.build(1, cube,
                                    [(lf(s1=1), -1), (lf(s2=1), -1)])
-        assert homogeneous_degree(r) == 1
+        assert r.homogeneous_degree() == 1
 
     def test_inhomogeneous(self):
-        assert homogeneous_degree(s(1) * s(1) + s(2)) is None
+        assert (s(1) * s(1) + s(2)).homogeneous_degree() is None
 
     def test_constant(self):
-        assert homogeneous_degree(SparsePolynomial.constant(11)) == 0
+        assert SparsePolynomial.constant(11).homogeneous_degree() == 0
 
     def test_additive_under_product(self):
         a = FactoredRational.build(1, s(1) + s(2), [(lf(s3=1), -2)])
         b = FactoredRational.build(3, s(3) * s(3), [(lf(s1=1, s2=1), 1)])
-        assert homogeneous_degree(a * b) \
-            == homogeneous_degree(a) + homogeneous_degree(b)
+        assert (a * b).homogeneous_degree() \
+            == a.homogeneous_degree() + b.homogeneous_degree()
 
 
 class TestSumFactored:

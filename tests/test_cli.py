@@ -75,6 +75,10 @@ class TestClassSpecParser:
         assert parse_class_spec("(eta1 + 1)^2^3", 0, 2).poly \
             == (eta(1) + 1) ** 6
 
+    def test_overlong_literal(self):
+        with pytest.raises(ParseError, match="position 0"):
+            parse_class_spec("1" + "0" * 5000, 0, 1)
+
     def test_repeated_signs(self):
         assert parse_class_spec("-" * 3001 + "2", 0, 1).poly \
             == SparsePolynomial.constant(-2)
@@ -263,15 +267,6 @@ class TestMain:
         assert doc["method_a"] == "localization"
         assert doc["method_b"] == "residue"
 
-    def test_compare_sampled(self, capsys):
-        code, out, _ = run_main(capsys, [
-            "compare", "-n", "2", "--dims", "1,1", "--class", "eta1",
-            "--samples", "4", "--seed", "11"])
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["sampling"] == {"points": 4, "seed": 11}
-        assert doc["equal"] is True
-
     def test_compare_detects_mismatch(self, capsys, monkeypatch):
         def skewed(n, dims, P, margin=0):
             res = integrate_localization(n, dims, "nilfil", P)
@@ -326,11 +321,16 @@ class TestMain:
 
     def test_config_rejects_unknown_keys(self, capsys, tmp_path):
         config = tmp_path / "job.json"
-        config.write_text(json.dumps({"shape": [1, 1]}))
-        code, _, err = run_main(capsys, [
-            "enumerate", "--config", str(config)])
-        assert code == 1
-        assert "unknown config keys" in err
+        # compare is always exact, so "samples" is no job field
+        for command, doc in [("enumerate", {"shape": [1, 1]}),
+                             ("compare", {"n": 2, "dims": [1, 1],
+                                          "samples": 4})]:
+            config.write_text(json.dumps(doc))
+            code, out, err = run_main(capsys, [
+                command, "--config", str(config)])
+            assert code == 1
+            assert out == ""
+            assert "unknown config keys" in err
 
     @pytest.mark.parametrize("argv", [
         ["integrate", "-n", "x", "--dims", "1"],
@@ -341,6 +341,12 @@ class TestMain:
         ["integrate", "-n", "1", "--dims", "1",
          "--class", "(" * 3000 + "1" + ")" * 3000],
         ["enumerate", "-n", "2", "--dims", "1,1", "--classify"],
+        ["compare", "-n", "2", "--dims", "1,1", "--class", "eta1",
+         "--samples", "4"],
+        ["compare", "-n", "2", "--dims", "1,1", "--class", "eta1",
+         "--seed", "11"],
+        ["integrate", "-n", "1", "--dims", "1", "--class", "(9^3000)^3000"],
+        ["integrate", "-n", "1", "--dims", "1", "--class", "(9^6000)^6000"],
     ])
     def test_parser_errors_exit_1(self, capsys, argv):
         code, out, err = run_main(capsys, argv)
@@ -369,8 +375,7 @@ class TestMain:
         assert out == ""
         assert err.startswith("error: config")
 
-    def test_max_points_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("NAHILB_MAX_POINTS", "12")
+    def test_max_points_budget(self, capsys):
         code, _, err = run_main(capsys, [
             "enumerate", "-n", "2", "--dims", "6", "--max-points", "5"])
         assert code == 1

@@ -18,7 +18,6 @@ from nahilb.algebra import (
     FactoredRational,
     LinearForm,
     SparsePolynomial,
-    evaluate,
     linear_form_of,
     rational_equal,
     sum_factored,
@@ -405,7 +404,7 @@ class TestCyRestrict:
     def test_survivor_denominator(self):
         v = ratio(1, SparsePolynomial.one(), [sf(1) - sf(2)])
         got = cy_restrict(v, 3)
-        val = evaluate(got, {("s", 1): Fraction(3), ("s", 2): Fraction(1)})
+        val = got.evaluate({("s", 1): Fraction(3), ("s", 2): Fraction(1)})
         assert val == Fraction(1, 2)
 
 

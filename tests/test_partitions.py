@@ -23,6 +23,7 @@ from nahilb.partitions import (
     in_flag_fiber,
     is_admissible,
     is_nilfil,
+    point_budget,
     point_key,
     point_levels,
     porteous,
@@ -104,17 +105,25 @@ class TestEnumeratePartitions:
         with pytest.raises(SizeGuardExceeded):
             enumerate_partitions(2, 13)
 
+    def test_size_guard_point_budget(self):
+        def count(budget, size):
+            token = point_budget.set(budget)
+            try:
+                return len(enumerate_partitions(2, size))
+            finally:
+                point_budget.reset(token)
+
+        with pytest.raises(SizeGuardExceeded):
+            count(5, 6)
+        # clamped to 14
+        assert count(99, 14) == 135
+        with pytest.raises(SizeGuardExceeded):
+            count(99, 15)
+
     def test_size_guard_env_override(self, monkeypatch):
+        # the environment sets no budget; only point_budget does
         monkeypatch.setenv("NAHILB_MAX_POINTS", "5")
-        with pytest.raises(SizeGuardExceeded):
-            enumerate_partitions(2, 6)
-        monkeypatch.setenv("NAHILB_MAX_POINTS", "99")
-        assert len(enumerate_partitions(2, 13)) == 101
-        with pytest.raises(SizeGuardExceeded):
-            enumerate_partitions(2, 15)
-        monkeypatch.setenv("NAHILB_MAX_POINTS", "not a number")
-        with pytest.raises(SizeGuardExceeded):
-            enumerate_partitions(2, 13)
+        assert len(enumerate_partitions(2, 6)) == 11
 
 
 class TestEnumerateNested:

@@ -1,4 +1,4 @@
-"""JSON round trips for every value type.
+"""JSON encodings of the documents the command line writes.
 
 Every encoder must produce json.dumps-able documents, and decoding must
 reproduce an equal object.  Fractions survive as exact strings.
@@ -18,32 +18,17 @@ from nahilb.localization import (
     chern_taut,
     integrate_localization,
 )
-from nahilb.partitions import (
-    all_enumerations,
-    canonical_enumeration,
-    enumerate_nested,
-    porteous,
-)
-from nahilb.residues import ResidueForm
+from nahilb.partitions import NestedPartition, enumerate_nested, porteous
 from nahilb.serialize import (
-    enumeration_from_json,
-    enumeration_to_json,
-    integral_result_from_json,
     integral_result_to_json,
     linear_form_from_json,
     linear_form_to_json,
-    multiset_from_json,
-    multiset_to_json,
-    nested_from_json,
     nested_to_json,
     poly_from_json,
     poly_to_json,
     rational_from_json,
     rational_to_json,
-    residue_form_from_json,
-    residue_form_to_json,
 )
-from nahilb.weights import tangent_class
 
 
 def s(i):
@@ -52,6 +37,12 @@ def s(i):
 
 def roundtrip_doc(doc):
     return json.loads(json.dumps(doc, sort_keys=True))
+
+
+def nested_of(doc):
+    layers = [frozenset(tuple(p) for p in layer) for layer in doc["layers"]]
+    return NestedPartition(len(next(iter(layers[0]))), tuple(doc["dims"]),
+                           layers)
 
 
 class TestScalarsAndForms:
@@ -112,7 +103,7 @@ class TestCombinatorics:
     def test_nested_partition(self):
         np_ = porteous(3, (1, 2, 1))
         doc = roundtrip_doc(nested_to_json(np_))
-        assert nested_from_json(doc) == np_
+        assert nested_of(doc) == np_
 
     def test_layers_sorted(self):
         np_ = porteous(2, (1, 2))
@@ -123,31 +114,17 @@ class TestCombinatorics:
     def test_all_chains_round_trip(self):
         for np_ in enumerate_nested(2, (1, 1, 2)):
             doc = roundtrip_doc(nested_to_json(np_))
-            assert nested_from_json(doc) == np_
-
-    def test_enumeration(self):
-        np_ = porteous(2, (1, 2))
-        for e in all_enumerations(np_):
-            doc = roundtrip_doc(enumeration_to_json(e))
-            back = enumeration_from_json(doc, np_.dims)
-            assert back == e
-            assert back.w == e.w
-
-    def test_weight_multiset(self):
-        m = tangent_class(canonical_enumeration(porteous(2, (1, 1, 1))))
-        doc = roundtrip_doc(multiset_to_json(m))
-        assert multiset_from_json(doc, 2) == m
+            assert nested_of(doc) == np_
 
 
 class TestResults:
     def test_integral_result(self):
         res = integrate_localization(2, (1, 2), "nilfil", TautClass(1, 0, 3))
         doc = roundtrip_doc(integral_result_to_json(res))
-        back = integral_result_from_json(doc)
-        assert back.space == res.space
-        assert back.method == res.method
-        assert back.vdim == res.vdim
-        assert rational_equal(back.value, res.value)
+        assert (doc["space"], doc["method"], doc["vdim"]) \
+            == (res.space, res.method, res.vdim)
+        assert rational_equal(rational_from_json(doc["value"]["factored"]),
+                              res.value)
 
     def test_integral_result_expanded_field(self):
         res = integrate_localization(3, (1, 1, 1), "nhilb",
@@ -162,30 +139,6 @@ class TestResults:
         doc = integral_result_to_json(res, expand=True)
         assert "expanded" not in doc["value"]
         assert "factored" in doc["value"]
-
-    def test_residue_form(self):
-        num = s(1) * SparsePolynomial.variable(("z", 1))
-        den = [(LinearForm({("s", 1): Fraction(1),
-                            ("z", 1): Fraction(-1)}), 2)]
-        lazy = [(LinearForm({("s", 2): Fraction(1),
-                             ("z", 1): Fraction(-1)}), 1)]
-        f = ResidueForm(num, den, 1, deferred=lazy)
-        doc = roundtrip_doc(residue_form_to_json(f))
-        back = residue_form_from_json(doc)
-        assert back.numerator == f.numerator
-        assert back.factors == f.factors
-        assert back.deferred == f.deferred
-        assert back.z_count == f.z_count
-
-    def test_residue_form_sign_convention(self):
-        # denominator factors carry negative exponents in the document,
-        # deferred numerator factors positive ones
-        den = [(LinearForm({("s", 1): Fraction(1),
-                            ("z", 1): Fraction(-1)}), 1)]
-        lazy = [(LinearForm({("z", 1): Fraction(1)}), 3)]
-        f = ResidueForm(SparsePolynomial.one(), den, 1, deferred=lazy)
-        doc = residue_form_to_json(f)
-        assert sorted(e for _, e in doc["factors"]) == [-1, 3]
 
     def test_documents_are_deterministic(self):
         res = integrate_localization(2, (1, 1), "nilfil", TautClass(1, 0, 2))

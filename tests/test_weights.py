@@ -17,7 +17,6 @@ from nahilb.algebra import (
     FactoredRational,
     LinearForm,
     SparsePolynomial,
-    evaluate,
     linear_form_of,
     rational_equal,
 )
@@ -112,7 +111,7 @@ class TestSignedWeightMultiset:
         m = SignedWeightMultiset(1, {(1,): 0})
         assert msetdict(m) == {}
         m = SignedWeightMultiset(1, {(1,): 1})
-        m.bump((1,), -1)
+        m = m - SignedWeightMultiset(1, {(1,): 1})
         assert msetdict(m) == {}
 
 
@@ -424,12 +423,12 @@ class TestEulerClass:
     def test_opposite_pair(self):
         m = SignedWeightMultiset(2, {(1, -1): 1, (-1, 1): 1})
         got = euler_class(m, "s")
-        val = evaluate(got, {("s", 1): Fraction(5), ("s", 2): Fraction(2)})
+        val = got.evaluate({("s", 1): Fraction(5), ("s", 2): Fraction(2)})
         assert val == Fraction(-9)
 
     def test_negative_multiplicity_divides(self):
         m = SignedWeightMultiset(1, {(1,): -1})
-        val = evaluate(euler_class(m, "s"), {("s", 1): Fraction(4)})
+        val = euler_class(m, "s").evaluate({("s", 1): Fraction(4)})
         assert val == Fraction(1, 4)
 
     def test_empty_multiset(self):
@@ -464,8 +463,8 @@ class TestEulerClass:
 
 class TestFlagTangentEuler:
     def evaluate_at(self, fr, *svals):
-        return evaluate(fr, {("s", i + 1): Fraction(v)
-                             for i, v in enumerate(svals)})
+        return fr.evaluate({("s", i + 1): Fraction(v)
+                            for i, v in enumerate(svals)})
 
     def test_projective_line_factor(self):
         got = flag_tangent_euler((1,), 2, (1, 1))
