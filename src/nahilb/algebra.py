@@ -327,15 +327,15 @@ class SparsePolynomial:
         pows: dict = {}
         out: dict = {}
         for m, c in self.terms.items():
-            repl = SparsePolynomial.one()
+            repl = None  # the product of the replaced powers, when any
             for sh, p in shifts:
                 e = (m >> sh) & FIELD_MASK
                 if e:
                     m -= e << sh
                     if (sh, e) not in pows:
-                        pows[sh, e] = p ** e
-                    repl = repl * pows[sh, e]
-            for mr, cr in repl.terms.items():
+                        pows[sh, e] = p if e == 1 else p ** e
+                    repl = pows[sh, e] if repl is None else repl * pows[sh, e]
+            for mr, cr in ((0, _ONE),) if repl is None else repl.terms.items():
                 key = m + mr
                 nc = out.get(key, _ZERO) + c * cr
                 if nc:

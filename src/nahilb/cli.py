@@ -110,8 +110,9 @@ class _ClassParser:
 
     `dual` is a postfix marker on a Chern atom and must come before any
     integer power, as in c2^dual^3.  Powers above MAX_EXPONENT, powers of
-    a constant c past MAX_EXPONENT bits (exponent * c.bit_length()) and
-    parentheses nested deeper than MAX_NESTING are refused.
+    a constant c past MAX_EXPONENT bits (exponent * c.bit_length()),
+    parentheses nested deeper than MAX_NESTING and constants with more
+    decimal digits than str() may write are refused.
     """
 
     def __init__(self, tokens: list, q: int, d: int):
@@ -142,19 +143,30 @@ class _ClassParser:
             raise ParseError(f"trailing input from {self.peek()[1]!r}")
         return value
 
+    @staticmethod
+    def folded(value: SparsePolynomial) -> SparsePolynomial:
+        """value, refusing a constant with more decimal digits than str()
+        may write (sys.get_int_max_str_digits(), 0 for no limit)."""
+        limit = sys.get_int_max_str_digits()
+        c = abs(value.terms.get(0, 0)) if len(value.terms) == 1 else 0
+        if limit and c.bit_length() > 3 * limit and c >= 10 ** limit:
+            raise ParseError(f"a constant has more than {limit} decimal "
+                             f"digits, the limit for printing an int")
+        return value
+
     def expr(self) -> SparsePolynomial:
         value = self.term()
         while self.peek() in (("op", "+"), ("op", "-")):
             _, op = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.folded(value + rhs if op == "+" else value - rhs)
         return value
 
     def term(self) -> SparsePolynomial:
         value = self.signed()
         while self.peek() == ("op", "*"):
             self.take()
-            value = value * self.signed()
+            value = self.folded(value * self.signed())
         return value
 
     def signed(self) -> SparsePolynomial:
@@ -194,7 +206,7 @@ class _ClassParser:
             if exponent * bits > MAX_EXPONENT:
                 raise ParseError(f"power {exponent} of a {bits}-bit constant"
                                  f" exceeds {MAX_EXPONENT} bits")
-        return value ** exponent
+        return self.folded(value ** exponent)
 
     def atom(self):
         tok = self.take()

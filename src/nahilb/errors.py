@@ -18,7 +18,7 @@ class DivisionByZero(NahilbError):
 
 
 class SizeGuardExceeded(NahilbError):
-    """An enumeration request exceeds the configured point budget."""
+    """A request exceeds a point budget, or a result is too long to print."""
 
 
 class RequiresPointedDims(NahilbError):

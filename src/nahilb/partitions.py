@@ -51,14 +51,10 @@ def unit_vector(n: int, i: int) -> tuple:
 
 
 def _predecessors(p: tuple) -> frozenset:
-    """The points p - e_i that lie in the positive orthant."""
+    """The points p - e_i that lie in the positive orthant; p may join a
+    set of points when they include this set."""
     return frozenset(p[:i] + (c - 1,) + p[i + 1:]
                      for i, c in enumerate(p) if c > 0)
-
-
-def _supported(p: tuple, pts) -> bool:
-    """True when every predecessor p - e_i of p lies in the set pts."""
-    return _predecessors(p) <= pts
 
 
 def _ideal_key(ideal) -> tuple:
@@ -68,8 +64,8 @@ def _ideal_key(ideal) -> tuple:
 def is_order_ideal(points, n: int) -> bool:
     """True when the set is downward closed under coordinatewise order."""
     pts = set(points)
-    return all(len(p) == n and all(c >= 0 for c in p) and _supported(p, pts)
-               for p in pts)
+    return all(len(p) == n and all(c >= 0 for c in p)
+               and _predecessors(p) <= pts for p in pts)
 
 
 def addable_points(ideal: frozenset, n: int):
@@ -80,7 +76,7 @@ def addable_points(ideal: frozenset, n: int):
     for p in ideal:
         for i in range(n):
             q = p[:i] + (p[i] + 1,) + p[i + 1:]
-            if q not in ideal and q not in out and _supported(q, ideal):
+            if q not in ideal and q not in out and _predecessors(q) <= ideal:
                 out.add(q)
     return sorted(out, key=point_key)
 
@@ -115,6 +111,13 @@ class NestedPartition:
         self.n = n
         self.dims = dims
         self.layers = layers
+
+    @classmethod
+    def _grown(cls, n: int, dims: tuple, layers: tuple) -> "NestedPartition":
+        """Unchecked: enumerate_nested grows only valid frozenset layers."""
+        np_ = cls.__new__(cls)
+        np_.n, np_.dims, np_.layers = n, dims, layers
+        return np_
 
     @property
     def d(self) -> int:
@@ -198,6 +201,13 @@ class Enumeration:
         return f"Enumeration(n={self.n}, dims={self.dims}, {list(self.points)})"
 
 
+def _enumeration(n: int, dims: tuple, points: tuple, w: tuple) -> Enumeration:
+    """Unchecked: a valid point tuple for dims, and w = point_levels(dims)."""
+    e = Enumeration.__new__(Enumeration)
+    e.n, e.dims, e.points, e.w = n, dims, points, w
+    return e
+
+
 def enumerate_partitions(n: int, size: int) -> list:
     """All order ideals of the given size, deterministically ordered."""
     if n < 1:
@@ -234,28 +244,30 @@ def enumerate_nested(n: int, dims) -> list:
             f"total size {sum(dims)} exceeds the point budget {max_points()}")
     chains = [(frozenset(),)]
     for d in dims:
-        chains = [chain + (ext,) for chain in chains
-                  for ext in sorted(_extensions(chain[-1], n, d), key=_ideal_key)]
-    out = [NestedPartition(n, dims, chain[1:]) for chain in chains]
-    out.sort(key=lambda np: np.key())
+        # chains sharing their last ideal share its extensions; the sort
+        # below fixes the order, since distinct chains have distinct keys
+        grown = {last: _extensions(last, n, d)
+                 for last in {chain[-1] for chain in chains}}
+        chains = [chain + (ext,) for chain in chains for ext in grown[chain[-1]]]
+    out = [NestedPartition._grown(n, dims, chain[1:]) for chain in chains]
+    out.sort(key=NestedPartition.key)
     return out
+
+
+def _blocks(np_: NestedPartition) -> list:
+    """The points each layer adds, each block in point_key order."""
+    layers = np_.layers
+    return [sorted(layer - below, key=point_key)
+            for below, layer in zip((frozenset(),) + layers, layers)]
 
 
 def canonical_enumeration(np_: NestedPartition) -> Enumeration:
     """Smallest valid enumeration: within each layer block, repeatedly take
-    the least addable point under the reversed-coordinate order."""
-    chosen: list = []
-    used: set = set()
-    for layer in np_.layers:
-        remaining = sorted(layer - used, key=point_key)
-        while remaining:
-            pick = next((p for p in remaining if _supported(p, used)), None)
-            if pick is None:
-                raise IndexOutOfRange("layer is not an order ideal")
-            chosen.append(pick)
-            used.add(pick)
-            remaining.remove(pick)
-    return Enumeration(np_.n, np_.dims, chosen)
+    the least addable point under the reversed-coordinate order.  That is
+    each whole block in this order: a predecessor p - e_i sorts before p,
+    so the least remaining point is always addable."""
+    points = tuple(p for block in _blocks(np_) for p in block)
+    return _enumeration(np_.n, np_.dims, points, point_levels(np_.dims))
 
 
 def all_enumerations(np_: NestedPartition) -> list:
@@ -264,25 +276,27 @@ def all_enumerations(np_: NestedPartition) -> list:
         raise SizeGuardExceeded(
             f"{np_.d} points exceed the enumeration budget "
             f"{MAX_ENUMERATION_POINTS}")
-    layers = np_.layers
+    n, dims = np_.n, np_.dims
+    w = point_levels(dims)
     preds = {p: _predecessors(p) for p in np_.top()}
     # each block in point_key order, so the depth-first search emits the
-    # enumerations already sorted
-    blocks = [sorted(layer - below, key=point_key)
-              for below, layer in zip((frozenset(),) + layers, layers)]
-    out = []
+    # enumerations already sorted; position k draws from block w[k]
+    blocks = _blocks(np_)
+    out, prefix, used = [], [], set()
 
-    def grow(prefix, used, level):
-        while level < len(layers) and layers[level] <= used:
-            level += 1
-        if level == len(layers):
-            out.append(Enumeration(np_.n, np_.dims, prefix))
+    def grow(k):
+        if k == len(w):
+            out.append(_enumeration(n, dims, tuple(prefix), w))
             return
-        for p in blocks[level]:
+        for p in blocks[w[k]]:
             if p not in used and preds[p] <= used:
-                grow(prefix + [p], used | {p}, level)
+                prefix.append(p)
+                used.add(p)
+                grow(k + 1)
+                prefix.pop()
+                used.remove(p)
 
-    grow([], frozenset(), 0)
+    grow(0)
     return out
 
 

@@ -9,6 +9,7 @@ deterministic order.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .algebra import (
@@ -19,7 +20,7 @@ from .algebra import (
     parse_var,
     var_name,
 )
-from .errors import NotPolynomial
+from .errors import NotPolynomial, SizeGuardExceeded
 from .localization import IntegralResult
 from .partitions import NestedPartition, point_key
 
@@ -86,13 +87,19 @@ def nested_to_json(np_: NestedPartition) -> dict:
 
 def value_to_json(v: FactoredRational, expand: bool) -> dict:
     """The factored value, and with expand its expanded polynomial when
-    the denominators clear; other values omit the expanded form."""
-    doc = {"factored": rational_to_json(v)}
-    if expand:
-        try:
+    the denominators clear; other values omit the expanded form.  A
+    coefficient too long for str() raises SizeGuardExceeded."""
+    doc = {}
+    try:
+        doc["factored"] = rational_to_json(v)
+        if expand:
             doc["expanded"] = poly_to_json(v.expand())
-        except NotPolynomial:
-            pass
+    except NotPolynomial:
+        pass
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise SizeGuardExceeded(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} "
+            f"decimal digits, the limit for printing an int") from exc
     return doc
 
 

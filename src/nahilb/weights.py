@@ -55,7 +55,6 @@ from .partitions import (
     in_flag_fiber,
     point_levels,
     require_pointed,
-    unit_vector,
 )
 
 
@@ -92,7 +91,7 @@ def _packed_points(e: Enumeration) -> tuple:
 
 def _packed_units(n: int) -> tuple:
     """(None, e_1, ..., e_n) packed, indexed by the 1-based coordinate."""
-    return (None,) + tuple(pack(unit_vector(n, i)) for i in range(1, n + 1))
+    return (None,) + tuple(1 << FIELD_BITS * (n - i) for i in range(1, n + 1))
 
 
 class SignedWeightMultiset:
@@ -332,7 +331,11 @@ def s_tangent_levels(e: Enumeration) -> list:
     """Level multisets S_m for the tangent: start from the coordinate
     weights, at level m adjoin pairs u_i + u_j whose larger index sits at
     level m, then delete the level-m points themselves."""
-    pts, w = _packed_points(e), e.w
+    return _tangent_levels(e, _packed_points(e))
+
+
+def _tangent_levels(e: Enumeration, pts: tuple) -> list:
+    w = e.w
     cur = Counter(_packed_units(e.n)[1:])
     out = []
     for m in range(len(e.dims)):
@@ -345,7 +348,11 @@ def s_tangent_levels(e: Enumeration) -> list:
 def s_ass_levels(e: Enumeration) -> list:
     """Level multisets for the obstruction: triple sums u_i + u_j + u_k
     with i < k and the j, k levels at most m (so the i level is too)."""
-    pts, w = _packed_points(e), e.w
+    return _ass_levels(e, _packed_points(e))
+
+
+def _ass_levels(e: Enumeration, pts: tuple) -> list:
+    w = e.w
     return [_triple_sums([p for p, level in zip(pts[1:], w[1:]) if level <= m])
             for m in range(len(e.dims))]
 
@@ -354,8 +361,11 @@ def s_fiber_levels(e: Enumeration, sigma) -> list:
     """Level multisets for the flag fiber tangent: level m adjoins the
     sigma-coordinates of level m and the pairs whose larger index sits at
     level m - 1, then deletes the level-m points."""
-    sigma = tuple(sigma)
-    pts, w, units = _packed_points(e), e.w, _packed_units(e.n)
+    return _fiber_levels(e, _packed_points(e), tuple(sigma))
+
+
+def _fiber_levels(e: Enumeration, pts: tuple, sigma: tuple) -> list:
+    w, units = e.w, _packed_units(e.n)
     cur = Counter()
     out = [Counter()]
     for m in range(1, len(e.dims)):
@@ -367,11 +377,14 @@ def s_fiber_levels(e: Enumeration, sigma) -> list:
     return out
 
 
-def _assemble(e: Enumeration, levels: list) -> SignedWeightMultiset:
-    """sum over points v of (S_{level of v} translated by -v); every count
+def _assemble(e: Enumeration, levels_of, *args) -> SignedWeightMultiset:
+    """sum over points v of (S_{level of v} translated by -v), the level
+    multisets S_m being levels_of(e, packed points, *args); every count
     of a level multiset is nonnegative, so elements() lists it."""
+    pts = _packed_points(e)
+    levels = levels_of(e, pts, *args)
     points_at = [[] for _ in levels]
-    for v, m in zip(_packed_points(e), e.w):
+    for v, m in zip(pts, e.w):
         points_at[m].append(v)
     return SignedWeightMultiset.from_packed(e.n, Counter(starmap(
         sub, chain.from_iterable(product(S.elements(), vs)
@@ -380,12 +393,12 @@ def _assemble(e: Enumeration, levels: list) -> SignedWeightMultiset:
 
 def tangent_class(e: Enumeration) -> SignedWeightMultiset:
     """Tangent weights, assembled from the recursive level multisets."""
-    return _assemble(e, s_tangent_levels(e))
+    return _assemble(e, _tangent_levels)
 
 
 def obstruction_class(e: Enumeration) -> SignedWeightMultiset:
     """Obstruction weights, assembled from the recursive level multisets."""
-    return _assemble(e, s_ass_levels(e))
+    return _assemble(e, _ass_levels)
 
 
 def fiber_tangent_class(e: Enumeration, sigma) -> SignedWeightMultiset:
@@ -393,7 +406,7 @@ def fiber_tangent_class(e: Enumeration, sigma) -> SignedWeightMultiset:
     sigma = tuple(sigma)
     if not in_flag_fiber(e.nested(), sigma):
         raise NotInFiber(f"{e.nested()} is not on the fiber of {sigma}")
-    return _assemble(e, s_fiber_levels(e, sigma))
+    return _assemble(e, _fiber_levels, sigma)
 
 
 def fixed_ranks(e: Enumeration) -> tuple:

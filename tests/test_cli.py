@@ -4,6 +4,7 @@ deterministic JSON output."""
 import hashlib
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,13 @@ class TestClassSpecParser:
     def test_overlong_literal(self):
         with pytest.raises(ParseError, match="position 0"):
             parse_class_spec("1" + "0" * 5000, 0, 1)
+
+    def test_constant_too_long_to_print(self):
+        # 2^16000 has 4817 decimal digits; products and sums fold too
+        limit = str(sys.get_int_max_str_digits())
+        for spec in ("2^16000", "2^14000*2^14000", "9*10^4299 + 10^4299"):
+            with pytest.raises(ParseError, match=limit):
+                parse_class_spec(spec, 0, 1)
 
     def test_repeated_signs(self):
         assert parse_class_spec("-" * 3001 + "2", 0, 1).poly \
@@ -164,6 +172,17 @@ class TestMain:
             "--method", "residue", "--class", "1"])
         assert code == 1
         assert err.startswith("error:")
+
+    def test_coefficients_too_long_to_print_exit_1(self, capsys):
+        limit = str(sys.get_int_max_str_digits())
+        # refused by the parser; then a constant under the limit whose
+        # integral is past it, refused when the document is written
+        for n, dims, spec in (("1", "1", "2^16000"),
+                              ("2", "1,2", "2^14283*c2")):
+            code, out, err = run_main(capsys, [
+                "integrate", "-n", n, "--dims", dims, "--class", spec])
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and limit in err
 
     def test_expand_skips_unclearable_denominators(self, capsys):
         code, out, _ = run_main(capsys, [

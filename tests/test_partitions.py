@@ -219,6 +219,37 @@ class TestEnumerations:
                 assert e.nested() == np_
 
 
+def _compositions(max_d):
+    """Every dims tuple of positive entries with total at most max_d."""
+    out = [(d,) for d in range(1, max_d + 1)]
+    for dims in out:  # the list grows while it is read
+        out.extend(dims + (d,) for d in range(1, max_d - sum(dims) + 1))
+    return out
+
+
+class TestUncheckedConstruction:
+    """enumerate_nested, all_enumerations and canonical_enumeration build
+    their results without the validating constructors; rebuilding each
+    result through those constructors must give an equal, equally hashable
+    object."""
+
+    def test_results_equal_the_validated_ones(self):
+        chains = 0
+        for n in (1, 2, 3):
+            for dims in _compositions(6):  # within MAX_ENUMERATION_POINTS
+                for np_ in enumerate_nested(n, dims):
+                    chains += 1
+                    rebuilt = NestedPartition(n, dims, np_.layers)
+                    assert np_ == rebuilt and hash(np_) == hash(rebuilt)
+                    orders = all_enumerations(np_)
+                    for e in orders:
+                        again = Enumeration(n, dims, e.points)
+                        assert e == again and hash(e) == hash(again)
+                        assert e.w == again.w
+                    assert canonical_enumeration(np_) == orders[0]
+        assert chains == 11521
+
+
 class TestAdmissibility:
     def test_pure_powers_up_to_four(self):
         np_ = enumerate_nested(1, (5,))[0]

@@ -5,7 +5,10 @@ reproduce an equal object.  Fractions survive as exact strings.
 """
 
 import json
+import sys
 from fractions import Fraction
+
+import pytest
 
 from nahilb.algebra import (
     FactoredRational,
@@ -13,6 +16,7 @@ from nahilb.algebra import (
     SparsePolynomial,
     rational_equal,
 )
+from nahilb.errors import SizeGuardExceeded
 from nahilb.localization import (
     TautClass,
     chern_taut,
@@ -28,6 +32,7 @@ from nahilb.serialize import (
     poly_to_json,
     rational_from_json,
     rational_to_json,
+    value_to_json,
 )
 
 
@@ -131,6 +136,12 @@ class TestResults:
                                      chern_taut(2, 0, 3, dual=True))
         doc = roundtrip_doc(integral_result_to_json(res, expand=True))
         assert poly_from_json(doc["value"]["expanded"]) == res.value.expand()
+
+    def test_coefficient_too_long_to_print(self):
+        value = FactoredRational.from_poly(SparsePolynomial.constant(2 ** 16000))
+        with pytest.raises(SizeGuardExceeded,
+                           match=str(sys.get_int_max_str_digits())):
+            value_to_json(value, expand=True)
 
     def test_expanded_field_omitted_for_true_rationals(self):
         c2 = chern_taut(2, 0, 3, dual=True)
