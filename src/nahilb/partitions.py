@@ -163,7 +163,8 @@ class Enumeration:
     """A linear order on the points of a nested partition.
 
     Every prefix is an order ideal and positions respect the layer blocks,
-    so position k has level w[k] determined by dims alone.
+    so position k has level w[k] determined by dims alone.  The
+    constructor checks both; _enumeration builds one unchecked.
     """
 
     __slots__ = ("n", "dims", "points", "w")
@@ -174,6 +175,14 @@ class Enumeration:
         self.points = tuple(tuple(p) for p in points)
         if len(self.points) != sum(self.dims):
             raise IndexOutOfRange("enumeration length does not match dims")
+        placed = set()
+        for p in self.points:
+            if (len(p) != n or p in placed or not _predecessors(p) <= placed
+                    or not all(isinstance(c, int) and c >= 0 for c in p)):
+                raise IndexOutOfRange(
+                    f"point {p} cannot follow {sorted(placed)}: every "
+                    f"prefix must be an order ideal in Z_>=0^{n}")
+            placed.add(p)
         self.w = point_levels(self.dims)
 
     @property

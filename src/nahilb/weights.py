@@ -14,11 +14,11 @@ evaluates the terms at a chain (the direct builders), term_count counts
 them with sign (the net ranks), and term_zforms turns point p into the
 residue variable z_p (the residue forms).
 
-The recursive route accumulates level multisets S_m and assembles
-sum_m sum_{v in layer m} (S_m - v).  It never reads the term statement;
-it is the default for the tangent, obstruction and fiber tangent, and
-the test suite checks the direct builders against it on every chain it
-can enumerate.
+The recursive route assembles sum_m sum_{v in layer m} (S_m - v) in one
+loop over a running Counter S_m; each builder yields only what level m
+adds to S and removes.  It never reads the term statement; it is the
+default for the tangent, obstruction and fiber tangent, and the tests
+check the direct builders against it on every chain they can enumerate.
 
 Inside this module a weight vector is one int (pack/unpack): coordinate i
 of (c_1, ..., c_n) is a signed FIELD_BITS-bit digit of weight
@@ -40,6 +40,7 @@ from itertools import (
     chain,
     combinations,
     combinations_with_replacement,
+    islice,
     product,
     starmap,
 )
@@ -51,6 +52,7 @@ from .algebra import (FactoredRational, LinearForm, SparsePolynomial,
 from .errors import IndexOutOfRange, NotInFiber
 from .partitions import (
     Enumeration,
+    _check_sigma,
     extend_sigma,
     in_flag_fiber,
     point_levels,
@@ -307,98 +309,82 @@ def fiber_tangent_class_direct(e: Enumeration, sigma) -> SignedWeightMultiset:
 # recursive level multisets
 
 
-def _pairs_at(pts, w, level):
-    """u_i + u_j for i <= j with the larger index j at the given level."""
-    return (pts[i] + pts[j] for j in range(1, len(w)) if w[j] == level
-            for i in range(1, j + 1))
+def _pairs(seen, q, within) -> list:
+    """u_i + u_j over i among the points seen and j among the points q,
+    and over the pairs within(q, 2) of points q."""
+    return [*starmap(add, product(seen, q)), *starmap(add, within(q, 2))]
 
 
-def _triple_sums(q) -> Counter:
-    """u_i + u_j + u_k over positions i < k and any j of the points q."""
-    return Counter(starmap(add, product(starmap(add, combinations(q, 2)), q)))
+def _tangent_steps(n: int, blocks):
+    """Tangent: S starts from the coordinate weights; level m adds the
+    pairs u_i + u_j, i <= j, whose larger index j sits at level m, and
+    removes the level-m points."""
+    seen, start = [], _packed_units(n)[1:]
+    for q in blocks:
+        yield [*start, *_pairs(seen, q, combinations_with_replacement)], q
+        seen += q
+        start = ()
 
 
-def _settled(cur: Counter) -> Counter:
-    """The level multiset without its zero counts; a negative count means
-    the enumeration is not a chain order."""
-    if any(v < 0 for v in cur.values()):
-        raise IndexOutOfRange("level multiset went negative: the "
-                              "enumeration is not a chain order")
-    return +cur
+def _ass_steps(n: int, blocks):
+    """Obstruction: S_m holds the triple sums u_i + u_j + u_k, i < k, of
+    the points up to level m.  Level m adds the triples that touch a
+    level-m point, each once: every pair so far plus each new point, and
+    each new pair plus each earlier point.  It removes nothing."""
+    seen, pairs = [], []
+    for q in blocks:
+        new = _pairs(seen, q, combinations)
+        pairs += new
+        yield [*starmap(add, product(pairs, q)),
+               *starmap(add, product(new, seen))], ()
+        seen += q
 
 
-def s_tangent_levels(e: Enumeration) -> list:
-    """Level multisets S_m for the tangent: start from the coordinate
-    weights, at level m adjoin pairs u_i + u_j whose larger index sits at
-    level m, then delete the level-m points themselves."""
-    return _tangent_levels(e, _packed_points(e))
+def _fiber_steps(n: int, blocks, sigma: tuple):
+    """Flag fiber tangent: level m adds the sigma-coordinates of its points
+    and the tangent pairs of level m - 1, and removes the level-m points."""
+    units = _packed_units(n)
+    coords = (units[c] for c in sigma)
+    seen, pairs = [], []
+    for q in blocks:
+        yield [*islice(coords, len(q)), *pairs], q
+        pairs = _pairs(seen, q, combinations_with_replacement)
+        seen += q
 
 
-def _tangent_levels(e: Enumeration, pts: tuple) -> list:
-    w = e.w
-    cur = Counter(_packed_units(e.n)[1:])
-    out = []
-    for m in range(len(e.dims)):
-        cur.update(_pairs_at(pts, w, m))
-        cur.subtract(pts[j] for j in range(1, e.d) if w[j] == m)
-        out.append(_settled(cur))
-    return out
+def _assemble(e: Enumeration, steps, *args) -> SignedWeightMultiset:
+    """sum over levels m of sum over the level-m points v of (S_m - v).
 
-
-def s_ass_levels(e: Enumeration) -> list:
-    """Level multisets for the obstruction: triple sums u_i + u_j + u_k
-    with i < k and the j, k levels at most m (so the i level is too)."""
-    return _ass_levels(e, _packed_points(e))
-
-
-def _ass_levels(e: Enumeration, pts: tuple) -> list:
-    w = e.w
-    return [_triple_sums([p for p, level in zip(pts[1:], w[1:]) if level <= m])
-            for m in range(len(e.dims))]
-
-
-def s_fiber_levels(e: Enumeration, sigma) -> list:
-    """Level multisets for the flag fiber tangent: level m adjoins the
-    sigma-coordinates of level m and the pairs whose larger index sits at
-    level m - 1, then deletes the level-m points."""
-    return _fiber_levels(e, _packed_points(e), tuple(sigma))
-
-
-def _fiber_levels(e: Enumeration, pts: tuple, sigma: tuple) -> list:
-    w, units = e.w, _packed_units(e.n)
-    cur = Counter()
-    out = [Counter()]
-    for m in range(1, len(e.dims)):
-        level = [j for j in range(1, e.d) if w[j] == m]
-        cur.update(units[sigma[j - 1]] for j in level)
-        cur.update(_pairs_at(pts, w, m - 1))
-        cur.subtract(pts[j] for j in level)
-        out.append(_settled(cur))
-    return out
-
-
-def _assemble(e: Enumeration, levels_of, *args) -> SignedWeightMultiset:
-    """sum over points v of (S_{level of v} translated by -v), the level
-    multisets S_m being levels_of(e, packed points, *args); every count
-    of a level multiset is nonnegative, so elements() lists it."""
+    steps(n, blocks, *args) yields, for each level m, the packed weights
+    that level m adds to the running multiset S and those it removes;
+    blocks[m] holds the level-m points other than u_0, whatever the level
+    of u_0.  A negative count means e is not a chain order."""
     pts = _packed_points(e)
-    levels = levels_of(e, pts, *args)
-    points_at = [[] for _ in levels]
-    for v, m in zip(pts, e.w):
-        points_at[m].append(v)
-    return SignedWeightMultiset.from_packed(e.n, Counter(starmap(
-        sub, chain.from_iterable(product(S.elements(), vs)
-                                 for S, vs in zip(levels, points_at)))))
+    at, blocks, start = [], [], 0
+    for size in e.dims:
+        at.append(pts[start:start + size])
+        blocks.append(pts[max(start, 1):start + size])
+        start += size
+    S, out = Counter(), Counter()
+    for vs, (added, removed) in zip(at, steps(e.n, blocks, *args)):
+        S.update(added)
+        if removed:
+            S.subtract(removed)
+            if any(c < 0 for c in S.values()):
+                raise IndexOutOfRange("level multiset went negative: the "
+                                      "enumeration is not a chain order")
+        out.update(starmap(sub, product(S.elements(), vs)))
+    return SignedWeightMultiset.from_packed(e.n, out)
 
 
 def tangent_class(e: Enumeration) -> SignedWeightMultiset:
     """Tangent weights, assembled from the recursive level multisets."""
-    return _assemble(e, _tangent_levels)
+    return _assemble(e, _tangent_steps)
 
 
 def obstruction_class(e: Enumeration) -> SignedWeightMultiset:
     """Obstruction weights, assembled from the recursive level multisets."""
-    return _assemble(e, _ass_levels)
+    return _assemble(e, _ass_steps)
 
 
 def fiber_tangent_class(e: Enumeration, sigma) -> SignedWeightMultiset:
@@ -406,18 +392,19 @@ def fiber_tangent_class(e: Enumeration, sigma) -> SignedWeightMultiset:
     sigma = tuple(sigma)
     if not in_flag_fiber(e.nested(), sigma):
         raise NotInFiber(f"{e.nested()} is not on the fiber of {sigma}")
-    return _assemble(e, _fiber_levels, sigma)
+    return _assemble(e, _fiber_steps, sigma)
 
 
 def fixed_ranks(e: Enumeration) -> tuple:
     """(tangent fixed rank, obstruction fixed rank) from the coincidence
     counts: a non-unit point u contributes (number of two-point sums
-    hitting u) - 1 on the tangent side and the number of constrained
-    three-point sums hitting it on the obstruction side."""
+    hitting u) - 1 on the tangent side and the number of three-point sums
+    u_i + u_j + u_k, i < k, hitting it on the obstruction side."""
     q = _packed_points(e)[1:]
     units = set(_packed_units(e.n)[1:])
     pairs = Counter(starmap(add, combinations_with_replacement(q, 2)))
-    triples = _triple_sums(q)
+    triples = Counter(starmap(add, product(starmap(add, combinations(q, 2)),
+                                           q)))
     wt = sum(pairs[u] - 1 for u in q if u not in units)
     wb = sum(triples[u] for u in q)
     return wt, wb
@@ -451,6 +438,7 @@ def flag_tangent_euler(sigma, n: int, dims) -> FactoredRational:
     sigma = tuple(sigma)
     dhat = require_pointed(dims)[1:]
     k = sum(dhat)
+    _check_sigma(sigma, n, k + 1)
     ext = extend_sigma(sigma, n)
     w = list(point_levels((1,) + dhat))[1:]  # levels 1..r on the flag slots
     w = w + [len(dhat) + 1] * (n - k)

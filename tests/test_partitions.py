@@ -391,3 +391,14 @@ class TestLevels:
     def test_enumeration_length_checked(self):
         with pytest.raises(IndexOutOfRange):
             Enumeration(2, (1, 1), (pt(0, 0),))
+
+    @pytest.mark.parametrize("n, dims, points", [
+        (2, (2,), [(1, 0), (0, 0)]),               # a predecessor comes later
+        (2, (1, 2), [(0, 0, 0), (1, 0, 0), (0, 1, 0)]),  # not in Z^2
+        (1, (1, 1), [(0,), (2,)]),                 # (1,) is never placed
+        (2, (1, 1), [(0, 0), (0, 0)]),             # a repeated point
+        (1, (1, 1), [(0,), (-1,)]),                # a negative coordinate
+    ])
+    def test_enumeration_order_checked(self, n, dims, points):
+        with pytest.raises(IndexOutOfRange):
+            Enumeration(n, dims, points)

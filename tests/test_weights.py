@@ -23,6 +23,7 @@ from nahilb.algebra import (
 from nahilb.errors import IndexOutOfRange, NotInFiber, RequiresPointedDims
 from nahilb.partitions import (
     NestedPartition,
+    _enumeration,
     all_enumerations,
     canonical_enumeration,
     enumerate_nested,
@@ -327,6 +328,54 @@ class TestDirectAgainstRecursive:
                             fiber_tangent_class_direct(e, sigma)
 
 
+class TestDirectAgainstRecursiveDeep:
+    """The two routes on longer chains, where levels hold several points
+    and the obstruction adds triples over many levels."""
+
+    def test_tangent_and_obstruction(self):
+        for n, d in [(1, 5), (2, 5), (3, 5), (1, 6), (2, 6)]:
+            for dims in _shapes(n, d):
+                if sum(dims) != d:
+                    continue
+                for np_ in enumerate_nested(n, dims):
+                    e = canonical_enumeration(np_)
+                    assert tangent_class(e) == tangent_class_direct(e)
+                    assert obstruction_class(e) == obstruction_class_direct(e)
+
+    @pytest.mark.parametrize("n, dims", [
+        (1, (0, 2)), (2, (0, 2)), (2, (0, 1, 2)), (2, (1, 0, 2)),
+        (2, (0, 0, 3)), (3, (2, 0)), (2, (0, 2, 0, 2)), (3, (1, 2, 0, 1)),
+    ])
+    def test_zero_layers(self, n, dims):
+        """u_0 stays out of the level multisets whatever its level."""
+        sigma = identity_sigma(sum(dims))
+        for np_ in enumerate_nested(n, dims):
+            e = canonical_enumeration(np_)
+            assert tangent_class(e) == tangent_class_direct(e)
+            assert obstruction_class(e) == obstruction_class_direct(e)
+            if dims[0] == 1 and is_nilfil(np_) and in_flag_fiber(np_, sigma):
+                assert fiber_tangent_class(e, sigma) == \
+                    fiber_tangent_class_direct(e, sigma)
+
+    def test_fiber_in_four_space(self):
+        for dims in _shapes(4, 5):
+            if dims[0] != 1:
+                continue
+            sigma = identity_sigma(sum(dims))
+            for np_ in enumerate_nested(4, dims):
+                if is_nilfil(np_) and in_flag_fiber(np_, sigma):
+                    e = canonical_enumeration(np_)
+                    assert fiber_tangent_class(e, sigma) == \
+                        fiber_tangent_class_direct(e, sigma)
+
+
+def test_negative_level_multiset_raises():
+    """The unchecked constructor lets a bad ordering reach the guard."""
+    e = _enumeration(1, (1, 1), ((0,), (2,)), point_levels((1, 1)))
+    with pytest.raises(IndexOutOfRange):
+        tangent_class(e)
+
+
 class TestEnumerationIndependence:
     def test_multisets_agree_across_enumerations(self):
         for dims in _shapes(2, 4):
@@ -485,6 +534,16 @@ class TestFlagTangentEuler:
     def test_requires_pointed_dims(self):
         with pytest.raises(RequiresPointedDims):
             flag_tangent_euler((1,), 2, (2, 1))
+
+    @pytest.mark.parametrize("sigma, n, dims", [
+        ((3,), 2, (1, 1)),          # a value past n
+        ((1, 1), 3, (1, 1, 1)),     # not injective
+        ((1,), 3, (1, 1, 1)),       # one entry for a two-step flag
+        ((1, 2, 3), 2, (1, 3)),     # more flag slots than coordinates
+    ])
+    def test_sigma_is_checked(self, sigma, n, dims):
+        with pytest.raises(IndexOutOfRange):
+            flag_tangent_euler(sigma, n, dims)
 
     def test_degree_is_flag_dimension(self):
         for n, dims, dim in [(2, (1, 1), 1), (3, (1, 1, 1), 3),
