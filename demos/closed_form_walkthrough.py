@@ -49,7 +49,7 @@ def main():
     terms = []
     for np_ in enumerate_nested(n, dims):
         e = canonical_enumeration(np_)
-        v = contribution(e, n, "nhilb", P)
+        v = contribution(e, "nhilb", P)
         terms.append(v)
         shape = sorted(np_.layers[-1])
         print(f"  fixed point {shape}:")

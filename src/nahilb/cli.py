@@ -44,7 +44,8 @@ from .weights import fixed_ranks
 
 @dataclass
 class JobSpec:
-    """One batch job, fully determined by its fields."""
+    """One batch job, fully determined by its fields; their defaults are
+    the defaults of every flag and config key."""
 
     command: str
     n: int = 0
@@ -228,18 +229,13 @@ class _ClassParser:
         m = re.fullmatch(r"c(\d+)", word)
         if m:
             return int(m.group(1))
-        m = re.fullmatch(r"theta(\d+)", word)
+        m = re.fullmatch(r"(theta|eta)(\d+)", word)
         if m:
-            i = int(m.group(1))
-            if not 1 <= i <= self.q:
-                raise IndexOutOfRange(f"theta_{i} needs q >= {i}, got {self.q}")
-            return SparsePolynomial.variable(("theta", i))
-        m = re.fullmatch(r"eta(\d+)", word)
-        if m:
-            j = int(m.group(1))
-            if not 1 <= j <= self.d - 1:
-                raise IndexOutOfRange(f"eta_{j} needs d > {j}, got {self.d}")
-            return SparsePolynomial.variable(("eta", j))
+            ns, i = m.group(1), int(m.group(2))
+            top = self.q if ns == "theta" else self.d - 1
+            if not 1 <= i <= top:
+                raise IndexOutOfRange(f"{ns}_{i} outside 1..{top}")
+            return SparsePolynomial.variable((ns, i))
         raise ParseError(f"unknown name {word!r}")
 
 
@@ -293,7 +289,7 @@ def cmd_contribution(job: JobSpec) -> tuple:
     rows = []
     for np_ in chains:
         e = canonical_enumeration(np_)
-        v = contribution(e, job.n, job.space, P)
+        v = contribution(e, job.space, P)
         rows.append({"chain": nested_to_json(np_),
                      "value": _rational_doc(v, job.expand)})
     doc = {
@@ -404,8 +400,21 @@ def _parse_dims(text: str) -> tuple:
         raise ParseError(f"dims must be comma-separated integers: {text!r}")
 
 
-_CONFIG_KEYS = {"n", "dims", "space", "method", "class", "q", "cy", "expand",
-                "seed", "checks", "max_points"}
+# every job field a flag or the config may set: (config key, JSON types);
+# a field neither sets keeps its JobSpec default
+_FIELDS = {
+    "n": ("n", (int,)),
+    "dims": ("dims", (str, list)),
+    "space": ("space", (str,)),
+    "method": ("method", (str,)),
+    "class_spec": ("class", (str,)),
+    "q": ("q", (int,)),
+    "cy": ("cy", (bool,)),
+    "expand": ("expand", (bool,)),
+    "seed": ("seed", (int,)),
+    "checks": ("checks", (str, list)),
+    "max_points": ("max_points", (int,)),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -416,7 +425,7 @@ def _load_config(path: str) -> dict:
         raise ParseError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - {key for key, _ in _FIELDS.values()}
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
     return doc
@@ -499,48 +508,30 @@ def _typed(key: str, value, kinds: tuple):
 
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    config = _load_config(args.config) if args.config else {}
+    fields = {}
+    for name, (key, kinds) in _FIELDS.items():
+        value = getattr(args, name, None)
+        if value is None and key in config:
+            value = _typed(key, config[key], kinds)
+        if value is not None:
+            fields[name] = value
 
-    def pick(name, kinds, config_key=None, default=None):
-        cli = getattr(args, name, None)
-        if cli is not None:
-            return cli
-        key = config_key or name
-        if key in config:
-            return _typed(key, config[key], kinds)
-        return default
-
-    dims = pick("dims", (str, list), default=())
+    dims = fields.get("dims")
     if isinstance(dims, str):
-        dims = _parse_dims(dims)
-    else:
-        dims = tuple(_typed("dims", x, (int,)) for x in dims)
+        fields["dims"] = _parse_dims(dims)
+    elif dims is not None:
+        fields["dims"] = tuple(_typed("dims", x, (int,)) for x in dims)
 
-    checks = pick("checks", (str, list), default=())
+    checks = fields.get("checks")
     if isinstance(checks, str):
-        checks = tuple(x for x in checks.split(",") if x)
-    else:
-        checks = tuple(_typed("checks", x, (str,)) for x in checks)
+        fields["checks"] = tuple(x for x in checks.split(",") if x)
+    elif checks is not None:
+        fields["checks"] = tuple(_typed("checks", x, (str,)) for x in checks)
 
-    job = JobSpec(
-        command=args.command,
-        n=pick("n", (int,), default=0),
-        dims=dims,
-        space=pick("space", (str,), default="nhilb"),
-        method=pick("method", (str,), default="localization"),
-        class_spec=pick("class_spec", (str,), "class", default="1"),
-        q=pick("q", (int,), default=0),
-        cy=pick("cy", (bool,), default=False),
-        expand=pick("expand", (bool,), default=False),
-        seed=pick("seed", (int,), default=DEFAULT_SEED),
-        checks=checks,
-        output=getattr(args, "output", None),
-        max_points=pick("max_points", (int,)),
-    )
-    if job.command == "compare" and getattr(args, "space", None) is None \
-            and "space" not in config:
-        job.space = "nilfil"
-    return job
+    if args.command == "compare":
+        fields.setdefault("space", "nilfil")
+    return JobSpec(command=args.command, output=args.output, **fields)
 
 
 _FLUSH_AT = 4096  # fragments held before they are joined and written

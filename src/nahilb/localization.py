@@ -137,16 +137,20 @@ def chern_taut(k: int, q: int, d: int, dual: bool = False) -> TautClass:
     return TautClass(elem[k], q, d)
 
 
+def _restrict_etas(P: TautClass, d: int, value_of) -> SparsePolynomial:
+    """P with each eta_j sent to value_of(j); a chain of d points has no
+    eta_j with j >= d."""
+    etas = [idx for ns, idx in P.poly.variables() if ns == "eta"]
+    if etas and max(etas) >= d:
+        raise IndexOutOfRange(
+            f"eta_{max(etas)} needs a chain of more than {d} points")
+    mapping = {("eta", j): value_of(j) for j in etas}
+    return P.poly.substitute(mapping) if mapping else P.poly
+
+
 def restrict_class(P: TautClass, e: Enumeration) -> SparsePolynomial:
     """Specialize eta_j to the weight of the j-th chain point of e."""
-    mapping = {}
-    for ns, idx in P.poly.variables():
-        if ns == "eta":
-            if idx >= e.d:
-                raise IndexOutOfRange(
-                    f"eta_{idx} needs a chain of more than {e.d} points")
-            mapping[(ns, idx)] = linear_form_of(e.points[idx], "s")
-    return P.poly.substitute(mapping) if mapping else P.poly
+    return _restrict_etas(P, e.d, lambda j: linear_form_of(e.points[j], "s"))
 
 
 def passes_gate(tangent, obstruction) -> bool:
@@ -209,12 +213,9 @@ def _net_rank(n: int, dims, space: str) -> int:
     return _space(space)[2](n, dims) - obstruction_net_count(dims)
 
 
-def contribution(e: Enumeration, n: int, space: str,
-                 P: TautClass) -> FactoredRational:
+def contribution(e: Enumeration, space: str, P: TautClass) -> FactoredRational:
     """Localization contribution of a single fixed chain."""
     select, tangent_of, _ = _space(space)
-    if e.n != n:
-        raise ValueError(f"enumeration lives in {e.n} variables, not {n}")
     if select is not None and not select(e.nested()):
         raise RequiresNilfil(f"{e.nested()} has a non-nilpotent step")
     value, _ = gated_term(e, tangent_of(e), P)
@@ -241,23 +242,17 @@ def _check_degree(value: FactoredRational, P: TautClass, vdim: int):
         raise InconsistentDegree(f"degree {degree} != {pdeg} - {vdim}")
 
 
-def reduce_full_flag(n: int, r, P: TautClass) -> IntegralResult:
-    """Full-flag integral computed on the nilpotent filtration locus.
+def reduce_full_flag(n: int, r: int, P: TautClass) -> IntegralResult:
+    """Full-flag integral over r nesting steps (the chain has r + 1
+    points) computed on the nilpotent filtration locus.
 
     The pushforward identity divides each contribution by the Euler
     class of the punctual-to-full correction bundle, so the sum runs
     over the small fixed set but reproduces the ambient integral.
-    Accepts the number of nesting steps r (the chain has r + 1 points)
-    or an explicit all-ones dims tuple.
     """
-    if isinstance(r, (tuple, list)):
-        dims = tuple(int(x) for x in r)
-        if any(x != 1 for x in dims):
-            raise RequiresFullFlag(f"dims {dims} is not a full flag")
-    else:
-        if r < 0:
-            raise RequiresFullFlag(f"need r >= 0, got {r}")
-        dims = (1,) * (r + 1)
+    if r < 0:
+        raise RequiresFullFlag(f"need r >= 0, got {r}")
+    dims = (1,) * (r + 1)
     vdim = _net_rank(n, dims, "nhilb")
     value = fixed_point_sum(n, dims, P, is_nilfil, tangent_class_punctual,
                             epunct_class)

@@ -57,10 +57,6 @@ def _predecessors(p: tuple) -> frozenset:
                      for i, c in enumerate(p) if c > 0)
 
 
-def _ideal_key(ideal) -> tuple:
-    return tuple(sorted(point_key(p) for p in ideal))
-
-
 def is_order_ideal(points, n: int) -> bool:
     """True when the set is downward closed under coordinatewise order."""
     pts = set(points)
@@ -217,18 +213,6 @@ def _enumeration(n: int, dims: tuple, points: tuple, w: tuple) -> Enumeration:
     return e
 
 
-def enumerate_partitions(n: int, size: int) -> list:
-    """All order ideals of the given size, deterministically ordered."""
-    if n < 1:
-        raise IndexOutOfRange(f"ambient dimension must be positive, got {n}")
-    if size < 0:
-        raise IndexOutOfRange(f"negative size {size}")
-    if size > max_points():
-        raise SizeGuardExceeded(
-            f"size {size} exceeds the point budget {max_points()}")
-    return sorted(_extensions(frozenset(), n, size), key=_ideal_key)
-
-
 def _extensions(ideal: frozenset, n: int, count: int):
     """All ideals obtained by adding count points, as a set."""
     frontier = {ideal}
@@ -242,7 +226,8 @@ def _extensions(ideal: frozenset, n: int, count: int):
 
 
 def enumerate_nested(n: int, dims) -> list:
-    """All nested partitions with the given layer increments."""
+    """All nested partitions with the given layer increments; dims (k,)
+    gives the order ideals of size k."""
     dims = tuple(int(d) for d in dims)
     if n < 1:
         raise IndexOutOfRange(f"ambient dimension must be positive, got {n}")

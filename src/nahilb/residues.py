@@ -41,6 +41,7 @@ from .localization import (
     TautClass,
     _check_degree,
     _net_rank,
+    _restrict_etas,
     fixed_point_sum,
     passes_gate,
 )
@@ -156,8 +157,7 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     return result
 
 
-def _residue(num, tangent, w, margin: int, factors=(),
-             deferred=()) -> SparsePolynomial:
+def _residue(num, tangent, w, factors=(), deferred=()) -> SparsePolynomial:
     """Residue of num over the z-forms of a tangent's terms at the levels
     w, with the extra (form, exponent) factors dividing and the deferred
     ones multiplying.  Negative tangent terms multiply too.  The block
@@ -168,11 +168,10 @@ def _residue(num, tangent, w, margin: int, factors=(),
     form = ResidueForm(num, den + list(factors), len(w) - 1,
                        deferred=mul + list(deferred))
     blocks = prod(factorial(size) for size in Counter(w).values())
-    return iterated_residue(form, margin) * Fraction(1, blocks)
+    return iterated_residue(form) * Fraction(1, blocks)
 
 
-def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat,
-                         margin: int = 0) -> SparsePolynomial:
+def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat) -> SparsePolynomial:
     """Residue form of the block-coset sum over the flag variety.
 
     Equals sum over block-sorted injections sigma of Q(s_sigma) divided
@@ -183,7 +182,7 @@ def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat,
     if k > n:
         raise TooManyPoints(f"needs {k} flag steps in {n} variables")
     w = point_levels((1,) + dhat)
-    return _residue(Q, flag_terms(w, n), w, margin)
+    return _residue(Q, flag_terms(w, n), w)
 
 
 def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
@@ -204,24 +203,13 @@ def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
         lambda e: fiber_tangent_class(e, sigma)).expand()
 
 
-def _restrict_to_z(P: TautClass, d: int, zform) -> SparsePolynomial:
-    """P with each eta_j sent to the z-polynomial zform(j); a chain of d
-    points has no eta_j with j >= d."""
-    etas = [idx for ns, idx in P.poly.variables() if ns == "eta"]
-    if etas and max(etas) >= d:
-        raise IndexOutOfRange(f"eta_{max(etas)} needs more than {d} points")
-    mapping = {("eta", j): zform(j) for j in etas}
-    return P.poly.substitute(mapping) if mapping else P.poly
-
-
 def _zform_of(vec, k: int) -> LinearForm:
     if any(vec[k:]):
         raise IndexOutOfRange(f"{vec} uses coordinates beyond z_{k}")
     return linear_form_of(vec[:k], "z")
 
 
-def integrate_residue_nilfil(n: int, dims, P: TautClass,
-                             margin: int = 0) -> IntegralResult:
+def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
     """Nil-fil integral of P by the closed residue formula.
 
     Needs no fixed-point enumeration and no bound between the chain
@@ -232,34 +220,30 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass,
     """
     dims = require_pointed(dims)
     w = point_levels(dims)
-    num = _restrict_to_z(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
+    num = _restrict_etas(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]
     value = FactoredRational.from_poly(
-        _residue(num, punctual_terms(w, n), w, margin, deferred=obstruction))
+        _residue(num, punctual_terms(w, n), w, deferred=obstruction))
     vdim = _net_rank(n, dims, "nilfil")
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "residue", "nilfil")
 
 
-def residue_term(np_: NestedPartition, n: int, dims, P: TautClass,
-                 margin: int = 0) -> SparsePolynomial:
+def residue_term(np_: NestedPartition, P: TautClass) -> SparsePolynomial:
     """Contribution of one fiber chain to the residue decomposition:
     the residue of the kernel against the chain's own Euler data."""
-    dims = require_pointed(dims)
-    if tuple(np_.dims) != dims or np_.n != n:
-        raise ValueError(f"chain has n={np_.n}, dims={np_.dims}")
     sigma = identity_sigma(np_.d)
     if not in_flag_fiber(np_, sigma):
         raise RequiresNilfil(f"{np_} is not on the identity fiber")
     e = canonical_enumeration(np_)
     k = e.d - 1
-    num = _restrict_to_z(P, e.d, lambda j: _zform_of(e.points[j], k))
+    num = _restrict_etas(P, e.d, lambda j: _zform_of(e.points[j], k))
     tangent = fiber_tangent_class(e, sigma)
     obstruction = obstruction_class(e)
     if not passes_gate(tangent, obstruction):
         return SparsePolynomial.zero()
     return _residue(
-        num, flag_terms(e.w, n), e.w, margin,
+        num, flag_terms(e.w, e.n), e.w,
         [(_zform_of(v, k), m) for v, m in tangent.moving().items()],
         [(_zform_of(v, k), m) for v, m in obstruction.moving().items()])
 

@@ -79,8 +79,7 @@ def rational_from_json(doc: dict) -> FactoredRational:
 def nested_to_json(np_: NestedPartition) -> dict:
     return {
         "dims": list(np_.dims),
-        "layers": [sorted((list(p) for p in layer),
-                          key=lambda p: point_key(tuple(p)))
+        "layers": [[list(p) for p in sorted(layer, key=point_key)]
                    for layer in np_.layers],
     }
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 from .algebra import (
     FactoredRational,
@@ -145,7 +145,7 @@ def check_hilb3_point_terms(seed: int):
             (_s(j), -1), (_comb({j: 1, i: -1}), -1), (_comb({j: 1, i: -2}), -1),
             (_s(k), -1), (_comb({k: 1, i: -1}), -1), (_comb({k: 1, i: -2}), -1),
         ])
-        got = contribution(by_top[top], 3, "nhilb", P)
+        got = contribution(by_top[top], "nhilb", P)
         if not rational_equal(got, expected):
             return False, f"pure-power chain at i={i} mismatches"
         checked += 1
@@ -160,7 +160,7 @@ def check_hilb3_point_terms(seed: int):
             (_comb({i: 2, j: -1}), -1), (_comb({j: 2, i: -1}), -1),
             (_s(k), -1), (_comb({k: 1, i: -1}), -1), (_comb({k: 1, j: -1}), -1),
         ])
-        got = contribution(by_top[top], 3, "nhilb", P)
+        got = contribution(by_top[top], "nhilb", P)
         if not rational_equal(got, expected):
             return False, f"two-direction chain at i={i}, j={j} mismatches"
         checked += 1
@@ -229,15 +229,14 @@ def check_enumeration_independence(seed: int):
                     for e, row in rows[1:]:
                         if row != first:
                             return False, f"multiset depends on order at {np_}"
-                    base = contribution(rows[0][0], n, "nhilb", P)
-                    base_nil = (contribution(rows[0][0], n, "nilfil", P)
+                    base = contribution(rows[0][0], "nhilb", P)
+                    base_nil = (contribution(rows[0][0], "nilfil", P)
                                 if nil else None)
                     for e, _ in rows[1:]:
-                        if not rational_equal(
-                                contribution(e, n, "nhilb", P), base):
+                        if not rational_equal(contribution(e, "nhilb", P), base):
                             return False, f"contribution depends on order at {np_}"
                         if nil and not rational_equal(
-                                contribution(e, n, "nilfil", P), base_nil):
+                                contribution(e, "nilfil", P), base_nil):
                             return False, f"contribution depends on order at {np_}"
                     chains += 1
                     enums += len(rows)
@@ -361,7 +360,7 @@ def check_residue_term_vanishing(seed: int):
                 port = porteous(n, dims)
                 for P in (TautClass(1, 0, d), chern_taut(1, 0, d)):
                     total = integrate_residue_nilfil(n, dims, P)
-                    term = residue_term(port, n, dims, P)
+                    term = residue_term(port, P)
                     if not rational_equal(
                             FactoredRational.from_poly(term), total.value):
                         return False, (f"distinguished term misses the "
@@ -370,7 +369,7 @@ def check_residue_term_vanishing(seed: int):
                     for np_ in members:
                         if np_ == port:
                             continue
-                        if not residue_term(np_, n, dims, P).is_zero():
+                        if not residue_term(np_, P).is_zero():
                             return False, f"nonzero stray term at {np_}"
                         zero_terms += 1
     return True, (f"{anchors} distinguished terms match, "

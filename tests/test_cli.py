@@ -47,12 +47,16 @@ class TestClassSpecParser:
 
     def test_theta_needs_roots(self):
         assert parse_class_spec("theta1", 1, 2).poly == theta(1)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=r"theta_1 outside 1\.\.0$"):
             parse_class_spec("theta1", 0, 2)
+        with pytest.raises(IndexOutOfRange, match=r"theta_0 outside 1\.\.1$"):
+            parse_class_spec("theta0", 1, 3)
 
     def test_eta_needs_points(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=r"eta_2 outside 1\.\.1$"):
             parse_class_spec("eta2", 0, 2)
+        with pytest.raises(IndexOutOfRange, match=r"eta_0 outside 1\.\.2$"):
+            parse_class_spec("eta0", 0, 3)
 
     def test_symmetry_still_enforced(self):
         with pytest.raises(NotBisymmetric):
@@ -287,7 +291,7 @@ class TestMain:
         assert doc["method_b"] == "residue"
 
     def test_compare_detects_mismatch(self, capsys, monkeypatch):
-        def skewed(n, dims, P, margin=0):
+        def skewed(n, dims, P):
             res = integrate_localization(n, dims, "nilfil", P)
             wrong = FactoredRational.from_poly(SparsePolynomial.constant(7))
             return IntegralResult(wrong, res.vdim, "residue", "nilfil")

@@ -17,7 +17,6 @@ from nahilb.partitions import (
     all_enumerations,
     canonical_enumeration,
     enumerate_nested,
-    enumerate_partitions,
     flag_cosets,
     identity_sigma,
     in_flag_fiber,
@@ -65,9 +64,14 @@ def _ideal_oracle(n: int, size: int) -> set:
     return out
 
 
+def ideals(n, size):
+    """The order ideals of the given size: enumerate_nested on one layer."""
+    return [np_.layers[0] for np_ in enumerate_nested(n, (size,))]
+
+
 class TestEnumeratePartitions:
     def test_three_points_in_the_plane(self):
-        got = enumerate_partitions(2, 3)
+        got = ideals(2, 3)
         assert set(got) == {
             ideal(pt(0, 0), pt(1, 0), pt(2, 0)),
             ideal(pt(0, 0), pt(1, 0), pt(0, 1)),
@@ -75,41 +79,41 @@ class TestEnumeratePartitions:
         }
 
     def test_line_is_forced(self):
-        assert enumerate_partitions(1, 4) == [ideal(pt(0), pt(1), pt(2), pt(3))]
+        assert ideals(1, 4) == [ideal(pt(0), pt(1), pt(2), pt(3))]
 
     def test_single_point(self):
-        assert enumerate_partitions(3, 1) == [ideal(pt(0, 0, 0))]
+        assert ideals(3, 1) == [ideal(pt(0, 0, 0))]
 
     @pytest.mark.parametrize("n,sizes", [(2, range(1, 7)), (3, range(1, 6))])
     def test_matches_growth_oracle(self, n, sizes):
         for size in sizes:
-            got = enumerate_partitions(n, size)
+            got = ideals(n, size)
             assert len(got) == len(set(got)), "duplicates"
             assert set(got) == _ideal_oracle(n, size)
 
     def test_all_outputs_downward_closed(self):
         for size in range(1, 6):
-            for p in enumerate_partitions(2, size):
+            for p in ideals(2, size):
                 assert _downward_closed(p)
 
     def test_known_counts(self):
-        assert [len(enumerate_partitions(2, k)) for k in range(1, 7)] == [
+        assert [len(ideals(2, k)) for k in range(1, 7)] == [
             1, 2, 3, 5, 7, 11]
-        assert [len(enumerate_partitions(3, k)) for k in range(1, 7)] == [
+        assert [len(ideals(3, k)) for k in range(1, 7)] == [
             1, 3, 6, 13, 24, 48]
 
     def test_deterministic_order(self):
-        assert enumerate_partitions(2, 4) == enumerate_partitions(2, 4)
+        assert ideals(2, 4) == ideals(2, 4)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
-            enumerate_partitions(2, 13)
+            ideals(2, 13)
 
     def test_size_guard_point_budget(self):
         def count(budget, size):
             token = point_budget.set(budget)
             try:
-                return len(enumerate_partitions(2, size))
+                return len(ideals(2, size))
             finally:
                 point_budget.reset(token)
 
@@ -123,7 +127,7 @@ class TestEnumeratePartitions:
     def test_size_guard_env_override(self, monkeypatch):
         # the environment sets no budget; only point_budget does
         monkeypatch.setenv("NAHILB_MAX_POINTS", "5")
-        assert len(enumerate_partitions(2, 6)) == 11
+        assert len(ideals(2, 6)) == 11
 
 
 class TestEnumerateNested:
@@ -139,7 +143,7 @@ class TestEnumerateNested:
 
     def test_single_layer_matches_partitions(self):
         got = enumerate_nested(2, (3,))
-        assert {np_.layers[0] for np_ in got} == set(enumerate_partitions(2, 3))
+        assert {np_.layers[0] for np_ in got} == _ideal_oracle(2, 3)
 
     def test_layer_invariants(self):
         for dims in [(1, 1), (2, 1), (1, 2, 1), (3,)]:

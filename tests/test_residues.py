@@ -8,6 +8,7 @@ is pinned by exact anchor values.
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 from math import comb
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nahilb import residues
 from nahilb.algebra import (
     FactoredRational,
     LinearForm,
@@ -124,6 +126,21 @@ def symmetrize_blocks(Q, dhat):
             sub.update({("z", src): z(dst) for src, dst in zip(block, perm)})
         out = out + Q.substitute(sub)
     return out * Fraction(1, len(combos))
+
+
+def margin_changes(monkeypatch, values):
+    """For margins 2 and -1, which of values() change when every residue
+    entry point runs iterated_residue with that margin.  margin lives on
+    iterated_residue alone: loosening it must change nothing, while a
+    negative margin cuts the divisions short and changes each value."""
+    plain = values()
+    changed = {}
+    for margin in (2, -1):
+        monkeypatch.setattr(residues, "iterated_residue",
+                            partial(iterated_residue, margin=margin))
+        changed[margin] = [not rational_equal(a, b)
+                           for a, b in zip(values(), plain)]
+    return changed
 
 
 class TestResidueForm:
@@ -252,10 +269,11 @@ class TestWeightedResidue:
             assert rational_equal(FactoredRational.from_poly(got),
                                   coset_sum(Q, n, dhat))
 
-    def test_margin_stability(self):
+    def test_margin_stability(self, monkeypatch):
         Q = z(1) ** 2 * z(2) + z(2)
-        assert weighted_residue_rhs(Q, 3, (1, 1)) == \
-            weighted_residue_rhs(Q, 3, (1, 1), margin=2)
+        assert margin_changes(monkeypatch, lambda: [
+            FactoredRational.from_poly(weighted_residue_rhs(Q, 3, (1, 1))),
+        ]) == {2: [False], -1: [True]}
 
 
 class TestFlagFiberQ:
@@ -353,11 +371,13 @@ class TestIntegrateResidue:
         with pytest.raises(IndexOutOfRange):
             integrate_residue_nilfil(3, (1, 1, 1), P)
 
-    def test_margin_stability(self):
-        P = TautClass(1, 0, 3)
-        a = integrate_residue_nilfil(2, (1, 1, 1), P)
-        b = integrate_residue_nilfil(2, (1, 1, 1), P, margin=2)
-        assert rational_equal(a.value, b.value)
+    def test_margin_stability(self, monkeypatch):
+        P = chern_taut(1, 0, 3)
+        assert margin_changes(monkeypatch, lambda: [
+            integrate_residue_nilfil(2, (1, 1, 1), P).value,
+            FactoredRational.from_poly(
+                residue_term(porteous(2, (1, 1, 1)), P)),
+        ]) == {2: [False] * 2, -1: [True] * 2}
 
 
 # every pointed shape with at most four points
@@ -406,7 +426,7 @@ class TestResidueTerms:
     def test_two_point_term_is_the_integral(self):
         for n in (2, 3):
             for P in (TautClass(1, 0, 2), TautClass(eta(1) ** n, 0, 2)):
-                term = residue_term(porteous(n, (1, 1)), n, (1, 1), P)
+                term = residue_term(porteous(n, (1, 1)), P)
                 total = integrate_residue_nilfil(n, (1, 1), P)
                 assert rational_equal(FactoredRational.from_poly(term),
                                       total.value)
@@ -416,7 +436,7 @@ class TestResidueTerms:
             frozenset({(0, 0, 0)}),
             frozenset({(0, 0, 0), (1, 0, 0)}),
             frozenset({(0, 0, 0), (1, 0, 0), (2, 0, 0)})])
-        assert residue_term(doubled, 3, (1, 1, 1), TautClass(1, 0, 3)).is_zero()
+        assert residue_term(doubled, TautClass(1, 0, 3)).is_zero()
 
     def test_terms_decompose_the_integral(self):
         for n, dims in [(2, (1, 1, 1)), (2, (1, 2))]:
@@ -425,7 +445,7 @@ class TestResidueTerms:
             members = [np_ for np_ in enumerate_nested(n, dims)
                        if is_nilfil(np_) and in_flag_fiber(np_, sigma)]
             total = sum(
-                (residue_term(np_, n, dims, P) for np_ in members),
+                (residue_term(np_, P) for np_ in members),
                 SparsePolynomial.zero())
             want = integrate_residue_nilfil(n, dims, P).value
             assert rational_equal(FactoredRational.from_poly(total), want)
@@ -434,14 +454,15 @@ class TestResidueTerms:
         off = NestedPartition(2, (1, 1), [
             frozenset({(0, 0)}), frozenset({(0, 0), (0, 1)})])
         with pytest.raises(RequiresNilfil):
-            residue_term(off, 2, (1, 1), TautClass(1, 0, 2))
+            residue_term(off, TautClass(1, 0, 2))
+
+    def test_rejects_unpointed_chains(self):
+        fat = NestedPartition(2, (2, 1), [
+            frozenset({(0, 0), (1, 0)}), frozenset({(0, 0), (1, 0), (0, 1)})])
+        with pytest.raises(RequiresPointedDims):
+            residue_term(fat, TautClass(1, 0, 3))
 
     def test_rejects_eta_beyond_the_chain(self):
         P = TautClass(eta(4), 0, 5, check=False)
         with pytest.raises(IndexOutOfRange):
-            residue_term(porteous(3, (1, 1, 1)), 3, (1, 1, 1), P)
-
-    def test_rejects_mismatched_shape(self):
-        with pytest.raises(ValueError):
-            residue_term(porteous(2, (1, 1)), 2, (1, 1, 1),
-                         TautClass(1, 0, 3))
+            residue_term(porteous(3, (1, 1, 1)), P)
