@@ -461,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None,
                         help="JSON file with default job fields")
         sp.add_argument("--max-points", type=int, default=None,
-                        help="enumeration budget override (capped at 14)")
+                        help="point budget override (capped at 14)")
         sp.add_argument("--output", default=None,
                         help="write the JSON document here instead of stdout")
 

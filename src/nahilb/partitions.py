@@ -13,7 +13,7 @@ that order.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     IndexOutOfRange,
@@ -33,12 +33,19 @@ point_budget: ContextVar = ContextVar("point_budget", default=None)
 
 
 def max_points() -> int:
-    """Active point budget for exhaustive enumeration: point_budget
-    clamped to [1, 14], or 12 when it is unset."""
+    """Active point budget: point_budget clamped to [1, 14], or 12 when
+    it is unset."""
     budget = point_budget.get()
     if budget is None:
         return DEFAULT_MAX_POINTS
     return max(1, min(HARD_MAX_POINTS, budget))
+
+
+def check_point_budget(dims: tuple):
+    """Refuse a job on the chains of dims past the active point budget."""
+    if sum(dims) > max_points():
+        raise SizeGuardExceeded(
+            f"total size {sum(dims)} exceeds the point budget {max_points()}")
 
 
 def point_key(p: tuple) -> tuple:
@@ -57,76 +64,88 @@ def _predecessors(p: tuple) -> frozenset:
                      for i, c in enumerate(p) if c > 0)
 
 
-def is_order_ideal(points, n: int) -> bool:
-    """True when the set is downward closed under coordinatewise order."""
-    pts = set(points)
-    return all(len(p) == n and all(c >= 0 for c in p)
-               and _predecessors(p) <= pts for p in pts)
+def _shape(n: int, dims) -> tuple:
+    """dims as an int tuple, refusing a nonpositive n and bad dims."""
+    dims = tuple(int(d) for d in dims)
+    if n < 1:
+        raise IndexOutOfRange(f"ambient dimension must be positive, got {n}")
+    if not dims or any(d < 0 for d in dims):
+        raise IndexOutOfRange(f"bad dims {dims}")
+    return dims
 
 
-def addable_points(ideal: frozenset, n: int):
-    """Points whose addition keeps the set an order ideal, sorted."""
+def _check_prefixes(points, n: int):
+    """Refuse a point sequence unless every prefix is an order ideal of
+    distinct int points in Z_>=0^n."""
+    placed = set()
+    for p in points:
+        if (len(p) != n or p in placed or not _predecessors(p) <= placed
+                or not all(isinstance(c, int) and c >= 0 for c in p)):
+            raise IndexOutOfRange(
+                f"point {p} cannot follow {sorted(placed)}: every "
+                f"prefix must be an order ideal in Z_>=0^{n}")
+        placed.add(p)
+
+
+def _blocks(layers: tuple) -> tuple:
+    """The points each layer adds, each block in point_key order."""
+    return tuple(tuple(sorted(layer - below, key=point_key))
+                 for below, layer in zip((frozenset(),) + layers, layers))
+
+
+def addable_points(ideal: frozenset, n: int) -> set:
+    """Points whose addition keeps the set an order ideal."""
     if not ideal:
-        return [(0,) * n]
+        return {(0,) * n}
     out = set()
     for p in ideal:
         for i in range(n):
             q = p[:i] + (p[i] + 1,) + p[i + 1:]
             if q not in ideal and q not in out and _predecessors(q) <= ideal:
                 out.add(q)
-    return sorted(out, key=point_key)
+    return out
 
 
 class NestedPartition:
-    """Chain of order ideals with layer sizes prescribed by dims."""
+    """Chain of order ideals with layer sizes prescribed by dims; blocks
+    holds the points each layer adds, each in point_key order.  Every
+    layer is an ideal when every prefix of the blocks is one, since
+    p - e_i sorts before p."""
 
-    __slots__ = ("n", "dims", "layers")
+    __slots__ = ("n", "dims", "layers", "blocks")
 
     def __init__(self, n: int, dims: tuple, layers):
-        dims = tuple(int(d) for d in dims)
+        dims = _shape(n, dims)
         layers = tuple(frozenset(tuple(p) for p in layer) for layer in layers)
-        if n < 1:
-            raise IndexOutOfRange(f"ambient dimension must be positive, got {n}")
-        if len(dims) < 1 or any(d < 0 for d in dims):
-            raise IndexOutOfRange(f"bad dims {dims}")
-        if len(layers) != len(dims):
-            raise IndexOutOfRange(
-                f"{len(dims)} dims but {len(layers)} layers")
-        total = 0
-        prev: frozenset = frozenset()
-        for d, layer in zip(dims, layers):
-            total += d
-            if len(layer) != total:
-                raise IndexOutOfRange(
-                    f"layer has {len(layer)} points, expected {total}")
-            if not prev <= layer:
-                raise IndexOutOfRange("layers are not nested")
-            if not is_order_ideal(layer, n):
-                raise IndexOutOfRange("layer is not an order ideal")
-            prev = layer
+        sizes, want = [len(layer) for layer in layers], list(accumulate(dims))
+        if sizes != want:
+            raise IndexOutOfRange(f"layers of {sizes} points, expected {want}")
+        if not all(a <= b for a, b in zip(layers, layers[1:])):
+            raise IndexOutOfRange("layers are not nested")
         self.n = n
         self.dims = dims
         self.layers = layers
+        self.blocks = _blocks(layers)
+        _check_prefixes((p for block in self.blocks for p in block), n)
 
     @classmethod
     def _grown(cls, n: int, dims: tuple, layers: tuple) -> "NestedPartition":
-        """Unchecked: enumerate_nested grows only valid frozenset layers."""
+        """Unchecked: valid frozenset layers, as enumerate_nested grows
+        them and an Enumeration's prefixes are."""
         np_ = cls.__new__(cls)
         np_.n, np_.dims, np_.layers = n, dims, layers
+        np_.blocks = _blocks(layers)
         return np_
 
     @property
     def d(self) -> int:
         return sum(self.dims)
 
-    @property
-    def r(self) -> int:
-        return len(self.dims) - 1
-
     def top(self) -> frozenset:
         return self.layers[-1]
 
     def key(self) -> tuple:
+        """The layers, each in point_key order."""
         return tuple(tuple(sorted(layer, key=point_key)) for layer in self.layers)
 
     def __eq__(self, other) -> bool:
@@ -139,20 +158,15 @@ class NestedPartition:
         return hash((self.n, self.dims, self.layers))
 
     def __repr__(self) -> str:
-        inner = " < ".join(
-            "{" + ", ".join(map(str, sorted(layer, key=point_key))) + "}"
-            for layer in self.layers
-        )
+        inner = " < ".join("{" + ", ".join(map(str, layer)) + "}"
+                           for layer in self.key())
         return f"NestedPartition(n={self.n}, dims={self.dims}, {inner})"
 
 
 def point_levels(dims: tuple) -> tuple:
     """Level of each enumeration position: position k sits in the block
     determined by the cumulative dims."""
-    out = []
-    for level, d in enumerate(dims):
-        out.extend([level] * d)
-    return tuple(out)
+    return tuple(level for level, d in enumerate(dims) for _ in range(d))
 
 
 class Enumeration:
@@ -167,18 +181,11 @@ class Enumeration:
 
     def __init__(self, n: int, dims: tuple, points):
         self.n = n
-        self.dims = tuple(dims)
+        self.dims = _shape(n, dims)
         self.points = tuple(tuple(p) for p in points)
         if len(self.points) != sum(self.dims):
             raise IndexOutOfRange("enumeration length does not match dims")
-        placed = set()
-        for p in self.points:
-            if (len(p) != n or p in placed or not _predecessors(p) <= placed
-                    or not all(isinstance(c, int) and c >= 0 for c in p)):
-                raise IndexOutOfRange(
-                    f"point {p} cannot follow {sorted(placed)}: every "
-                    f"prefix must be an order ideal in Z_>=0^{n}")
-            placed.add(p)
+        _check_prefixes(self.points, n)
         self.w = point_levels(self.dims)
 
     @property
@@ -186,12 +193,8 @@ class Enumeration:
         return len(self.points)
 
     def nested(self) -> NestedPartition:
-        layers = []
-        total = 0
-        for d in self.dims:
-            total += d
-            layers.append(frozenset(self.points[:total]))
-        return NestedPartition(self.n, self.dims, layers)
+        layers = tuple(frozenset(self.points[:k]) for k in accumulate(self.dims))
+        return NestedPartition._grown(self.n, self.dims, layers)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Enumeration)
@@ -217,25 +220,15 @@ def _extensions(ideal: frozenset, n: int, count: int):
     """All ideals obtained by adding count points, as a set."""
     frontier = {ideal}
     for _ in range(count):
-        nxt = set()
-        for cur in frontier:
-            for p in addable_points(cur, n):
-                nxt.add(cur | {p})
-        frontier = nxt
+        frontier = {cur | {p} for cur in frontier for p in addable_points(cur, n)}
     return frontier
 
 
 def enumerate_nested(n: int, dims) -> list:
     """All nested partitions with the given layer increments; dims (k,)
     gives the order ideals of size k."""
-    dims = tuple(int(d) for d in dims)
-    if n < 1:
-        raise IndexOutOfRange(f"ambient dimension must be positive, got {n}")
-    if not dims or any(d < 0 for d in dims):
-        raise IndexOutOfRange(f"bad dims {dims}")
-    if sum(dims) > max_points():
-        raise SizeGuardExceeded(
-            f"total size {sum(dims)} exceeds the point budget {max_points()}")
+    dims = _shape(n, dims)
+    check_point_budget(dims)
     chains = [(frozenset(),)]
     for d in dims:
         # chains sharing their last ideal share its extensions; the sort
@@ -248,19 +241,12 @@ def enumerate_nested(n: int, dims) -> list:
     return out
 
 
-def _blocks(np_: NestedPartition) -> list:
-    """The points each layer adds, each block in point_key order."""
-    layers = np_.layers
-    return [sorted(layer - below, key=point_key)
-            for below, layer in zip((frozenset(),) + layers, layers)]
-
-
 def canonical_enumeration(np_: NestedPartition) -> Enumeration:
     """Smallest valid enumeration: within each layer block, repeatedly take
     the least addable point under the reversed-coordinate order.  That is
     each whole block in this order: a predecessor p - e_i sorts before p,
     so the least remaining point is always addable."""
-    points = tuple(p for block in _blocks(np_) for p in block)
+    points = tuple(p for block in np_.blocks for p in block)
     return _enumeration(np_.n, np_.dims, points, point_levels(np_.dims))
 
 
@@ -275,7 +261,7 @@ def all_enumerations(np_: NestedPartition) -> list:
     preds = {p: _predecessors(p) for p in np_.top()}
     # each block in point_key order, so the depth-first search emits the
     # enumerations already sorted; position k draws from block w[k]
-    blocks = _blocks(np_)
+    blocks = np_.blocks
     out, prefix, used = [], [], set()
 
     def grow(k):
@@ -322,9 +308,8 @@ def is_nilfil(np_: NestedPartition) -> bool:
     """Nilpotent filtration rule: past the first layer, no added point may
     have a coordinate successor inside its own layer."""
     require_pointed(np_.dims)
-    for k in range(1, len(np_.layers)):
-        layer = np_.layers[k]
-        for u in layer - np_.layers[k - 1]:
+    for layer, block in zip(np_.layers[1:], np_.blocks[1:]):
+        for u in block:
             for i in range(np_.n):
                 if u[:i] + (u[i] + 1,) + u[i + 1:] in layer:
                     return False

@@ -48,6 +48,7 @@ from .localization import (
 from .partitions import (
     NestedPartition,
     canonical_enumeration,
+    check_point_budget,
     identity_sigma,
     in_flag_fiber,
     is_nilfil,
@@ -219,6 +220,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
     multiply, deferred.
     """
     dims = require_pointed(dims)
+    check_point_budget(dims)
     w = point_levels(dims)
     num = _restrict_etas(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]

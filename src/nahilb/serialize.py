@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .errors import NotPolynomial, SizeGuardExceeded
 from .localization import IntegralResult
-from .partitions import NestedPartition, point_key
+from .partitions import NestedPartition
 
 
 def linear_form_to_json(f: LinearForm) -> dict:
@@ -79,8 +79,7 @@ def rational_from_json(doc: dict) -> FactoredRational:
 def nested_to_json(np_: NestedPartition) -> dict:
     return {
         "dims": list(np_.dims),
-        "layers": [[list(p) for p in sorted(layer, key=point_key)]
-                   for layer in np_.layers],
+        "layers": [[list(p) for p in layer] for layer in np_.key()],
     }
 
 

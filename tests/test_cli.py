@@ -170,6 +170,14 @@ class TestMain:
         got = rational_from_json(doc["value"]["factored"])
         assert got.evaluate({}) == 2
 
+    def test_residue_method_keeps_the_point_budget(self, capsys):
+        code, out, err = run_main(capsys, [
+            "integrate", "-n", "2", "--dims", "1,60",
+            "--space", "nilfil", "--method", "residue", "--class", "1"])
+        assert code == 1
+        assert out == ""
+        assert "total size 61 exceeds the point budget 12" in err
+
     def test_residue_requires_nilfil(self, capsys):
         code, _, err = run_main(capsys, [
             "integrate", "-n", "2", "--dims", "1,1",

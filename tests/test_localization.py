@@ -23,6 +23,7 @@ from nahilb.algebra import (
 )
 from nahilb.errors import (
     DegenerateRestriction,
+    InconsistentVirtualDimension,
     IndexOutOfRange,
     NoFixedPoints,
     NotBisymmetric,
@@ -36,6 +37,7 @@ from nahilb.localization import (
     chern_taut,
     contribution,
     cy_restrict,
+    fixed_point_sum,
     gated_term,
     integrate_localization,
     passes_gate,
@@ -306,6 +308,15 @@ class TestIntegrateLocalization:
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             integrate_localization(2, (13,), "nhilb", TautClass(1, 0, 13))
+
+    def test_a_chain_off_the_virtual_dimension_raises(self):
+        P = TautClass(1, 0, 2)
+        vdim = virtual_dimension(2, (1, 1), "nilfil")
+        fixed_point_sum(2, (1, 1), P, is_nilfil, tangent_class_punctual,
+                        vdim=vdim)
+        with pytest.raises(InconsistentVirtualDimension):
+            fixed_point_sum(2, (1, 1), P, is_nilfil, tangent_class_punctual,
+                            vdim=vdim + 1)
 
 
 class TestReduceFullFlag:

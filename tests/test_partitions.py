@@ -167,6 +167,12 @@ class TestEnumerateNested:
         with pytest.raises(IndexOutOfRange):
             NestedPartition(2, (1, 1), [ideal(pt(0, 0)),
                                         ideal(pt(1, 0), pt(0, 1))])
+        with pytest.raises(IndexOutOfRange):  # a point not in Z^2
+            NestedPartition(2, (1,), [ideal(pt(0, 0, 0))])
+        with pytest.raises(IndexOutOfRange):  # a negative coordinate
+            NestedPartition(1, (1, 1), [ideal(pt(0)), ideal(pt(0), pt(-1))])
+        with pytest.raises(IndexOutOfRange):  # a float coordinate
+            NestedPartition(1, (1,), [{(0.0,)}])
 
 
 class TestEnumerations:
@@ -245,6 +251,7 @@ class TestUncheckedConstruction:
                     chains += 1
                     rebuilt = NestedPartition(n, dims, np_.layers)
                     assert np_ == rebuilt and hash(np_) == hash(rebuilt)
+                    assert np_.blocks == rebuilt.blocks
                     orders = all_enumerations(np_)
                     for e in orders:
                         again = Enumeration(n, dims, e.points)

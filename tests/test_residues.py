@@ -28,6 +28,7 @@ from nahilb.errors import (
     IndexOutOfRange,
     RequiresNilfil,
     RequiresPointedDims,
+    SizeGuardExceeded,
     TooManyPoints,
 )
 from nahilb.localization import TautClass, chern_taut, integrate_localization
@@ -38,6 +39,7 @@ from nahilb.partitions import (
     identity_sigma,
     in_flag_fiber,
     is_nilfil,
+    point_budget,
     porteous,
 )
 from nahilb.residues import (
@@ -365,6 +367,15 @@ class TestIntegrateResidue:
     def test_requires_pointed_dims(self):
         with pytest.raises(RequiresPointedDims):
             integrate_residue_nilfil(2, (2, 1), TautClass(1, 0, 3))
+
+    def test_point_budget(self):
+        token = point_budget.set(5)
+        try:
+            with pytest.raises(SizeGuardExceeded,
+                               match="total size 6 exceeds the point budget 5"):
+                integrate_residue_nilfil(2, (1,) * 6, TautClass(1, 0, 6))
+        finally:
+            point_budget.reset(token)
 
     def test_rejects_eta_beyond_the_chain(self):
         P = TautClass(eta(4), 0, 5, check=False)
