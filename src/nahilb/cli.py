@@ -30,7 +30,6 @@ from .localization import (
 from .partitions import (
     canonical_enumeration,
     enumerate_nested,
-    identity_sigma,
     in_flag_fiber,
     is_admissible,
     is_nilfil,
@@ -262,8 +261,8 @@ def cmd_enumerate(job: JobSpec) -> tuple:
             # nilfil needs pointed dims and the identity fiber needs
             # d - 1 <= n; where they do not apply the row says null
             nil = is_nilfil(np_) if np_.dims[0] == 1 else None
-            fiber = nil and (in_flag_fiber(np_, identity_sigma(np_.d))
-                             if np_.d - 1 <= np_.n else None)
+            fiber = nil and (in_flag_fiber(np_) if np_.d - 1 <= np_.n
+                             else None)
             wt, wb = fixed_ranks(canonical_enumeration(np_))
             row["admissible"] = is_admissible(np_)
             row["nilfil"] = nil
@@ -353,12 +352,7 @@ def cmd_compare(job: JobSpec) -> tuple:
 
 
 def cmd_verify(job: JobSpec) -> tuple:
-    names = list(job.checks) if job.checks else None
-    unknown = set(names or ()) - set(CHECKS)
-    if unknown:
-        raise ParseError(f"unknown checks: {sorted(unknown)};"
-                         f" available: {', '.join(CHECKS)}")
-    results = run_checks(names, seed=job.seed)
+    results = run_checks(job.checks or None, seed=job.seed)
     rows = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
     all_ok = all(r.ok for r in results)
     doc = {

@@ -78,7 +78,7 @@ class NotPolynomial(NahilbError):
 
 
 class ParseError(NahilbError):
-    """A class specification string could not be parsed."""
+    """A class specification, job field or name could not be read."""
 
 
 class NotBisymmetric(NahilbError):

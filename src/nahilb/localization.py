@@ -24,6 +24,7 @@ from .errors import (
     InconsistentVirtualDimension,
     NoFixedPoints,
     NotBisymmetric,
+    ParseError,
     RequiresFullFlag,
     RequiresNilfil,
 )
@@ -204,7 +205,7 @@ def _space(space: str) -> tuple:
         return is_nilfil, tangent_class_punctual, punctual_net_count
     if space == "nhilb":
         return None, tangent_class, tangent_net_count
-    raise ValueError(f"unknown space {space!r}")
+    raise ParseError(f"unknown space {space!r}")
 
 
 def _net_rank(n: int, dims, space: str) -> int:

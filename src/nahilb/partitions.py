@@ -316,29 +316,19 @@ def is_nilfil(np_: NestedPartition) -> bool:
     return True
 
 
-def _check_sigma(sigma: tuple, n: int, d: int):
-    if len(sigma) != d - 1:
-        raise IndexOutOfRange(
-            f"sigma has {len(sigma)} entries, expected {d - 1}")
-    if len(set(sigma)) != len(sigma) or any(not 1 <= v <= n for v in sigma):
-        raise IndexOutOfRange(f"sigma {sigma} is not injective into 1..{n}")
-
-
-def in_flag_fiber(np_: NestedPartition, sigma) -> bool:
-    """True when the chain lies over the coordinate flag selected by sigma.
-
-    Concretely: every unit vector e_c appearing in layer i must have c among
-    the first |layer_i| - 1 values of sigma.  In particular the top layer may
-    only touch coordinates selected by sigma.
-    """
-    sigma = tuple(sigma)
-    _check_sigma(sigma, np_.n, np_.d)
+def in_flag_fiber(np_: NestedPartition) -> bool:
+    """True when the chain lies on the flag fiber over the identity coset:
+    every unit vector e_c in a layer of k points has c <= k - 1.  By S_n
+    symmetry every other fiber is a relabelled copy of this one."""
+    if np_.d - 1 > np_.n:
+        raise TooManyPoints(
+            f"{np_.d} points need ambient dimension >= {np_.d - 1}, "
+            f"got {np_.n}")
     if not is_nilfil(np_):
         raise RequiresNilfil(f"{np_} fails the nilpotent filtration rule")
     for layer in np_.layers:
-        allowed = set(sigma[:len(layer) - 1])
-        for c in range(1, np_.n + 1):
-            if unit_vector(np_.n, c) in layer and c not in allowed:
+        for c in range(len(layer), np_.n + 1):
+            if unit_vector(np_.n, c) in layer:
                 return False
     return True
 
@@ -357,14 +347,10 @@ def porteous(n: int, dims) -> NestedPartition:
     return Enumeration(n, dims, points).nested()
 
 
-def identity_sigma(d: int) -> tuple:
-    return tuple(range(1, d))
-
-
 def flag_cosets(n: int, dhat) -> list:
     """Representatives of the cosets indexing flag fixed points: injections
     of the flag slots into 1..n, increasing within each block."""
-    dhat = tuple(int(d) for d in dhat)
+    dhat = _shape(n, (1,) + tuple(dhat))[1:]
     k = sum(dhat)
     if k > n:
         raise TooManyPoints(f"flag with {k} slots needs n >= {k}, got {n}")
@@ -380,10 +366,3 @@ def flag_cosets(n: int, dhat) -> list:
         reps = nxt
         available = nxt_avail
     return reps
-
-
-def extend_sigma(sigma: tuple, n: int) -> tuple:
-    """Extend an injection to a permutation of 1..n by appending the unused
-    indices in increasing order."""
-    rest = [i for i in range(1, n + 1) if i not in set(sigma)]
-    return tuple(sigma) + tuple(rest)

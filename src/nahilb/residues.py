@@ -47,9 +47,9 @@ from .localization import (
 )
 from .partitions import (
     NestedPartition,
+    _shape,
     canonical_enumeration,
     check_point_budget,
-    identity_sigma,
     in_flag_fiber,
     is_nilfil,
     point_levels,
@@ -178,11 +178,11 @@ def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat) -> SparsePolynomial:
     Equals sum over block-sorted injections sigma of Q(s_sigma) divided
     by the flag tangent Euler class, as a polynomial identity.
     """
-    dhat = tuple(int(x) for x in dhat)
-    k = sum(dhat)
+    dims = _shape(n, (1,) + tuple(dhat))
+    k = sum(dims) - 1
     if k > n:
         raise TooManyPoints(f"needs {k} flag steps in {n} variables")
-    w = point_levels((1,) + dhat)
+    w = point_levels(dims)
     return _residue(Q, flag_terms(w, n), w)
 
 
@@ -197,11 +197,9 @@ def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
     d = sum(dims)
     if d - 1 > n:
         raise TooManyPoints(f"fiber needs d-1 <= n, got d={d}, n={n}")
-    sigma = identity_sigma(d)
     return fixed_point_sum(
-        n, dims, P,
-        lambda np_: is_nilfil(np_) and in_flag_fiber(np_, sigma),
-        lambda e: fiber_tangent_class(e, sigma)).expand()
+        n, dims, P, lambda np_: is_nilfil(np_) and in_flag_fiber(np_),
+        fiber_tangent_class).expand()
 
 
 def _zform_of(vec, k: int) -> LinearForm:
@@ -219,7 +217,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
     divide; its negative terms (the Vandermonde) and the obstruction
     multiply, deferred.
     """
-    dims = require_pointed(dims)
+    dims = require_pointed(_shape(n, dims))
     check_point_budget(dims)
     w = point_levels(dims)
     num = _restrict_etas(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
@@ -234,13 +232,12 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
 def residue_term(np_: NestedPartition, P: TautClass) -> SparsePolynomial:
     """Contribution of one fiber chain to the residue decomposition:
     the residue of the kernel against the chain's own Euler data."""
-    sigma = identity_sigma(np_.d)
-    if not in_flag_fiber(np_, sigma):
+    if not in_flag_fiber(np_):
         raise RequiresNilfil(f"{np_} is not on the identity fiber")
     e = canonical_enumeration(np_)
     k = e.d - 1
     num = _restrict_etas(P, e.d, lambda j: _zform_of(e.points[j], k))
-    tangent = fiber_tangent_class(e, sigma)
+    tangent = fiber_tangent_class(e)
     obstruction = obstruction_class(e)
     if not passes_gate(tangent, obstruction):
         return SparsePolynomial.zero()

@@ -27,6 +27,7 @@ from .algebra import (
     rational_equal,
     sum_factored,
 )
+from .errors import ParseError
 from .localization import (
     TautClass,
     chern_taut,
@@ -41,7 +42,6 @@ from .partitions import (
     canonical_enumeration,
     enumerate_nested,
     flag_cosets,
-    identity_sigma,
     in_flag_fiber,
     is_admissible,
     is_nilfil,
@@ -354,9 +354,8 @@ def check_residue_term_vanishing(seed: int):
             if len(dims) < 2:
                 continue
             for n in range(d - 1, 5):
-                sigma = identity_sigma(d)
                 members = [np_ for np_ in enumerate_nested(n, dims)
-                           if is_nilfil(np_) and in_flag_fiber(np_, sigma)]
+                           if is_nilfil(np_) and in_flag_fiber(np_)]
                 port = porteous(n, dims)
                 for P in (TautClass(1, 0, d), chern_taut(1, 0, d)):
                     total = integrate_residue_nilfil(n, dims, P)
@@ -484,14 +483,15 @@ CHECKS = {
 
 
 def run_checks(names=None, seed: int = DEFAULT_SEED) -> list:
-    """Run the named checks (all by default) and collect the results."""
-    if names is None:
-        names = list(CHECKS)
+    """Run the named checks (all by default) and collect the results;
+    an unknown name raises ParseError before any check runs."""
+    names = list(CHECKS) if names is None else list(names)
+    unknown = set(names) - set(CHECKS)
+    if unknown:
+        raise ParseError(f"unknown checks: {sorted(unknown)};"
+                         f" available: {', '.join(CHECKS)}")
     results = []
     for name in names:
-        if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}; "
-                           f"known: {', '.join(CHECKS)}")
         start = time.perf_counter()
         try:
             ok, detail = CHECKS[name](seed)

@@ -7,7 +7,7 @@ Hilbert scheme, its punctual analogue, the obstruction bundle, or the
 tangent space of a flag fiber.
 
 The indexed character formulas are stated once, as generators of terms
-(sign, c, plus, m) that read only the levels w and n (or sigma): each
+(sign, c, plus, m) that read only the levels w and n: each
 term is sign * (e_c + sum of u_p over p in plus - u_m), where u_0 = 0
 and c or m may be None.  Three maps read that statement: term_weights
 evaluates the terms at a chain (the direct builders), term_count counts
@@ -50,14 +50,7 @@ from operator import add, eq, le, lt, sub
 from .algebra import (FactoredRational, LinearForm, SparsePolynomial,
                       canonical_factors, linear_form_of)
 from .errors import IndexOutOfRange, NotInFiber
-from .partitions import (
-    Enumeration,
-    _check_sigma,
-    extend_sigma,
-    in_flag_fiber,
-    point_levels,
-    require_pointed,
-)
+from .partitions import Enumeration, in_flag_fiber, point_levels, require_pointed
 
 
 FIELD_BITS = 16
@@ -216,10 +209,10 @@ def flag_terms(w, n: int):
     return chain(_coordinate_terms(n, len(w), 1), _point_terms(w, 1))
 
 
-def fiber_terms(w, sigma):
-    """Tangent space of the flag fiber over the coset sigma."""
+def fiber_terms(w):
+    """Tangent space of the flag fiber over the identity coset."""
     d = len(w)
-    coordinates = ((1, sigma[i - 1], (), k) for i in range(1, d)
+    coordinates = ((1, i, (), k) for i in range(1, d)
                    for k in range(1, d) if w[i] <= w[k])
     return chain(coordinates, _pair_terms(w, 1, lt), _point_terms(w, 1))
 
@@ -298,12 +291,11 @@ def obstruction_class_direct(e: Enumeration) -> SignedWeightMultiset:
     return term_weights(e, obstruction_terms(e.w))
 
 
-def fiber_tangent_class_direct(e: Enumeration, sigma) -> SignedWeightMultiset:
+def fiber_tangent_class_direct(e: Enumeration) -> SignedWeightMultiset:
     """Tangent weights of the flag fiber at a chain lying on it."""
-    sigma = tuple(sigma)
-    if not in_flag_fiber(e.nested(), sigma):
-        raise NotInFiber(f"{e.nested()} is not on the fiber of {sigma}")
-    return term_weights(e, fiber_terms(e.w, sigma))
+    if not in_flag_fiber(e.nested()):
+        raise NotInFiber(f"{e.nested()} is not on the identity fiber")
+    return term_weights(e, fiber_terms(e.w))
 
 
 # recursive level multisets
@@ -340,11 +332,11 @@ def _ass_steps(n: int, blocks):
         seen += q
 
 
-def _fiber_steps(n: int, blocks, sigma: tuple):
-    """Flag fiber tangent: level m adds the sigma-coordinates of its points
-    and the tangent pairs of level m - 1, and removes the level-m points."""
-    units = _packed_units(n)
-    coords = (units[c] for c in sigma)
+def _fiber_steps(n: int, blocks):
+    """Flag fiber tangent: level m adds the next units e_1, e_2, ..., one
+    per level-m point, and the tangent pairs of level m - 1, and removes
+    the level-m points."""
+    coords = iter(_packed_units(n)[1:])
     seen, pairs = [], []
     for q in blocks:
         yield [*islice(coords, len(q)), *pairs], q
@@ -352,10 +344,10 @@ def _fiber_steps(n: int, blocks, sigma: tuple):
         seen += q
 
 
-def _assemble(e: Enumeration, steps, *args) -> SignedWeightMultiset:
+def _assemble(e: Enumeration, steps) -> SignedWeightMultiset:
     """sum over levels m of sum over the level-m points v of (S_m - v).
 
-    steps(n, blocks, *args) yields, for each level m, the packed weights
+    steps(n, blocks) yields, for each level m, the packed weights
     that level m adds to the running multiset S and those it removes;
     blocks[m] holds the level-m points other than u_0, whatever the level
     of u_0.  A negative count means e is not a chain order."""
@@ -366,7 +358,7 @@ def _assemble(e: Enumeration, steps, *args) -> SignedWeightMultiset:
         blocks.append(pts[max(start, 1):start + size])
         start += size
     S, out = Counter(), Counter()
-    for vs, (added, removed) in zip(at, steps(e.n, blocks, *args)):
+    for vs, (added, removed) in zip(at, steps(e.n, blocks)):
         S.update(added)
         if removed:
             S.subtract(removed)
@@ -387,12 +379,11 @@ def obstruction_class(e: Enumeration) -> SignedWeightMultiset:
     return _assemble(e, _ass_steps)
 
 
-def fiber_tangent_class(e: Enumeration, sigma) -> SignedWeightMultiset:
+def fiber_tangent_class(e: Enumeration) -> SignedWeightMultiset:
     """Flag fiber tangent weights, assembled from the level multisets."""
-    sigma = tuple(sigma)
-    if not in_flag_fiber(e.nested(), sigma):
-        raise NotInFiber(f"{e.nested()} is not on the fiber of {sigma}")
-    return _assemble(e, _fiber_steps, sigma)
+    if not in_flag_fiber(e.nested()):
+        raise NotInFiber(f"{e.nested()} is not on the identity fiber")
+    return _assemble(e, _fiber_steps)
 
 
 def fixed_ranks(e: Enumeration) -> tuple:
@@ -438,8 +429,12 @@ def flag_tangent_euler(sigma, n: int, dims) -> FactoredRational:
     sigma = tuple(sigma)
     dhat = require_pointed(dims)[1:]
     k = sum(dhat)
-    _check_sigma(sigma, n, k + 1)
-    ext = extend_sigma(sigma, n)
+    if len(sigma) != k:
+        raise IndexOutOfRange(f"sigma has {len(sigma)} entries, expected {k}")
+    if len(set(sigma)) != k or any(not 1 <= v <= n for v in sigma):
+        raise IndexOutOfRange(f"sigma {sigma} is not injective into 1..{n}")
+    # sigma extended to a permutation of 1..n by the unused indices in order
+    ext = sigma + tuple(i for i in range(1, n + 1) if i not in sigma)
     w = list(point_levels((1,) + dhat))[1:]  # levels 1..r on the flag slots
     w = w + [len(dhat) + 1] * (n - k)
     factors = []

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nahilb.cli as cli
+import nahilb.verify as verify
 from nahilb.algebra import FactoredRational, SparsePolynomial, rational_equal
 from nahilb.cli import JobSpec, main, parse_class_spec, run, write_json
 from nahilb.errors import IndexOutOfRange, NotBisymmetric, ParseError
@@ -319,11 +320,18 @@ class TestMain:
         assert [r["name"] for r in doc["results"]] == ["hilb3-closed-form"]
         assert doc["results"][0]["ok"] is True
 
-    def test_verify_unknown_check(self, capsys):
+    def test_verify_unknown_check(self, capsys, monkeypatch):
         code, _, err = run_main(capsys, [
             "verify", "--checks", "no-such-check"])
         assert code == 1
         assert "unknown checks" in err
+        # the library refuses the whole list before running any check
+        ran = []
+        monkeypatch.setitem(verify.CHECKS, "hilb3-closed-form",
+                            lambda seed: ran.append(seed))
+        with pytest.raises(ParseError, match="unknown checks"):
+            verify.run_checks(["hilb3-closed-form", "no-such-check"])
+        assert ran == []
 
     def test_bad_dims_exit_code(self, capsys):
         code, _, err = run_main(capsys, [

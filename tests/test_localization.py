@@ -27,6 +27,7 @@ from nahilb.errors import (
     IndexOutOfRange,
     NoFixedPoints,
     NotBisymmetric,
+    ParseError,
     RequiresFullFlag,
     RequiresNilfil,
     SizeGuardExceeded,
@@ -232,7 +233,7 @@ class TestContribution:
 
     def test_space_and_dimension_validated(self):
         e = chain(2, {(0, 0)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             contribution(e, "everything", TautClass(1, 0, 1))
 
 
@@ -425,7 +426,7 @@ class TestVirtualDimension:
             virtual_dimension(1, (1, 2), "nilfil")
 
     def test_unknown_space(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             virtual_dimension(2, (1,), "everywhere")
 
 

@@ -18,7 +18,6 @@ from nahilb.partitions import (
     canonical_enumeration,
     enumerate_nested,
     flag_cosets,
-    identity_sigma,
     in_flag_fiber,
     is_admissible,
     is_nilfil,
@@ -313,23 +312,25 @@ class TestNilfil:
 class TestFlagFiber:
     def test_porteous_lies_on_identity_fiber(self):
         for n, dims in [(3, (1, 1, 1)), (2, (1, 2)), (4, (1, 1, 2))]:
-            assert in_flag_fiber(porteous(n, dims), identity_sigma(sum(dims)))
+            assert in_flag_fiber(porteous(n, dims))
 
     def test_axis_choice_must_match_sigma(self):
         np_ = NestedPartition(2, (1, 1), [
             ideal(pt(0, 0)), ideal(pt(0, 0), pt(0, 1))])
-        assert not in_flag_fiber(np_, (1,))
-        assert in_flag_fiber(np_, (2,))
+        assert not in_flag_fiber(np_)
+        np_ = NestedPartition(2, (1, 1), [
+            ideal(pt(0, 0)), ideal(pt(0, 0), pt(1, 0))])
+        assert in_flag_fiber(np_)
 
     def test_doubled_step_stays_on_fiber(self):
         np_ = NestedPartition(2, (1, 1, 1), [
             ideal(pt(0, 0)), ideal(pt(0, 0), pt(1, 0)),
             ideal(pt(0, 0), pt(1, 0), pt(2, 0))])
-        assert in_flag_fiber(np_, identity_sigma(3))
+        assert in_flag_fiber(np_)
 
     def test_identity_fiber_membership_for_full_flag(self):
         hid = [np_ for np_ in enumerate_nested(3, (1, 1, 1))
-               if is_nilfil(np_) and in_flag_fiber(np_, identity_sigma(3))]
+               if is_nilfil(np_) and in_flag_fiber(np_)]
         tops = {tuple(sorted(np_.top())) for np_ in hid}
         assert tops == {
             tuple(sorted({pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)})),
@@ -340,12 +341,13 @@ class TestFlagFiber:
         np_ = NestedPartition(2, (1, 2), [
             ideal(pt(0, 0)), ideal(pt(0, 0), pt(1, 0), pt(2, 0))])
         with pytest.raises(RequiresNilfil):
-            in_flag_fiber(np_, (1, 2))
+            in_flag_fiber(np_)
 
     def test_sigma_validation(self):
-        np_ = porteous(2, (1, 1))
-        with pytest.raises(IndexOutOfRange):
-            in_flag_fiber(np_, (1, 1))
+        np_ = NestedPartition(1, (1, 1, 1), [
+            ideal(pt(0)), ideal(pt(0), pt(1)), ideal(pt(0), pt(1), pt(2))])
+        with pytest.raises(TooManyPoints):
+            in_flag_fiber(np_)
 
 
 class TestPorteous:
@@ -386,7 +388,7 @@ class TestFlagCosets:
             assert len(flag_cosets(n, dhat)) == expected
 
     def test_identity_first(self):
-        assert flag_cosets(4, (1, 2))[0] == identity_sigma(4)
+        assert flag_cosets(4, (1, 2))[0] == tuple(range(1, 4))
 
 
 class TestLevels:

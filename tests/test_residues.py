@@ -36,7 +36,6 @@ from nahilb.partitions import (
     NestedPartition,
     enumerate_nested,
     flag_cosets,
-    identity_sigma,
     in_flag_fiber,
     is_nilfil,
     point_budget,
@@ -391,6 +390,19 @@ class TestIntegrateResidue:
         ]) == {2: [False] * 2, -1: [True] * 2}
 
 
+@pytest.mark.parametrize("call", [
+    lambda: integrate_residue_nilfil(0, (1, 1), TautClass(1, 0, 2)),
+    lambda: integrate_residue_nilfil(2, (1, -1), TautClass(1, 0, 1)),
+    lambda: integrate_residue_nilfil(-1, (1,), TautClass(1, 0, 1)),
+    lambda: weighted_residue_rhs(SparsePolynomial.one(), 2, (-1,)),
+    lambda: flag_cosets(2, (-1,)),
+], ids=["residue-n0", "residue-negative-dim", "residue-negative-n",
+        "weighted-negative-dim", "cosets-negative-dim"])
+def test_impossible_shapes_are_refused(call):
+    with pytest.raises(IndexOutOfRange):
+        call()
+
+
 # every pointed shape with at most four points
 _POINTED_D4 = [(1,), (1, 1), (1, 2), (1, 3),
                (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 1, 1, 1)]
@@ -452,9 +464,8 @@ class TestResidueTerms:
     def test_terms_decompose_the_integral(self):
         for n, dims in [(2, (1, 1, 1)), (2, (1, 2))]:
             P = TautClass(1, 0, sum(dims))
-            sigma = identity_sigma(sum(dims))
             members = [np_ for np_ in enumerate_nested(n, dims)
-                       if is_nilfil(np_) and in_flag_fiber(np_, sigma)]
+                       if is_nilfil(np_) and in_flag_fiber(np_)]
             total = sum(
                 (residue_term(np_, P) for np_ in members),
                 SparsePolynomial.zero())
