@@ -76,9 +76,9 @@ def _z_factors(pairs, kind: str) -> tuple:
     out = []
     for form, exp in pairs:
         if int(exp) <= 0:
-            raise ValueError(f"{kind} exponents must be positive")
+            raise IndexOutOfRange(f"{kind} exponents must be positive")
         if form.max_index("z") < 1:
-            raise ValueError(f"{kind} factor {form} is free of z")
+            raise NonElimination(f"{kind} factor {form} is free of z")
         out.append((form, int(exp)))
     return tuple(out)
 
@@ -88,9 +88,9 @@ class ResidueForm:
 
     Every denominator factor must involve a z-variable; z-free factors
     belong in the numerator's rational content instead.  Linear factors
-    of the numerator can be passed in `deferred`: they multiply in only
-    once elimination reaches their top z-variable, which keeps the
-    earlier rounds working on much smaller polynomials.
+    of the numerator can be passed in `deferred`: they multiply the
+    quotient of the round that eliminates their top z-variable, after
+    its divisions, so the divisions work on much smaller polynomials.
     """
 
     __slots__ = ("numerator", "factors", "z_count", "deferred")
@@ -104,7 +104,7 @@ class ResidueForm:
         top = max([_max_z_index(numerator)] + [
             form.max_index("z") for form, _ in self.factors + self.deferred])
         if top > self.z_count:
-            raise ValueError(f"z_{top} exceeds z_count={self.z_count}")
+            raise IndexOutOfRange(f"z_{top} exceeds z_count={self.z_count}")
 
     def __repr__(self) -> str:
         num = f"({self.numerator})"
@@ -118,30 +118,36 @@ class ResidueForm:
 def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     """Iterated residue at infinity, eliminating z_{z_count} down to z_1.
 
-    Per round, the numerator is divided by each factor whose top
+    Per round, the numerator N is divided by each factor F whose top
     z-variable is the current one, z_M, as a Laurent series in 1/z_M:
     each unit of a factor's exponent is one pass of synthetic division
-    (algebra.divide_slices) continued past z_M^0.  Each pass stops at
-    the exponents that can no longer reach -1 past the factors still
+    (algebra.divide_slices) continued past z_M^0.  As (D*N)/F = D*(N/F),
+    the product D of the round's deferred forms multiplies in after the
+    divisions: the z_M^-1 coefficient is sum_j D_j*Q_{-1-j} over the z_M^j
+    slices of D and of the quotient Q.  Each pass stops at the exponents
+    that can no longer reach -1-deg_{z_M} D past the factors still
     pending; margin loosens that cutoff and must never change the result.
     """
     num = dict(f.numerator.terms)
-    factors = list(f.factors)
-    pending = list(f.deferred)
+    factors, deferred = {}, {}
+    for bucket, pairs in ((factors, f.factors), (deferred, f.deferred)):
+        for form, e in pairs:
+            bucket.setdefault(form.max_index("z"), []).append((form, e))
     for M in range(f.z_count, 0, -1):
-        for form, e in [fe for fe in pending if fe[0].max_index("z") == M]:
-            for _ in range(e):
-                num = mul_packed(num, form.terms)
-        pending = [fe for fe in pending if fe[0].max_index("z") < M]
         if not num:
             return SparsePolynomial.zero()
         zM = ("z", M)
         pz = 1 << var_shift(zM)
-        active = [fe for fe in factors if fe[0].max_index("z") == M]
-        factors = [fe for fe in factors if fe[0].max_index("z") < M]
+        D = {0: 1}
+        for form, e in deferred.pop(M, ()):
+            for _ in range(e):
+                D = mul_packed(D, form.terms)
+        D = slices_of(D, zM)
+        active = factors.pop(M, ())
         state = slices_of(num, zM)
         sign = RESIDUE_SIGN
-        rem = sum(e for _, e in active)
+        # each pending pass lowers a slice by one, D lifts it by deg D
+        rem = sum(e for _, e in active) - max(D)
         for form, e in active:
             # c*z_M + r is -(|c|*z_M - r) when c < 0
             c = form.terms[pz]
@@ -151,7 +157,11 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
             for _ in range(e):
                 rem -= 1
                 state = divide_slices(state, flip * c, neg, rem - 1 - margin)
-        num = {m: sign * c for m, c in state.get(-1, {}).items()}
+        num = {}
+        for j, Dj in D.items():
+            for m, c in mul_packed(state.get(-1 - j, {}), Dj).items():
+                num[m] = num.get(m, 0) + c
+        num = {m: sign * c for m, c in num.items() if c}
     result = SparsePolynomial.from_packed(num)
     if _max_z_index(result) or factors:
         raise NonElimination(f"z-variables survive the residue: {result}")

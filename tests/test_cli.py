@@ -508,6 +508,11 @@ GOLDEN = [
         "2e6c5fed31d18e95360510b21692eb22a022674b4ebfed02581b663d89f920f6",
         id="integrate-residue"),
     pytest.param(
+        ["integrate", "-n", "2", "--dims", "1,1,1,1,1", "--space", "nilfil",
+         "--method", "residue", "--class", "c2"],
+        "92e0a59a48f8d76696dd2d10dce479476f0d7fc5c457126c353f9382918ff884",
+        id="integrate-residue-deferred-rounds"),
+    pytest.param(
         ["classify", "-n", "2", "--dims", "1,1,2"],
         "8a2633ba0da3e9f02e95cf54c208446cf58e940ae95a31cde2ef7355d995423c",
         id="classify"),

@@ -26,6 +26,7 @@ from nahilb.algebra import (
 )
 from nahilb.errors import (
     IndexOutOfRange,
+    NonElimination,
     RequiresNilfil,
     RequiresPointedDims,
     SizeGuardExceeded,
@@ -68,6 +69,15 @@ def eta(j):
 def szlf(i, l):
     """The parameter factor s_i - z_l."""
     return LinearForm({("s", i): Fraction(1), ("z", l): Fraction(-1)})
+
+
+def random_zform(rng, top):
+    """A linear form with top z-variable z_top whose z_top coefficient is
+    never +-1, with random lower z and s coefficients."""
+    coeffs = {("z", top): rng.choice((-3, -2, 2, 3))}
+    coeffs.update({("z", l): rng.randint(-2, 2) for l in range(1, top)})
+    coeffs.update({("s", i): rng.randint(-2, 2) for i in (1, 2)})
+    return LinearForm(coeffs)
 
 
 def one_var_form(P, n):
@@ -146,25 +156,25 @@ def margin_changes(monkeypatch, values):
 
 class TestResidueForm:
     def test_rejects_z_free_denominator(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonElimination):
             ResidueForm(SparsePolynomial.one(),
                         [(LinearForm({("s", 1): Fraction(1)}), 1)], 1)
 
     def test_rejects_nonpositive_exponent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexOutOfRange):
             ResidueForm(SparsePolynomial.one(), [(szlf(1, 1), 0)], 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexOutOfRange):
             ResidueForm(SparsePolynomial.one(), [], 1,
                         deferred=[(szlf(1, 1), -1)])
 
     def test_rejects_overflowing_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexOutOfRange):
             ResidueForm(z(2), [(szlf(1, 1), 1)], 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexOutOfRange):
             ResidueForm(SparsePolynomial.one(), [(szlf(1, 2), 1)], 1)
 
     def test_rejects_z_free_deferred(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonElimination):
             ResidueForm(SparsePolynomial.one(), [(szlf(1, 1), 1)], 1,
                         deferred=[(LinearForm({("s", 1): Fraction(1)}), 1)])
 
@@ -222,6 +232,34 @@ class TestIteratedResidue:
         lazy = ResidueForm(z(1), [(szlf(1, 1), 1), (szlf(2, 1), 1)], 1,
                            deferred=[(szlf(1, 1), 1)])
         assert iterated_residue(base) == iterated_residue(lazy)
+
+    def test_deferred_forms_match_premultiplied(self):
+        # the pre-multiplied form defers nothing, so its deferred product
+        # is 1 and it stays an independent oracle; every fourth form has a
+        # round with deferred forms but no pole, whose residue is zero
+        rng = random.Random(20261019)
+        nonzero = 0
+        for trial in range(12):
+            k = 2 + trial % 2
+            bare = rng.randint(1, k) if trial % 4 == 3 else 0
+            factors, deferred = [], []
+            for M in range(1, k + 1):
+                deferred.append((random_zform(rng, M), rng.randint(2, 3)))
+                if M != bare:
+                    factors += [(random_zform(rng, M), rng.randint(1, 2))
+                                for _ in range(rng.randint(1, 2))]
+            num = random_q(rng, k, k, terms=4)
+            full = num
+            for form, e in deferred:
+                full = full * SparsePolynomial.from_packed(form.terms) ** e
+            for margin in (0, 2):
+                got = iterated_residue(
+                    ResidueForm(num, factors, k, deferred), margin)
+                assert got == iterated_residue(
+                    ResidueForm(full, factors, k), margin), (trial, margin)
+            nonzero += not got.is_zero()
+            assert not bare or got.is_zero()
+        assert nonzero >= 6
 
     def test_margin_never_changes_results(self):
         rng = random.Random(7)
