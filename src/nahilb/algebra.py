@@ -45,7 +45,8 @@ from math import gcd, lcm
 from operator import or_
 
 from .errors import (DegenerateRestriction, DivisionByZero, ExponentOverflow,
-                     MissingVariable, NotLinear, NotPolynomial)
+                     MissingVariable, NotLinear, NotPolynomial,
+                     SizeGuardExceeded)
 
 NAMESPACES = ("s", "theta", "eta", "z")
 _NS_RANK = {ns: i for i, ns in enumerate(NAMESPACES)}
@@ -385,7 +386,7 @@ class SparsePolynomial:
         # needs no search for its leading term
         if (self.leading()[1] if low < 0 < max(values) else low) < 0:
             content = -content
-        if content == 1:
+        if content == 1 and all(type(c) is int for c in values):
             return _ONE, self
         prim = self.from_packed(
             {m: _num(c / content) for m, c in self.terms.items()})
@@ -734,12 +735,141 @@ class FactoredRational:
     __repr__ = __str__
 
 
+def _field_shifts(packed: int) -> list:
+    """Bit offsets of the nonzero exponent fields of a packed monomial."""
+    out = []
+    sh = 0
+    while packed:
+        if packed & FIELD_MASK:
+            out.append(sh)
+        packed >>= FIELD_BITS
+        sh += FIELD_BITS
+    return out
+
+
+# the largest int _kronecker_sum may build, in bytes
+MAX_KRONECKER_BYTES = 1 << 28
+
+
+def _kronecker_sum(summands, shifts: list) -> dict:
+    """Packed terms of the sum of scalar * poly * prod f**e over the
+    summands (int scalar, packed int terms, ((form, e > 0), ...)), whose
+    forms have their variables' exponent fields at shifts.
+
+    The terms of each degree D in the forms' variables are summed apart,
+    in one int.  The one of these variables of highest degree is set to 1
+    and the k-th other one to X**(r_0 * ... * r_(k-1)), with X = 2**B and
+    r_j - 1 the highest degree of the j-th in any product, so a polynomial
+    in them is an int with a B-bit digit per monomial, and multiplying it
+    by a linear form takes a few shifts and small multiplies.  Each
+    monomial in the remaining variables gets a slot of r_0 * ... digits
+    of its own.  B, a multiple of 8, holds a sign bit and the 1-norm bound
+    sum |scalar| * |poly|_1 * prod |f|_1**e, which bounds every digit of
+    the total; the total is decoded once, through to_bytes with a bias of
+    X/2 on every digit.
+    """
+    outside = ~sum(FIELD_MASK << sh for sh in shifts)
+    index = {1 << sh: k for k, sh in enumerate(shifts)}
+    norms: dict = {}  # form -> 1-norm
+    # D -> [(scalar, [(other monomial, exponents, c)], factors,
+    #        degree of each variable, 1-norm bound)]
+    groups: dict = {}
+    for scalar, terms, factors in summands:
+        lift = [0] * len(shifts)  # degree each variable gains from factors
+        bound = abs(scalar)
+        for form, e in factors:
+            if form not in norms:
+                norms[form] = sum(map(abs, form.terms.values()))
+            bound *= norms[form] ** e
+            for m in form.terms:
+                lift[index[m]] += e
+        lift_deg = sum(e for _, e in factors)
+        parts: dict = {}
+        for m, c in terms.items():
+            es = [(m >> sh) & FIELD_MASK for sh in shifts]
+            parts.setdefault(sum(es) + lift_deg, []).append(
+                (m & outside, es, c))
+        for D, part in parts.items():
+            degrees = [max(col) + x for col, x in
+                       zip(zip(*(es for _, es, _ in part)), lift)]
+            groups.setdefault(D, []).append(
+                (scalar, part, factors, degrees,
+                 bound * sum(abs(c) for *_, c in part)))
+    out: dict = {}
+    for D, group in groups.items():
+        if D > MAX_EXPONENT:
+            raise ExponentOverflow(
+                f"degree {D} exceeds {MAX_EXPONENT}, the packed field limit")
+        width = sum(g[4] for g in group).bit_length() // 8 + 1
+        radix = [min(max(col), D) + 1 for col in zip(*(g[3] for g in group))]
+        drop = radix.index(max(radix)) if radix else None
+        steps = []
+        step = bits = 8 * width
+        for k, r in enumerate(radix):
+            steps.append(0 if k == drop else step)
+            step *= 1 if k == drop else r
+        others = list(dict.fromkeys(o for g in group for o, _, _ in g[1]))
+        slots = {o: step * i for i, o in enumerate(others)}
+        count = step // bits
+        size = count * len(others)
+        if size * width > MAX_KRONECKER_BYTES:
+            raise SizeGuardExceeded(
+                f"a sum of {size} digits of {width} bytes exceeds "
+                f"{MAX_KRONECKER_BYTES} bytes")
+        digit = dict(zip(index, steps))
+        forms: dict = {}  # form -> [(shift, coefficient)], shift 0 first
+        total = 0
+        for scalar, part, factors, _, _ in group:
+            v = 0
+            for other, es, c in part:
+                v += c << (slots[other] + sum(map(int.__mul__, es, steps)))
+            v *= scalar
+            for form, _ in factors:
+                if form not in forms:
+                    forms[form] = sorted((digit[m], c)
+                                         for m, c in form.terms.items())
+            # the forms reaching the outer digits last keep v short longer
+            for form, e in sorted(factors, key=lambda fe: forms[fe[0]][-1]):
+                (sh0, c0), *more = forms[form]
+                for _ in range(e):
+                    acc = v << sh0 if c0 == 1 else (v << sh0) * c0
+                    for sh, c in more:
+                        if c == 1:
+                            acc += v << sh
+                        elif c == -1:
+                            acc -= v << sh
+                        else:
+                            acc += (v << sh) * c
+                    v = acc
+            total += v
+        half = 1 << (bits - 1)
+        zero = half.to_bytes(width, "little")
+        raw = (total + int.from_bytes(zero * size, "little")).to_bytes(
+            size * width, "little")
+        kept = [(sh, r) for k, (sh, r) in enumerate(zip(shifts, radix))
+                if k != drop]
+        last = 0 if drop is None else shifts[drop]
+        for pos in range(size):
+            chunk = raw[pos * width:(pos + 1) * width]
+            if chunk != zero:
+                slot, pos = divmod(pos, count)
+                m = others[slot]
+                rest = D
+                for sh, r in kept:
+                    pos, e = divmod(pos, r)
+                    m += e << sh
+                    rest -= e
+                out[m + (rest << last)] = int.from_bytes(chunk, "little") - half
+    return out
+
+
 def sum_factored(items) -> FactoredRational:
     """Exact sum of factored rationals over a common factored denominator.
 
     The common denominator is the factorwise maximum of the negative
-    exponents; each summand is expanded against it, the numerator
-    polynomials are added, and the result is simplified by trial division.
+    exponents.  Each summand times its complement in it is expanded by
+    _kronecker_sum, with the scalars brought to one denominator, and the
+    result is simplified by trial division.
     """
     items = [r for r in items if not r.is_zero()]
     if not items:
@@ -749,26 +879,23 @@ def sum_factored(items) -> FactoredRational:
         for form, exp in r.factors:
             if exp < 0:
                 needed[form] = max(needed.get(form, 0), -exp)
-    powers: dict = {}
-    total = SparsePolynomial.zero()
+    scale = lcm(*(r.scalar.denominator for r in items))
+    summands = []
+    used = 0
     for r in items:
-        contrib = r.poly * r.scalar
         exps = dict(needed)
         for form, exp in r.factors:
-            if form in exps:
-                exps[form] += exp
-            elif exp > 0:
-                exps[form] = exp
             # exp < 0 with form not in needed cannot happen by construction
-        for fe in exps.items():
-            if fe[1]:
-                power = powers.get(fe)
-                if power is None:
-                    power = powers[fe] = fe[0] ** fe[1]
-                contrib = contrib * power
-        total = total + contrib
+            exps[form] = exps.get(form, 0) + exp
+        factors = tuple((f, e) for f, e in exps.items() if e)
+        for f, _ in factors:
+            used = reduce(or_, f.terms, used)
+        summands.append((r.scalar.numerator * (scale // r.scalar.denominator),
+                         r.poly.terms, factors))
+    total = _kronecker_sum(summands, _field_shifts(used))
     return FactoredRational.build(
-        _ONE, total, tuple((f, -e) for f, e in needed.items())
+        Fraction(1, scale), SparsePolynomial.from_packed(total),
+        tuple((f, -e) for f, e in needed.items())
     ).simplify()
 
 

@@ -22,6 +22,7 @@ from .algebra import (MAX_EXPONENT, FactoredRational, SparsePolynomial,
 from .errors import IndexOutOfRange, NahilbError, ParseError
 from .localization import (
     TautClass,
+    check_layer_symmetry,
     chern_taut,
     contribution,
     cy_restrict,
@@ -282,6 +283,7 @@ def cmd_enumerate(job: JobSpec) -> tuple:
 def cmd_contribution(job: JobSpec) -> tuple:
     d = sum(job.dims)
     P = parse_class_spec(job.class_spec, job.q, d)
+    check_layer_symmetry(P, job.dims)
     chains = enumerate_nested(job.n, job.dims)
     if job.space == "nilfil":
         chains = [c for c in chains if is_nilfil(c)]

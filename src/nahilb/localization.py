@@ -27,9 +27,11 @@ from .errors import (
     ParseError,
     RequiresFullFlag,
     RequiresNilfil,
+    SizeGuardExceeded,
 )
 from .partitions import (
     Enumeration,
+    _shape,
     canonical_enumeration,
     enumerate_nested,
     is_nilfil,
@@ -45,19 +47,24 @@ from .weights import (
     tangent_net_count,
 )
 
+# the most twisting roots theta_i a job may have; the cost of a class in
+# them grows like a power of q (c3 at q = 60 takes 20 s)
+MAX_Q = 16
+
+
 class TautClass:
     """Polynomial integrand in theta_1..theta_q and eta_1..eta_{d-1}.
 
     theta_i are the Chern roots of the twisting representation and eta_j
     is the weight of the j-th chain point (eta_0 = 0 stays implicit).
-    Construction checks symmetry under adjacent transpositions within
-    each block; check=False skips this for integrands carrying extra
-    parameters, such as folded Euler factors in the s-variables.
+    Construction checks symmetry in the theta_i; the symmetry the eta_j
+    need depends on the layers of a job, which check_layer_symmetry
+    checks once per job.
     """
 
     __slots__ = ("poly", "q", "d")
 
-    def __init__(self, poly, q: int, d: int, check: bool = True):
+    def __init__(self, poly, q: int, d: int):
         if isinstance(poly, (int, Fraction)):
             poly = SparsePolynomial.constant(poly)
         self.poly = poly
@@ -65,6 +72,7 @@ class TautClass:
         self.d = int(d)
         if self.q < 0 or self.d < 1:
             raise IndexOutOfRange(f"invalid block sizes q={q}, d={d}")
+        _check_q(self.q)
         for ns, idx in poly.variables():
             if ns == "theta" and not 1 <= idx <= self.q:
                 raise IndexOutOfRange(f"theta_{idx} outside 1..{self.q}")
@@ -72,18 +80,7 @@ class TautClass:
                 raise IndexOutOfRange(f"eta_{idx} outside 1..{self.d - 1}")
             if ns == "z":
                 raise IndexOutOfRange("z-variables are residue-internal")
-        if check:
-            self._check_blocks()
-
-    def _check_blocks(self):
-        for ns, size in (("theta", self.q), ("eta", self.d - 1)):
-            for i in range(1, size):
-                a, b = (ns, i), (ns, i + 1)
-                swap = {a: SparsePolynomial.variable(b),
-                        b: SparsePolynomial.variable(a)}
-                if self.poly.substitute(swap) != self.poly:
-                    raise NotBisymmetric(
-                        f"not symmetric under {ns}_{i} <-> {ns}_{i + 1}")
+        _check_swaps(poly, "theta", range(1, self.q))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TautClass) and self.poly == other.poly
@@ -93,6 +90,36 @@ class TautClass:
 
     def __repr__(self) -> str:
         return f"TautClass({self.poly}, q={self.q}, d={self.d})"
+
+
+def _check_q(q: int) -> None:
+    """Refuse more twisting roots than MAX_Q before anything is built."""
+    if q > MAX_Q:
+        raise SizeGuardExceeded(f"q = {q} exceeds the cap {MAX_Q}")
+
+
+def _check_swaps(poly: SparsePolynomial, ns: str, indices) -> None:
+    """Refuse poly unless it is symmetric under ns_i <-> ns_{i+1} for each
+    i of indices."""
+    for i in indices:
+        a, b = (ns, i), (ns, i + 1)
+        swap = {a: SparsePolynomial.variable(b),
+                b: SparsePolynomial.variable(a)}
+        if poly.substitute(swap) != poly:
+            raise NotBisymmetric(f"not symmetric under {ns}_{i} <-> {ns}_{i + 1}")
+
+
+def check_layer_symmetry(P: TautClass, dims) -> None:
+    """Refuse P unless it is symmetric in the eta_j of each layer of dims.
+
+    The j-th chain point has weight eta_j, and the enumerations of a
+    chain reorder points only within a layer.  Position 0 is always the
+    origin, since every other point needs a predecessor placed before it,
+    so eta_0 = 0 takes no part."""
+    start = 0
+    for size in dims:
+        _check_swaps(P.poly, "eta", range(max(start, 1), start + size - 1))
+        start += size
 
 
 class IntegralResult:
@@ -119,6 +146,7 @@ def chern_taut(k: int, q: int, d: int, dual: bool = False) -> TautClass:
     For q = 0 the roots degenerate to the d values -eta_j, or eta_j when
     dual is set.
     """
+    _check_q(q)
     limit = d if q == 0 else q * d
     if not 0 <= k <= limit:
         raise IndexOutOfRange(f"no c_{k} with q={q}, d={d}")
@@ -227,7 +255,8 @@ def integrate_localization(n: int, dims, space: str,
                            P: TautClass) -> IntegralResult:
     """Equivariant virtual integral of P as a sum over fixed chains."""
     select, tangent_of, _ = _space(space)
-    dims = tuple(int(x) for x in dims)
+    dims = _shape(n, dims)
+    check_layer_symmetry(P, dims)
     vdim = _net_rank(n, dims, space)
     value = fixed_point_sum(n, dims, P, select, tangent_of, vdim=vdim)
     _check_degree(value, P, vdim)
@@ -253,7 +282,8 @@ def reduce_full_flag(n: int, r: int, P: TautClass) -> IntegralResult:
     """
     if r < 0:
         raise RequiresFullFlag(f"need r >= 0, got {r}")
-    dims = (1,) * (r + 1)
+    dims = _shape(n, (1,) * (r + 1))
+    check_layer_symmetry(P, dims)
     vdim = _net_rank(n, dims, "nhilb")
     value = fixed_point_sum(n, dims, P, is_nilfil, tangent_class_punctual,
                             epunct_class)

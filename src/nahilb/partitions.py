@@ -26,6 +26,9 @@ from .errors import (
 DEFAULT_MAX_POINTS = 12
 HARD_MAX_POINTS = 14
 MAX_ENUMERATION_POINTS = 8
+# the largest ambient dimension n: the cost of even a one-point job grows
+# like n^3, and its memory with it
+MAX_N = 64
 
 # the point budget of the running job, for instance set by the command line
 # from --max-points; it lasts until the setter resets it
@@ -65,10 +68,12 @@ def _predecessors(p: tuple) -> frozenset:
 
 
 def _shape(n: int, dims) -> tuple:
-    """dims as an int tuple, refusing a nonpositive n and bad dims."""
+    """dims as an int tuple, refusing an n outside 1..MAX_N and bad dims."""
     dims = tuple(int(d) for d in dims)
     if n < 1:
         raise IndexOutOfRange(f"ambient dimension must be positive, got {n}")
+    if n > MAX_N:
+        raise SizeGuardExceeded(f"ambient dimension {n} exceeds the cap {MAX_N}")
     if not dims or any(d < 0 for d in dims):
         raise IndexOutOfRange(f"bad dims {dims}")
     return dims

@@ -42,6 +42,7 @@ from .localization import (
     _check_degree,
     _net_rank,
     _restrict_etas,
+    check_layer_symmetry,
     fixed_point_sum,
     passes_gate,
 )
@@ -229,6 +230,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
     """
     dims = require_pointed(_shape(n, dims))
     check_point_budget(dims)
+    check_layer_symmetry(P, dims)
     w = point_levels(dims)
     num = _restrict_etas(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]

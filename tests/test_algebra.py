@@ -27,6 +27,7 @@ from nahilb.errors import (
     ExponentOverflow,
     MissingVariable,
     NotLinear,
+    SizeGuardExceeded,
 )
 
 
@@ -277,6 +278,17 @@ class TestCanonicalForms:
         assert content == Fraction(-2, 3)
         assert prim == s(1) + 2 * s(2)
         assert all(isinstance(c, int) for c in prim.terms.values())
+
+    @pytest.mark.parametrize("coeffs", [(Fraction(2, 1), Fraction(3, 1)),
+                                        (Fraction(2, 1),)])
+    def test_build_holds_plain_ints(self, coeffs):
+        # an integral Fraction, as a product of scalars leaves it
+        monomials = [next(iter(p.terms)) for p in (s(1) * s(2), s(2) * s(2))]
+        poly = SparsePolynomial.from_packed(dict(zip(monomials, coeffs)))
+        r = FactoredRational.build(1, poly, [(lf(s1=1), -1)])
+        assert all(type(c) is int for c in r.poly.terms.values())
+        assert all(type(c) is int
+                   for c in poly.extract_content()[1].terms.values())
 
     def test_build_merges_and_sorts_factors(self):
         r = FactoredRational.build(
@@ -545,3 +557,92 @@ def test_constructor_refuses_exponent_past_the_field():
     x = SparsePolynomial.variable(("z", 1))
     with pytest.raises(ExponentOverflow):
         x ** (MAX_EXPONENT + 1)
+
+
+# ---------------------------------------------------------------------------
+# sum_factored against a reference that expands with polynomial products
+
+def _expanded_sum(terms) -> FactoredRational:
+    """The sum over the common denominator, each summand times its
+    complement multiplied out with SparsePolynomial products."""
+    terms = [t for t in terms if not t.is_zero()]
+    needed: dict = {}
+    for t in terms:
+        for form, e in t.factors:
+            if e < 0:
+                needed[form] = max(needed.get(form, 0), -e)
+    total = SparsePolynomial.zero()
+    for t in terms:
+        exps = dict(needed)
+        for form, e in t.factors:
+            exps[form] = exps.get(form, 0) + e
+        p = t.poly * t.scalar
+        for form, e in exps.items():
+            p = p * form ** e
+        total = total + p
+    return FactoredRational.build(
+        1, total, [(f, -e) for f, e in needed.items()]).simplify()
+
+
+_VAR_SETS = [
+    [("s", 1)],
+    [("s", 1), ("s", 2), ("s", 3)],
+    [("s", 1), ("s", 2), ("theta", 1)],
+    [("s", 2), ("theta", 1), ("theta", 2), ("eta", 1)],
+]
+
+
+@st.composite
+def _summand_lists(draw):
+    vs = draw(st.sampled_from(_VAR_SETS))
+    mono = st.lists(st.tuples(st.sampled_from(vs), st.integers(1, 3)),
+                    max_size=3).map(tuple)
+    poly = st.dictionaries(mono, st.integers(-9, 9), max_size=4).map(
+        SparsePolynomial)
+    form = st.dictionaries(st.sampled_from(vs), st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=3).map(LinearForm)
+    scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    term = st.builds(FactoredRational.build, scalar, poly,
+                     st.lists(st.tuples(form, st.integers(-3, 2)), max_size=3))
+    terms = draw(st.lists(term, max_size=5))
+    if terms and draw(st.booleans()):
+        terms.append(-draw(st.sampled_from(terms)))
+    return terms
+
+
+@given(_summand_lists())
+@settings(max_examples=300, deadline=None)
+def test_sum_factored_matches_expanded_sum(terms):
+    assert sum_factored(terms) == _expanded_sum(terms)
+
+
+def test_sum_factored_homogeneous_parts():
+    # 1 + s1 over s1 - s2 and over s2: two degrees, summed apart
+    terms = [FactoredRational.build(Fraction(1, 2), 1 + s(1),
+                                    [(lf(s1=1, s2=-1), -1)]),
+             FactoredRational.build(3, 1 + s(1) * s(1), [(lf(s2=1), -2)])]
+    assert sum_factored(terms) == _expanded_sum(terms)
+
+
+def test_sum_factored_digit_width_is_tight():
+    # all coefficients positive and every form one variable, so the one
+    # coefficient of the total, 2**15 - 1, is the 1-norm bound itself; it
+    # needs 15 bits and a sign bit, and a byte less would misdecode it
+    a = FactoredRational.build(20000, s(1) * s(1) * s(2), [(lf(s1=1), -1)])
+    b = FactoredRational.build(12767, s(1) * s(2) * s(2), [(lf(s2=1), -1)])
+    assert sum_factored([a, b]) \
+        == FactoredRational.build(2 ** 15 - 1, s(1) * s(2))
+    assert sum_factored([-a, -b]) \
+        == FactoredRational.build(1 - 2 ** 15, s(1) * s(2))
+
+
+def test_sum_factored_refuses_a_packed_int_past_the_cap():
+    # the sum over the twelve fixed points of projective 11-space would
+    # pack its numerator into 11**11 digits
+    n = 12
+    terms = [FactoredRational.build(
+        1, SparsePolynomial.one(),
+        [(LinearForm({sv(j): 1, sv(i): -1}), -1)
+         for j in range(1, n + 1) if j != i]) for i in range(1, n + 1)]
+    with pytest.raises(SizeGuardExceeded, match="exceeds 268435456 bytes"):
+        sum_factored(terms)

@@ -60,8 +60,13 @@ class TestClassSpecParser:
             parse_class_spec("eta0", 0, 3)
 
     def test_symmetry_still_enforced(self):
-        with pytest.raises(NotBisymmetric):
-            parse_class_spec("eta1", 0, 3)
+        # the parser knows no layers; eta_1 and eta_2 share one of (1, 2)
+        P = parse_class_spec("eta1", 0, 3)
+        for command in ("integrate", "contribution", "compare"):
+            with pytest.raises(NotBisymmetric):
+                run(JobSpec(command, n=2, dims=(1, 2), space="nilfil",
+                            class_spec="eta1"))
+        assert P.poly == eta(1)
 
     def test_bad_character(self):
         with pytest.raises(ParseError):
@@ -420,6 +425,27 @@ class TestMain:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["integrate", "-n", "2", "--dims", "1,2", "--class", "eta1"],
+         "error: not symmetric under eta_1 <-> eta_2\n"),
+        (["integrate", "-n", "99999", "--dims", "1", "--class", "1",
+          "--max-points", "1"],
+         "error: ambient dimension 99999 exceeds the cap 64\n"),
+        (["integrate", "-n", "1", "--dims", "1", "--q", "60", "--class", "c3"],
+         "error: q = 60 exceeds the cap 16\n"),
+    ])
+    def test_refused_jobs_exit_1(self, capsys, argv, message):
+        assert run_main(capsys, argv) == (1, "", message)
+
+    def test_symmetry_per_layer(self, capsys):
+        # eta_2 is alone in its layer of (1, 1, 1)
+        for method in ("localization", "residue"):
+            code, out, _ = run_main(capsys, [
+                "integrate", "-n", "2", "--dims", "1,1,1", "--space",
+                "nilfil", "--method", method, "--class", "eta2"])
+            assert code == 0
+            assert json.loads(out)["display"] == "(6)*(s1 + s2)"
+
     def test_max_points_does_not_outlive_its_call(self, capsys):
         env = dict(os.environ)
         code, _, err = run_main(capsys, [
@@ -525,6 +551,19 @@ GOLDEN = [
          "--cy", "--expand"],
         "0af2eda804f08ebab971d79b68590438360f8f8a826648e1e2c91aed6326814a",
         id="integrate-cy-expand"),
+    # recorded before sum_factored expanded its summands as packed ints
+    pytest.param(
+        ["integrate", "-n", "3", "--dims", "1,2,1", "--class", "c1"],
+        "20ccfd050ff640bc03cb065679c6705938d76b1824905cb607163d5807fd6558",
+        id="integrate-n3"),
+    pytest.param(
+        ["integrate", "-n", "2", "--dims", "2,1", "--class", "1+c1"],
+        "d94a8aeff587236862dea42f69fc6aea8b16d196ac39a56fc330b6c10c7ab305",
+        id="integrate-inhomogeneous"),
+    pytest.param(
+        ["compare", "-n", "3", "--dims", "1,1,2", "--class", "c1^3"],
+        "12daa4e78fae664d749ded77e6f95598992592957422b90d6f5afc35631381b9",
+        id="compare-n3"),
 ]
 
 

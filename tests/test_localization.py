@@ -33,8 +33,10 @@ from nahilb.errors import (
     SizeGuardExceeded,
 )
 from nahilb.localization import (
+    MAX_Q,
     IntegralResult,
     TautClass,
+    check_layer_symmetry,
     chern_taut,
     contribution,
     cy_restrict,
@@ -47,12 +49,15 @@ from nahilb.localization import (
     virtual_dimension,
 )
 from nahilb.partitions import (
+    MAX_N,
     NestedPartition,
+    all_enumerations,
     canonical_enumeration,
     enumerate_nested,
     is_admissible,
     is_nilfil,
 )
+from nahilb.residues import integrate_residue_nilfil
 from nahilb.weights import (
     epunct_class,
     euler_class,
@@ -102,18 +107,15 @@ class TestTautClass:
         TautClass(eta(1) ** 3, 0, 2)
 
     def test_rejects_asymmetric_eta(self):
+        # eta_1 and eta_2 lie in one layer of (3,) and of (1, 2)
         with pytest.raises(NotBisymmetric):
-            TautClass(eta(1), 0, 3)
+            check_layer_symmetry(TautClass(eta(1), 0, 3), (1, 2))
         with pytest.raises(NotBisymmetric):
-            TautClass(eta(1) * eta(2) ** 2, 0, 3)
+            check_layer_symmetry(TautClass(eta(1) * eta(2) ** 2, 0, 3), (3,))
 
     def test_rejects_asymmetric_theta(self):
         with pytest.raises(NotBisymmetric):
             TautClass(theta(1), 2, 1)
-
-    def test_check_escape_hatch(self):
-        P = TautClass(eta(2), 0, 3, check=False)
-        assert P.poly == eta(2)
 
     def test_index_bounds(self):
         with pytest.raises(IndexOutOfRange):
@@ -125,6 +127,74 @@ class TestTautClass:
 
     def test_constants_promoted(self):
         assert TautClass(5, 0, 1).poly == SparsePolynomial.constant(5)
+
+
+class TestLayerSymmetry:
+    """An integrand needs symmetry only among the eta_j of each layer,
+    position 0, the origin, excluded."""
+
+    # symmetric under eta_2 <-> eta_3 and under no other swap
+    P = TautClass(eta(1) * (eta(2) + eta(3)), 0, 4)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 1, 2), (2, 2),
+                                      (2, 1, 1)])
+    def test_accepted_where_the_layers_allow(self, dims):
+        check_layer_symmetry(self.P, dims)
+
+    @pytest.mark.parametrize("dims", [(1, 3), (4,), (1, 2, 1)])
+    def test_refused_within_a_layer(self, dims):
+        with pytest.raises(NotBisymmetric):
+            check_layer_symmetry(self.P, dims)
+
+    @pytest.mark.parametrize("n,dims", [(2, (1, 1, 2)), (2, (2, 2)),
+                                        (3, (1, 1, 2))])
+    def test_every_enumeration_gives_one_value(self, n, dims):
+        reordered = 0
+        for np_ in enumerate_nested(n, dims):
+            orders = all_enumerations(np_)
+            reordered += len(orders) > 1
+            first = contribution(orders[0], "nhilb", self.P)
+            for e in orders[1:]:
+                assert rational_equal(contribution(e, "nhilb", self.P), first)
+        assert reordered
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_both_methods_agree(self, n):
+        loc = integrate_localization(n, (1, 1, 2), "nilfil", self.P)
+        res = integrate_residue_nilfil(n, (1, 1, 2), self.P)
+        assert not loc.value.is_zero()
+        assert rational_equal(loc.value, res.value)
+
+    def test_jobs_check_once(self):
+        for job in (lambda: integrate_localization(2, (1, 3), "nhilb", self.P),
+                    lambda: integrate_residue_nilfil(2, (1, 3), self.P)):
+            with pytest.raises(NotBisymmetric):
+                job()
+
+
+class TestSizeCaps:
+    """n and q past their caps are refused before anything is built."""
+
+    def test_n_past_the_cap(self):
+        n = MAX_N + 1
+        for job in (lambda: enumerate_nested(n, (1,)),
+                    lambda: integrate_localization(n, (1,), "nhilb",
+                                                   TautClass(1, 0, 1)),
+                    lambda: integrate_residue_nilfil(n, (1, 1),
+                                                     TautClass(1, 0, 2)),
+                    lambda: reduce_full_flag(n, 1, TautClass(1, 0, 2))):
+            with pytest.raises(SizeGuardExceeded, match=f"cap {MAX_N}$"):
+                job()
+
+    def test_q_past_the_cap(self):
+        with pytest.raises(SizeGuardExceeded, match=f"cap {MAX_Q}$"):
+            chern_taut(3, MAX_Q + 1, 1)
+        with pytest.raises(SizeGuardExceeded, match=f"cap {MAX_Q}$"):
+            TautClass(1, MAX_Q + 1, 1)
+
+    def test_caps_admit_their_value(self):
+        assert len(enumerate_nested(MAX_N, (1,))) == 1
+        assert chern_taut(0, MAX_Q, 1).q == MAX_Q
 
 
 class TestChernTaut:
@@ -330,7 +400,7 @@ class TestReduceFullFlag:
         assert rational_equal(red.value, amb.value)
 
     def test_matches_with_nontrivial_integrand(self):
-        P = TautClass(eta(2), 0, 3, check=False)
+        P = TautClass(eta(2), 0, 3)
         red = reduce_full_flag(2, 2, P)
         amb = integrate_localization(2, (1, 1, 1), "nhilb", P)
         assert rational_equal(red.value, amb.value)

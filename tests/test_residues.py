@@ -415,7 +415,7 @@ class TestIntegrateResidue:
             point_budget.reset(token)
 
     def test_rejects_eta_beyond_the_chain(self):
-        P = TautClass(eta(4), 0, 5, check=False)
+        P = TautClass(eta(4), 0, 5)
         with pytest.raises(IndexOutOfRange):
             integrate_residue_nilfil(3, (1, 1, 1), P)
 
@@ -523,6 +523,6 @@ class TestResidueTerms:
             residue_term(fat, TautClass(1, 0, 3))
 
     def test_rejects_eta_beyond_the_chain(self):
-        P = TautClass(eta(4), 0, 5, check=False)
+        P = TautClass(eta(4), 0, 5)
         with pytest.raises(IndexOutOfRange):
             residue_term(porteous(3, (1, 1, 1)), P)
