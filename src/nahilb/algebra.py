@@ -751,64 +751,67 @@ def _field_shifts(packed: int) -> list:
 MAX_KRONECKER_BYTES = 1 << 28
 
 
-def _kronecker_sum(summands, shifts: list) -> dict:
-    """Packed terms of the sum of scalar * poly * prod f**e over the
-    summands (int scalar, packed int terms, ((form, e > 0), ...)), whose
-    forms have their variables' exponent fields at shifts.
+def _kronecker_sum(summands, forms: list, shifts: list) -> dict:
+    """Packed terms of the sum of scalar * poly * prod forms[k]**e over
+    the summands (int scalar, packed int terms, ((k, e > 0), ...)), where
+    the forms have their variables' exponent fields at shifts.
 
     The terms of each degree D in the forms' variables are summed apart,
     in one int.  The one of these variables of highest degree is set to 1
     and the k-th other one to X**(r_0 * ... * r_(k-1)), with X = 2**B and
-    r_j - 1 the highest degree of the j-th in any product, so a polynomial
-    in them is an int with a B-bit digit per monomial, and multiplying it
-    by a linear form takes a few shifts and small multiplies.  Each
-    monomial in the remaining variables gets a slot of r_0 * ... digits
-    of its own.  B, a multiple of 8, holds a sign bit and the 1-norm bound
-    sum |scalar| * |poly|_1 * prod |f|_1**e, which bounds every digit of
-    the total; the total is decoded once, through to_bytes with a bias of
-    X/2 on every digit.
+    r_j - 1 a bound on the degree of the j-th in every product, so a
+    polynomial in them is an int with a B-bit digit per monomial, and
+    multiplying it by a linear form takes a few shifts and small
+    multiplies.  Each monomial in the remaining variables gets a slot of
+    r_0 * ... digits of its own.  B, a multiple of 8, holds a sign bit and
+    the 1-norm bound sum |scalar| * |poly|_1 * prod |f|_1**e, which bounds
+    every digit of the total; the total is decoded once, through to_bytes
+    with a bias of X/2 on every digit.
     """
     outside = ~sum(FIELD_MASK << sh for sh in shifts)
-    index = {1 << sh: k for k, sh in enumerate(shifts)}
-    norms: dict = {}  # form -> 1-norm
+    norms = [sum(map(abs, f.terms.values())) for f in forms]
+    marks = [reduce(or_, f.terms) for f in forms]  # a 1 per variable
     # D -> [(scalar, [(other monomial, exponents, c)], factors,
-    #        degree of each variable, 1-norm bound)]
+    #        packed degrees the factors add, degree of the part, bound)]
     groups: dict = {}
     for scalar, terms, factors in summands:
-        lift = [0] * len(shifts)  # degree each variable gains from factors
         bound = abs(scalar)
-        for form, e in factors:
-            if form not in norms:
-                norms[form] = sum(map(abs, form.terms.values()))
-            bound *= norms[form] ** e
-            for m in form.terms:
-                lift[index[m]] += e
-        lift_deg = sum(e for _, e in factors)
+        lift = raised = 0
+        for k, e in factors:
+            bound *= norms[k] ** e
+            lift += e
+            raised += e * marks[k]
         parts: dict = {}
         for m, c in terms.items():
             es = [(m >> sh) & FIELD_MASK for sh in shifts]
-            parts.setdefault(sum(es) + lift_deg, []).append(
-                (m & outside, es, c))
+            D = sum(es) + lift
+            if D in parts:
+                parts[D].append((m & outside, es, c))
+            else:
+                parts[D] = [(m & outside, es, c)]
         for D, part in parts.items():
-            degrees = [max(col) + x for col, x in
-                       zip(zip(*(es for _, es, _ in part)), lift)]
-            groups.setdefault(D, []).append(
-                (scalar, part, factors, degrees,
-                 bound * sum(abs(c) for *_, c in part)))
+            entry = (scalar, part, factors, raised, D - lift,
+                     bound * sum(abs(t[2]) for t in part))
+            if D in groups:
+                groups[D].append(entry)
+            else:
+                groups[D] = [entry]
     out: dict = {}
     for D, group in groups.items():
         if D > MAX_EXPONENT:
             raise ExponentOverflow(
                 f"degree {D} exceeds {MAX_EXPONENT}, the packed field limit")
-        width = sum(g[4] for g in group).bit_length() // 8 + 1
-        radix = [min(max(col), D) + 1 for col in zip(*(g[3] for g in group))]
+        width = sum(g[5] for g in group).bit_length() // 8 + 1
+        # a variable's degree is at most the part's plus what factors add
+        radix = [min(D, max(((g[3] >> sh) & FIELD_MASK) + g[4]
+                            for g in group)) + 1 for sh in shifts]
         drop = radix.index(max(radix)) if radix else None
         steps = []
         step = bits = 8 * width
         for k, r in enumerate(radix):
             steps.append(0 if k == drop else step)
             step *= 1 if k == drop else r
-        others = list(dict.fromkeys(o for g in group for o, _, _ in g[1]))
+        others = list(dict.fromkeys(t[0] for g in group for t in g[1]))
         slots = {o: step * i for i, o in enumerate(others)}
         count = step // bits
         size = count * len(others)
@@ -816,21 +819,21 @@ def _kronecker_sum(summands, shifts: list) -> dict:
             raise SizeGuardExceeded(
                 f"a sum of {size} digits of {width} bytes exceeds "
                 f"{MAX_KRONECKER_BYTES} bytes")
-        digit = dict(zip(index, steps))
-        forms: dict = {}  # form -> [(shift, coefficient)], shift 0 first
+        digit = dict(zip((1 << sh for sh in shifts), steps))
+        # each form's (shift, coefficient) terms, shift 0 first
+        fterms = [sorted(zip(map(digit.__getitem__, f.terms), f.terms.values()))
+                  for f in forms]
         total = 0
-        for scalar, part, factors, _, _ in group:
+        for scalar, part, factors, *_ in group:
             v = 0
             for other, es, c in part:
                 v += c << (slots[other] + sum(map(int.__mul__, es, steps)))
             v *= scalar
-            for form, _ in factors:
-                if form not in forms:
-                    forms[form] = sorted((digit[m], c)
-                                         for m, c in form.terms.items())
-            # the forms reaching the outer digits last keep v short longer
-            for form, e in sorted(factors, key=lambda fe: forms[fe[0]][-1]):
-                (sh0, c0), *more = forms[form]
+            if len(factors) > 1:
+                # the forms reaching the outer digits last keep v short
+                factors = sorted(factors, key=lambda ke: fterms[ke[0]][-1])
+            for k, e in factors:
+                (sh0, c0), *more = fterms[k]
                 for _ in range(e):
                     acc = v << sh0 if c0 == 1 else (v << sh0) * c0
                     for sh, c in more:
@@ -880,19 +883,27 @@ def sum_factored(items) -> FactoredRational:
             if exp < 0:
                 needed[form] = max(needed.get(form, 0), -exp)
     scale = lcm(*(r.scalar.denominator for r in items))
+    place: dict = {}  # form -> its index in forms
+    forms: list = []  # the forms some summand is multiplied by
     summands = []
-    used = 0
     for r in items:
         exps = dict(needed)
         for form, exp in r.factors:
             # exp < 0 with form not in needed cannot happen by construction
             exps[form] = exps.get(form, 0) + exp
-        factors = tuple((f, e) for f, e in exps.items() if e)
-        for f, _ in factors:
-            used = reduce(or_, f.terms, used)
+        factors = []
+        for form, e in exps.items():
+            if e:
+                k = place.setdefault(form, len(forms))
+                if k == len(forms):
+                    forms.append(form)
+                factors.append((k, e))
         summands.append((r.scalar.numerator * (scale // r.scalar.denominator),
                          r.poly.terms, factors))
-    total = _kronecker_sum(summands, _field_shifts(used))
+    used = 0
+    for f in forms:
+        used = reduce(or_, f.terms, used)
+    total = _kronecker_sum(summands, forms, _field_shifts(used))
     return FactoredRational.build(
         Fraction(1, scale), SparsePolynomial.from_packed(total),
         tuple((f, -e) for f, e in needed.items())

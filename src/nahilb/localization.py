@@ -47,8 +47,8 @@ from .weights import (
     tangent_net_count,
 )
 
-# the most twisting roots theta_i a job may have; the cost of a class in
-# them grows like a power of q (c3 at q = 60 takes 20 s)
+# the most twisting roots theta_i a job may have: the terms of a Chern
+# class in them grow like a power of q
 MAX_Q = 16
 
 
@@ -243,7 +243,8 @@ def _net_rank(n: int, dims, space: str) -> int:
 
 
 def contribution(e: Enumeration, space: str, P: TautClass) -> FactoredRational:
-    """Localization contribution of a single fixed chain."""
+    """Localization contribution of a single fixed chain.  It does not
+    check P's layer symmetry; a job over many chains does that once."""
     select, tangent_of, _ = _space(space)
     if select is not None and not select(e.nested()):
         raise RequiresNilfil(f"{e.nested()} has a non-nilpotent step")

@@ -624,16 +624,18 @@ def test_sum_factored_homogeneous_parts():
     assert sum_factored(terms) == _expanded_sum(terms)
 
 
-def test_sum_factored_digit_width_is_tight():
+@pytest.mark.parametrize("a, b", [(20000, 12767), (40000, 25535)])
+def test_sum_factored_digit_width_is_tight(a, b):
     # all coefficients positive and every form one variable, so the one
-    # coefficient of the total, 2**15 - 1, is the 1-norm bound itself; it
-    # needs 15 bits and a sign bit, and a byte less would misdecode it
-    a = FactoredRational.build(20000, s(1) * s(1) * s(2), [(lf(s1=1), -1)])
-    b = FactoredRational.build(12767, s(1) * s(2) * s(2), [(lf(s2=1), -1)])
-    assert sum_factored([a, b]) \
-        == FactoredRational.build(2 ** 15 - 1, s(1) * s(2))
-    assert sum_factored([-a, -b]) \
-        == FactoredRational.build(1 - 2 ** 15, s(1) * s(2))
+    # coefficient of the total, a + b = 2**k - 1, is the 1-norm bound
+    # itself.  It needs k bits and a sign bit: two bytes for k = 15 and
+    # three for k = 16, where k bits alone would fit in two.  A byte less
+    # misdecodes it.
+    x = FactoredRational.build(a, s(1) * s(1) * s(2), [(lf(s1=1), -1)])
+    y = FactoredRational.build(b, s(1) * s(2) * s(2), [(lf(s2=1), -1)])
+    assert sum_factored([x, y]) == FactoredRational.build(a + b, s(1) * s(2))
+    assert sum_factored([-x, -y]) \
+        == FactoredRational.build(-a - b, s(1) * s(2))
 
 
 def test_sum_factored_refuses_a_packed_int_past_the_cap():
