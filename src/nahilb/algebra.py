@@ -817,8 +817,8 @@ def _kronecker_sum(summands, forms: list, shifts: list) -> dict:
         size = count * len(others)
         if size * width > MAX_KRONECKER_BYTES:
             raise SizeGuardExceeded(
-                f"a sum of {size} digits of {width} bytes exceeds "
-                f"{MAX_KRONECKER_BYTES} bytes")
+                f"the packed sum needs 2**{(size * width).bit_length() - 1}"
+                f" bytes or more, past the cap of {MAX_KRONECKER_BYTES}")
         digit = dict(zip((1 << sh for sh in shifts), steps))
         # each form's (shift, coefficient) terms, shift 0 first
         fterms = [sorted(zip(map(digit.__getitem__, f.terms), f.terms.values()))
