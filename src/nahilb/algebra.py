@@ -756,113 +756,116 @@ def _kronecker_sum(summands, forms: list, shifts: list) -> dict:
     the summands (int scalar, packed int terms, ((k, e > 0), ...)), where
     the forms have their variables' exponent fields at shifts.
 
-    The terms of each degree D in the forms' variables are summed apart,
-    in one int.  The one of these variables of highest degree is set to 1
-    and the k-th other one to X**(r_0 * ... * r_(k-1)), with X = 2**B and
-    r_j - 1 a bound on the degree of the j-th in every product, so a
-    polynomial in them is an int with a B-bit digit per monomial, and
-    multiplying it by a linear form takes a few shifts and small
-    multiplies.  Each monomial in the remaining variables gets a slot of
-    r_0 * ... digits of its own.  B, a multiple of 8, holds a sign bit and
-    the 1-norm bound sum |scalar| * |poly|_1 * prod |f|_1**e, which bounds
-    every digit of the total; the total is decoded once, through to_bytes
-    with a bias of X/2 on every digit.
+    The sum is one int.  Of the forms' variables the one of highest
+    degree is set to 1 and the k-th other one to X**(r_0 * ... *
+    r_(k-1)), with X = 2**B and r_j - 1 a bound on the degree of the j-th
+    in every product.  A polynomial in them is then an int with a B-bit
+    digit per monomial, and multiplying it by a linear form takes a few
+    shifts and small multiplies.  The terms of one monomial in the other
+    variables and one degree D in the forms' variables own a slot of
+    r_0 * ... digits, and D gives back the exponent set to 1.  B, a
+    multiple of 8, holds a sign bit and the 1-norm bound sum |scalar| *
+    |poly|_1 * prod |f|_1**e, which bounds every digit of the total; the
+    total is decoded once, through to_bytes with a bias of X/2 on every
+    digit.
     """
+    out: dict = {}
+    if not forms:
+        # nothing to multiply: the polynomials add as they are
+        for scalar, terms, _ in summands:
+            for m, c in terms.items():
+                out[m] = out.get(m, 0) + scalar * c
+        return {m: c for m, c in out.items() if c}
     outside = ~sum(FIELD_MASK << sh for sh in shifts)
     norms = [sum(map(abs, f.terms.values())) for f in forms]
-    marks = [reduce(or_, f.terms) for f in forms]  # a 1 per variable
-    # D -> [(scalar, [(other monomial, exponents, c)], factors,
-    #        packed degrees the factors add, degree of the part, bound)]
-    groups: dict = {}
+    # each form's variables as one packed monomial, exponent 1 each
+    marks = [reduce(or_, f.terms) for f in forms]
+    slots: dict = {}  # (monomial in the other variables, D) -> slot
+    parts = []  # (scalar, [(slot, exponents, c)], factors) per summand
+    bound = 0
+    reach = [0] * len(shifts)  # the most degree of each variable
     for scalar, terms, factors in summands:
-        bound = abs(scalar)
+        norm = abs(scalar)
         lift = raised = 0
         for k, e in factors:
-            bound *= norms[k] ** e
+            norm *= norms[k] ** e
             lift += e
             raised += e * marks[k]
-        parts: dict = {}
+        part = []
+        top = 0
         for m, c in terms.items():
             es = [(m >> sh) & FIELD_MASK for sh in shifts]
-            D = sum(es) + lift
-            if D in parts:
-                parts[D].append((m & outside, es, c))
-            else:
-                parts[D] = [(m & outside, es, c)]
-        for D, part in parts.items():
-            entry = (scalar, part, factors, raised, D - lift,
-                     bound * sum(abs(t[2]) for t in part))
-            if D in groups:
-                groups[D].append(entry)
-            else:
-                groups[D] = [entry]
-    out: dict = {}
-    for D, group in groups.items():
-        if D > MAX_EXPONENT:
-            raise ExponentOverflow(
-                f"degree {D} exceeds {MAX_EXPONENT}, the packed field limit")
-        width = sum(g[5] for g in group).bit_length() // 8 + 1
+            p = sum(es)
+            top = max(top, p)
+            key = (m & outside, p + lift)
+            part.append((slots.setdefault(key, len(slots)), es, c))
+        parts.append((scalar, part, factors))
+        bound += norm * sum(map(abs, terms.values()))
         # a variable's degree is at most the part's plus what factors add
-        radix = [min(D, max(((g[3] >> sh) & FIELD_MASK) + g[4]
-                            for g in group)) + 1 for sh in shifts]
-        drop = radix.index(max(radix)) if radix else None
-        steps = []
-        step = bits = 8 * width
-        for k, r in enumerate(radix):
-            steps.append(0 if k == drop else step)
-            step *= 1 if k == drop else r
-        others = list(dict.fromkeys(t[0] for g in group for t in g[1]))
-        slots = {o: step * i for i, o in enumerate(others)}
-        count = step // bits
-        size = count * len(others)
-        if size * width > MAX_KRONECKER_BYTES:
-            raise SizeGuardExceeded(
-                f"the packed sum needs 2**{(size * width).bit_length() - 1}"
-                f" bytes or more, past the cap of {MAX_KRONECKER_BYTES}")
-        digit = dict(zip((1 << sh for sh in shifts), steps))
-        # each form's (shift, coefficient) terms, shift 0 first
-        fterms = [sorted(zip(map(digit.__getitem__, f.terms), f.terms.values()))
-                  for f in forms]
-        total = 0
-        for scalar, part, factors, *_ in group:
-            v = 0
-            for other, es, c in part:
-                v += c << (slots[other] + sum(map(int.__mul__, es, steps)))
-            v *= scalar
-            if len(factors) > 1:
-                # the forms reaching the outer digits last keep v short
-                factors = sorted(factors, key=lambda ke: fterms[ke[0]][-1])
-            for k, e in factors:
-                (sh0, c0), *more = fterms[k]
-                for _ in range(e):
-                    acc = v << sh0 if c0 == 1 else (v << sh0) * c0
-                    for sh, c in more:
-                        if c == 1:
-                            acc += v << sh
-                        elif c == -1:
-                            acc -= v << sh
-                        else:
-                            acc += (v << sh) * c
-                    v = acc
-            total += v
-        half = 1 << (bits - 1)
-        zero = half.to_bytes(width, "little")
-        raw = (total + int.from_bytes(zero * size, "little")).to_bytes(
-            size * width, "little")
-        kept = [(sh, r) for k, (sh, r) in enumerate(zip(shifts, radix))
-                if k != drop]
-        last = 0 if drop is None else shifts[drop]
-        for pos in range(size):
-            chunk = raw[pos * width:(pos + 1) * width]
-            if chunk != zero:
-                slot, pos = divmod(pos, count)
-                m = others[slot]
-                rest = D
-                for sh, r in kept:
-                    pos, e = divmod(pos, r)
-                    m += e << sh
-                    rest -= e
-                out[m + (rest << last)] = int.from_bytes(chunk, "little") - half
+        reach = list(map(max, reach, [((raised >> sh) & FIELD_MASK) + top
+                                      for sh in shifts]))
+    top = max(D for _, D in slots)
+    if top > MAX_EXPONENT:
+        raise ExponentOverflow(
+            f"degree {top} exceeds {MAX_EXPONENT}, the packed field limit")
+    width = bound.bit_length() // 8 + 1
+    radix = [min(top, r) + 1 for r in reach]
+    drop = radix.index(max(radix))
+    steps = []
+    step = bits = 8 * width
+    for k, r in enumerate(radix):
+        steps.append(0 if k == drop else step)
+        step *= 1 if k == drop else r
+    count = step // bits
+    size = count * len(slots)
+    if size * width > MAX_KRONECKER_BYTES:
+        raise SizeGuardExceeded(
+            f"the packed sum needs 2**{(size * width).bit_length() - 1}"
+            f" bytes or more, past the cap of {MAX_KRONECKER_BYTES}")
+    digit = dict(zip((1 << sh for sh in shifts), steps))
+    # each form's (shift, coefficient) terms, shift 0 first
+    fterms = [sorted(zip(map(digit.__getitem__, f.terms), f.terms.values()))
+              for f in forms]
+    total = 0
+    for scalar, part, factors in parts:
+        v = 0
+        for slot, es, c in part:
+            v += c << (step * slot + sum(map(int.__mul__, es, steps)))
+        v *= scalar
+        if len(factors) > 1:
+            # the forms reaching the outer digits last keep v short
+            factors = sorted(factors, key=lambda ke: fterms[ke[0]][-1])
+        for k, e in factors:
+            (sh0, c0), *more = fterms[k]
+            for _ in range(e):
+                acc = v << sh0 if c0 == 1 else (v << sh0) * c0
+                for sh, c in more:
+                    if c == 1:
+                        acc += v << sh
+                    elif c == -1:
+                        acc -= v << sh
+                    else:
+                        acc += (v << sh) * c
+                v = acc
+        total += v
+    half = 1 << (bits - 1)
+    zero = half.to_bytes(width, "little")
+    raw = (total + int.from_bytes(zero * size, "little")).to_bytes(
+        size * width, "little")
+    keys = list(slots)
+    kept = [(sh, r) for k, (sh, r) in enumerate(zip(shifts, radix))
+            if k != drop]
+    last = shifts[drop]
+    for pos in range(size):
+        chunk = raw[pos * width:(pos + 1) * width]
+        if chunk != zero:
+            slot, pos = divmod(pos, count)
+            m, rest = keys[slot]
+            for sh, r in kept:
+                pos, e = divmod(pos, r)
+                m += e << sh
+                rest -= e
+            out[m + (rest << last)] = int.from_bytes(chunk, "little") - half
     return out
 
 
