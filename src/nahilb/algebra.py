@@ -751,10 +751,9 @@ def _field_shifts(packed: int) -> list:
 MAX_KRONECKER_BYTES = 1 << 28
 
 
-def _kronecker_sum(summands, forms: list, shifts: list) -> dict:
+def _kronecker_sum(summands, forms: list) -> dict:
     """Packed terms of the sum of scalar * poly * prod forms[k]**e over
-    the summands (int scalar, packed int terms, ((k, e > 0), ...)), where
-    the forms have their variables' exponent fields at shifts.
+    the summands (int scalar, packed int terms, ((k, e > 0), ...)).
 
     The sum is one int.  Of the forms' variables the one of highest
     degree is set to 1 and the k-th other one to X**(r_0 * ... *
@@ -776,10 +775,11 @@ def _kronecker_sum(summands, forms: list, shifts: list) -> dict:
             for m, c in terms.items():
                 out[m] = out.get(m, 0) + scalar * c
         return {m: c for m, c in out.items() if c}
-    outside = ~sum(FIELD_MASK << sh for sh in shifts)
-    norms = [sum(map(abs, f.terms.values())) for f in forms]
     # each form's variables as one packed monomial, exponent 1 each
     marks = [reduce(or_, f.terms) for f in forms]
+    shifts = _field_shifts(reduce(or_, marks))
+    outside = ~sum(FIELD_MASK << sh for sh in shifts)
+    norms = [sum(map(abs, f.terms.values())) for f in forms]
     slots: dict = {}  # (monomial in the other variables, D) -> slot
     parts = []  # (scalar, [(slot, exponents, c)], factors) per summand
     bound = 0
@@ -903,10 +903,7 @@ def sum_factored(items) -> FactoredRational:
                 factors.append((k, e))
         summands.append((r.scalar.numerator * (scale // r.scalar.denominator),
                          r.poly.terms, factors))
-    used = 0
-    for f in forms:
-        used = reduce(or_, f.terms, used)
-    total = _kronecker_sum(summands, forms, _field_shifts(used))
+    total = _kronecker_sum(summands, forms)
     return FactoredRational.build(
         Fraction(1, scale), SparsePolynomial.from_packed(total),
         tuple((f, -e) for f, e in needed.items())
