@@ -716,6 +716,51 @@ class FactoredRational:
             new_factors.append((nf, exp))
         return FactoredRational.build(self.scalar, new_poly, new_factors).simplify()
 
+    def relabel_s(self, perm) -> "FactoredRational":
+        """Rename s_(i+1) to s_(perm[i]+1), for perm a permutation of
+        range(n) with n at least the largest s-index.
+
+        Renaming keeps forms primitive and the polynomial primitive, so
+        only signs change: a form whose leading coefficient turns negative
+        is negated, and extract_content fixes the polynomial's.  No
+        division is tried: renaming commutes with exact division, so a
+        simplified value stays simplified."""
+        if self.is_zero():
+            return self
+        moves = [(FIELD_BITS * 3 * i, FIELD_BITS * 3 * j)
+                 for i, j in enumerate(perm) if i != j]
+        if not moves:
+            return self
+        clear = ~sum(FIELD_MASK << src for src, _ in moves)
+        terms = {}
+        for m, c in self.poly.terms.items():
+            key = m & clear
+            for src, dst in moves:
+                key += ((m >> src) & FIELD_MASK) << dst
+            terms[key] = c
+        sign, poly = SparsePolynomial.from_packed(terms).extract_content()
+        names = {(0, i + 1): (0, j + 1) for i, j in enumerate(perm)}
+        rows = []
+        for form, e in self.factors:
+            key = sorted([(names.get(v, v), c) for v, c in form.key()])
+            if key[0][1] < 0:
+                key = [(v, -c) for v, c in key]
+                if e & 1:
+                    sign = -sign
+            rows.append((tuple(key), e))
+        # renaming is one to one, so the keys stay distinct and sorting
+        # the rows is canonical_factors
+        rows.sort()
+        factors = []
+        for key, e in rows:
+            # from the key: decoding the terms (from_packed) costs more
+            form = LinearForm.__new__(LinearForm)
+            form._key = key
+            form.terms = {1 << var_shift((NAMESPACES[r], i)): c
+                          for (r, i), c in key}
+            factors.append((form, e))
+        return FactoredRational(self.scalar * sign, poly, tuple(factors))
+
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

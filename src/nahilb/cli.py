@@ -22,9 +22,8 @@ from .algebra import (MAX_EXPONENT, FactoredRational, SparsePolynomial,
 from .errors import IndexOutOfRange, NahilbError, ParseError
 from .localization import (
     TautClass,
-    check_layer_symmetry,
     chern_taut,
-    contribution,
+    contributions,
     cy_restrict,
     integrate_localization,
 )
@@ -283,16 +282,9 @@ def cmd_enumerate(job: JobSpec) -> tuple:
 def cmd_contribution(job: JobSpec) -> tuple:
     d = sum(job.dims)
     P = parse_class_spec(job.class_spec, job.q, d)
-    check_layer_symmetry(P, job.dims)
-    chains = enumerate_nested(job.n, job.dims)
-    if job.space == "nilfil":
-        chains = [c for c in chains if is_nilfil(c)]
-    rows = []
-    for np_ in chains:
-        e = canonical_enumeration(np_)
-        v = contribution(e, job.space, P)
-        rows.append({"chain": nested_to_json(np_),
-                     "value": _rational_doc(v, job.expand)})
+    rows = [{"chain": nested_to_json(np_),
+             "value": _rational_doc(v, job.expand)}
+            for np_, v in contributions(job.n, job.dims, job.space, P)]
     doc = {
         "command": "contribution",
         "n": job.n,

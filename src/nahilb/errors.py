@@ -83,3 +83,8 @@ class ParseError(NahilbError):
 
 class NotBisymmetric(NahilbError):
     """A class polynomial fails the required block symmetries."""
+
+
+class NotPermutationInvariant(NahilbError):
+    """A fixed-point sum's chain filter or weight builders change when the
+    coordinates are permuted, so its orbits cannot share one term."""

@@ -24,6 +24,7 @@ from .errors import (
     InconsistentVirtualDimension,
     NoFixedPoints,
     NotBisymmetric,
+    NotPermutationInvariant,
     ParseError,
     RequiresFullFlag,
     RequiresNilfil,
@@ -35,6 +36,7 @@ from .partitions import (
     canonical_enumeration,
     enumerate_nested,
     is_nilfil,
+    s_orbit,
 )
 from .weights import (
     epunct_class,
@@ -207,18 +209,49 @@ def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
     return (value * euler_class(weights, "s")).simplify(), rank
 
 
-def fixed_point_sum(n: int, dims, P: TautClass, select, tangent_of,
-                    extra_of=None, vdim=None) -> FactoredRational:
-    """Sum of the gated terms of the chains of (n, dims) that select
-    admits (every chain when select is None), each at its canonical
-    enumeration.  Given vdim, every chain's net rank must equal it."""
-    terms = []
+def gated_terms(n: int, dims, P: TautClass, select, tangent_of,
+                extra_of=None):
+    """(chain, value, rank) of each chain of (n, dims) that select admits
+    (every chain when select is None), in enumeration order: gated_term
+    at the chain's canonical enumeration.
+
+    Permuting the coordinates maps fixed chains to fixed chains and
+    renames s_1..s_n in their gated terms, so the term is computed once
+    per orbit, at the first member enumeration reaches, and every other
+    member gets it relabelled.  That needs select, tangent_of and
+    extra_of to commute with permuting coordinates, and P to be symmetric
+    in the eta_j of each layer.  A relabelled term waits until its chain
+    comes up; one still waiting at the end means select or the builders
+    are not invariant."""
+    pending: dict = {}  # layers -> (perm, value, rank) of a later member
     for np_ in enumerate_nested(n, dims):
         if select is not None and not select(np_):
+            continue
+        if np_.layers in pending:
+            perm, value, rank = pending.pop(np_.layers)
+            yield np_, None if value is None else value.relabel_s(perm), rank
             continue
         e = canonical_enumeration(np_)
         extra = None if extra_of is None else extra_of(e)
         value, rank = gated_term(e, tangent_of(e), P, extra)
+        for layers, perm in s_orbit(np_).items():
+            if layers != np_.layers:
+                pending[layers] = (perm, value, rank)
+        yield np_, value, rank
+    if pending:
+        raise NotPermutationInvariant(
+            f"{len(pending)} relabelled terms of ({n}, {tuple(dims)}) were "
+            f"never reached: the chain filter or a weight builder is not "
+            f"invariant under permuting coordinates")
+
+
+def fixed_point_sum(n: int, dims, P: TautClass, select, tangent_of,
+                    extra_of=None, vdim=None) -> FactoredRational:
+    """Sum of gated_terms; given vdim, every chain's net rank must equal
+    it."""
+    terms = []
+    for np_, value, rank in gated_terms(n, dims, P, select, tangent_of,
+                                        extra_of):
         if vdim is not None and rank != vdim:
             raise InconsistentVirtualDimension(
                 f"{np_} reports {rank}, expected {vdim}")
@@ -250,6 +283,15 @@ def contribution(e: Enumeration, space: str, P: TautClass) -> FactoredRational:
         raise RequiresNilfil(f"{e.nested()} has a non-nilpotent step")
     value, _ = gated_term(e, tangent_of(e), P)
     return FactoredRational.zero() if value is None else value
+
+
+def contributions(n: int, dims, space: str, P: TautClass):
+    """(chain, contribution) of every fixed chain of the space, in
+    enumeration order, one gated term per orbit (see gated_terms)."""
+    select, tangent_of, _ = _space(space)
+    check_layer_symmetry(P, _shape(n, dims))
+    for np_, value, _ in gated_terms(n, dims, P, select, tangent_of):
+        yield np_, FactoredRational.zero() if value is None else value
 
 
 def integrate_localization(n: int, dims, space: str,

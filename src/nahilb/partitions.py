@@ -255,6 +255,33 @@ def canonical_enumeration(np_: NestedPartition) -> Enumeration:
     return _enumeration(np_.n, np_.dims, points, point_levels(np_.dims))
 
 
+def s_orbit(np_: NestedPartition) -> dict:
+    """The orbit of np_ under permuting coordinates, as {layers: perm}
+    with np_ itself at the identity: perm[i] is where coordinate i goes,
+    so a point p maps to the q with q[perm[i]] = p[i].
+
+    A breadth-first walk over the adjacent transpositions: each member
+    costs n - 1 chain relabels."""
+    n = np_.n
+    orbit = {np_.layers: tuple(range(n))}
+    frontier = list(orbit.items())
+    while frontier:
+        grown = []
+        for layers, perm in frontier:
+            for a in range(n - 1):
+                swap = {p: p[:a] + (p[a + 1], p[a]) + p[a + 2:]
+                        for p in layers[-1]}
+                image = tuple(frozenset(map(swap.__getitem__, layer))
+                              for layer in layers)
+                if image not in orbit:
+                    moved = tuple(a + 1 if j == a else a if j == a + 1 else j
+                                  for j in perm)
+                    orbit[image] = moved
+                    grown.append((image, moved))
+        frontier = grown
+    return orbit
+
+
 def all_enumerations(np_: NestedPartition) -> list:
     """Every valid enumeration of the chain, deterministically ordered."""
     if np_.d > MAX_ENUMERATION_POINTS:

@@ -28,6 +28,7 @@ from .algebra import (
     linear_form_of,
     mul_packed,
     slices_of,
+    sum_factored,
     var_shift,
 )
 from .errors import (
@@ -43,7 +44,7 @@ from .localization import (
     _net_rank,
     _restrict_etas,
     check_layer_symmetry,
-    fixed_point_sum,
+    gated_term,
     passes_gate,
 )
 from .partitions import (
@@ -51,6 +52,7 @@ from .partitions import (
     _shape,
     canonical_enumeration,
     check_point_budget,
+    enumerate_nested,
     in_flag_fiber,
     is_nilfil,
     point_levels,
@@ -203,14 +205,23 @@ def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
 
     Sums the gated localization contributions over the chains lying on
     the fiber; the denominators must clear, which the expansion checks.
+    The fiber and its tangent single out e_1, e_2, ... by level, so an
+    S_n orbit may meet the fiber in several chains whose terms are not
+    relabellings of each other: each term is computed on its own, not
+    through gated_terms.
     """
     dims = tuple(int(x) for x in dims)
     d = sum(dims)
     if d - 1 > n:
         raise TooManyPoints(f"fiber needs d-1 <= n, got d={d}, n={n}")
-    return fixed_point_sum(
-        n, dims, P, lambda np_: is_nilfil(np_) and in_flag_fiber(np_),
-        fiber_tangent_class).expand()
+    terms = []
+    for np_ in enumerate_nested(n, dims):
+        if is_nilfil(np_) and in_flag_fiber(np_):
+            e = canonical_enumeration(np_)
+            value, _ = gated_term(e, fiber_tangent_class(e), P)
+            if value is not None:
+                terms.append(value)
+    return sum_factored(terms).expand()
 
 
 def _zform_of(vec, k: int) -> LinearForm:

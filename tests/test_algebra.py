@@ -389,6 +389,40 @@ class TestCanonicalWithoutBuild:
         assert _fields(a.simplify()) == _fields(want)
 
 
+class TestRelabel:
+    """relabel_s renames without build or simplify; it must equal build
+    of the renamed parts, and on a simplified value the renamed value
+    simplified."""
+
+    @given(_built(), st.permutations(range(3)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_build_of_the_renamed_parts(self, a, perm):
+        a = a.simplify()
+        rename = {sv(i + 1): s(j + 1) for i, j in enumerate(perm)}
+        want = FactoredRational.build(
+            a.scalar, a.poly.substitute(rename),
+            [(f.substitute(rename), e) for f, e in a.factors])
+        got = a.relabel_s(perm)
+        assert _fields(got) == _fields(want)
+        assert _fields(got.simplify()) == _fields(got)
+
+    def test_signs(self):
+        # s1 - s2 turns into s2 - s1 = -(s1 - s2): an odd power flips
+        # the scalar, as does the polynomial's leading coefficient
+        r = FactoredRational.build(
+            3, s(1) - 2 * s(3), [(lf(s1=1, s2=-1), -1), (lf(s1=1, s3=-1), 2)])
+        got = r.relabel_s((1, 0, 2))
+        assert got == FactoredRational.build(
+            3, s(2) - 2 * s(3), [(lf(s2=1, s1=-1), -1), (lf(s2=1, s3=-1), 2)])
+        assert got.scalar == -3
+
+    def test_identity_and_zero(self):
+        r = FactoredRational.build(2, s(1), [(lf(s1=1, s2=1), -1)])
+        assert r.relabel_s((0, 1)) is r
+        zero = FactoredRational.zero()
+        assert zero.relabel_s((1, 0)) is zero
+
+
 class TestSubstituteLinear:
     def test_trace_zero_collapse(self):
         r = FactoredRational.build(

@@ -564,6 +564,20 @@ GOLDEN = [
         ["compare", "-n", "3", "--dims", "1,1,2", "--class", "c1^3"],
         "12daa4e78fae664d749ded77e6f95598992592957422b90d6f5afc35631381b9",
         id="compare-n3"),
+    # recorded before the localization sums shared one term per S_n orbit
+    pytest.param(
+        ["contribution", "-n", "3", "--dims", "2,3", "--class", "c2^dual"],
+        "47e9f23791245de2418a9ab2ab50c703d81bdd945066a93fe7682cdf128bbb67",
+        id="contribution-orbits"),
+    pytest.param(
+        ["contribution", "-n", "3", "--dims", "1,1,1,1", "--space", "nilfil",
+         "--q", "1", "--class", "theta1*c1"],
+        "14170b2fc7a2d80ba25b9d20770f57a7abb7a9077c5a0c648957b1f207712355",
+        id="contribution-orbits-theta"),
+    pytest.param(
+        ["integrate", "-n", "3", "--dims", "2,2", "--class", "c2^dual"],
+        "ee73b396500595dbbb26d2d00452b1dbb8d3c302baa5ab14c2cdbc98885a9d6b",
+        id="integrate-orbits"),
 ]
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -27,6 +28,7 @@ from nahilb.errors import (
     IndexOutOfRange,
     NoFixedPoints,
     NotBisymmetric,
+    NotPermutationInvariant,
     ParseError,
     RequiresFullFlag,
     RequiresNilfil,
@@ -39,9 +41,11 @@ from nahilb.localization import (
     check_layer_symmetry,
     chern_taut,
     contribution,
+    contributions,
     cy_restrict,
     fixed_point_sum,
     gated_term,
+    gated_terms,
     integrate_localization,
     passes_gate,
     reduce_full_flag,
@@ -54,6 +58,7 @@ from nahilb.partitions import (
     all_enumerations,
     canonical_enumeration,
     enumerate_nested,
+    in_flag_fiber,
     is_admissible,
     is_nilfil,
 )
@@ -61,6 +66,7 @@ from nahilb.residues import integrate_residue_nilfil
 from nahilb.weights import (
     epunct_class,
     euler_class,
+    fiber_tangent_class,
     obstruction_class,
     tangent_class,
     tangent_class_punctual,
@@ -455,6 +461,70 @@ def test_gated_term_is_the_written_quotient(n):
             assert value == want.simplify(), (np_, extra_of)
             gated += 1
     assert gated > 0
+
+
+def _is_relabelled(np_, seen: set) -> bool:
+    """True when a coordinate permutation of np_ is in seen, the layers of
+    the chains before it; adds np_'s own layers to seen."""
+    found = any(
+        tuple(frozenset(tuple(p[i] for i in perm) for p in layer)
+              for layer in np_.layers) in seen
+        for perm in permutations(range(np_.n)))
+    seen.add(np_.layers)
+    return found
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_terms_equal_the_direct_ones(n):
+    """Each term gated_terms yields, relabelled or not, is == to
+    gated_term at that chain's own canonical enumeration: every chain with
+    d <= 5 (nhilb, and nilfil for pointed dims) and the full flags with
+    the punctual-to-full correction, with a theta integrand."""
+    cases = []
+    for d in range(1, 6):
+        for dims in _compositions(d):
+            cases.append((dims, None, tangent_class, None))
+            if dims[0] == 1:
+                cases.append((dims, is_nilfil, tangent_class_punctual, None))
+        cases.append(((1,) * d, is_nilfil, tangent_class_punctual,
+                      epunct_class))
+    relabelled = 0
+    for dims, select, tangent_of, extra_of in cases:
+        d = sum(dims)
+        P = chern_taut(min(d, 2), 1, d)
+        chains = [np_ for np_ in enumerate_nested(n, dims)
+                  if select is None or select(np_)]
+        got = list(gated_terms(n, dims, P, select, tangent_of, extra_of))
+        assert [row[0] for row in got] == chains
+        seen: set = set()
+        for np_, value, rank in got:
+            e = canonical_enumeration(np_)
+            extra = None if extra_of is None else extra_of(e)
+            assert (value, rank) == gated_term(e, tangent_of(e), P, extra)
+            relabelled += _is_relabelled(np_, seen)
+    assert relabelled > 0
+
+
+class TestGatedTerms:
+    def test_a_filter_that_is_not_invariant_raises(self):
+        """The identity flag fiber singles out e_1, e_2, ... so relabelled
+        terms wait for chains the filter never admits."""
+        with pytest.raises(NotPermutationInvariant):
+            fixed_point_sum(
+                3, (1, 1, 1, 1), TautClass(1, 0, 4),
+                lambda np_: is_nilfil(np_) and in_flag_fiber(np_),
+                fiber_tangent_class)
+
+    @pytest.mark.parametrize("space,dims", [("nhilb", (2, 2)),
+                                            ("nilfil", (1, 1, 2))])
+    def test_contributions_are_the_single_chain_ones(self, space, dims):
+        P = chern_taut(2, 1, sum(dims))
+        rows = list(contributions(3, dims, space, P))
+        chains = [np_ for np_ in enumerate_nested(3, dims)
+                  if space == "nhilb" or is_nilfil(np_)]
+        assert [np_ for np_, _ in rows] == chains
+        for np_, value in rows:
+            assert value == contribution(canonical_enumeration(np_), space, P)
 
 
 class TestCyRestrict:

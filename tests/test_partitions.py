@@ -2,6 +2,8 @@
 and the three membership predicates.  Counts and memberships are checked
 against brute-force oracles built independently in this file."""
 
+from itertools import permutations
+
 import pytest
 
 from nahilb.errors import (
@@ -25,6 +27,7 @@ from nahilb.partitions import (
     point_key,
     point_levels,
     porteous,
+    s_orbit,
 )
 
 
@@ -226,6 +229,41 @@ class TestEnumerations:
         for np_ in enumerate_nested(2, (1, 1, 1)):
             for e in all_enumerations(np_):
                 assert e.nested() == np_
+
+
+class TestOrbit:
+    """s_orbit against every permutation of the coordinates, applied to
+    the points directly."""
+
+    @staticmethod
+    def _image(np_, perm):
+        def move(p):
+            q = [0] * len(p)
+            for i, c in enumerate(p):
+                q[perm[i]] = c
+            return tuple(q)
+        return tuple(frozenset(map(move, layer)) for layer in np_.layers)
+
+    @pytest.mark.parametrize("n,dims", [(1, (2,)), (2, (1, 2)), (3, (1, 2)),
+                                        (3, (2, 2)), (4, (1, 1, 1)),
+                                        (4, (3,))])
+    def test_matches_every_permutation(self, n, dims):
+        chains = enumerate_nested(n, dims)
+        layers = {np_.layers for np_ in chains}
+        for np_ in chains:
+            orbit = s_orbit(np_)
+            want = {self._image(np_, perm) for perm in permutations(range(n))}
+            assert set(orbit) == want <= layers
+            assert orbit[np_.layers] == tuple(range(n))
+            for image, perm in orbit.items():
+                assert sorted(perm) == list(range(n))
+                assert self._image(np_, perm) == image
+
+    def test_a_symmetric_chain_is_its_own_orbit(self):
+        np_ = NestedPartition(3, (1, 3), [
+            ideal(pt(0, 0, 0)),
+            ideal(pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))])
+        assert s_orbit(np_) == {np_.layers: (0, 1, 2)}
 
 
 def _compositions(max_d):

@@ -339,6 +339,10 @@ class TestFlagFiberQ:
             (2, (1, 1, 1), TautClass(1, 0, 3)),
             (3, (1, 1, 1), TautClass(1, 0, 3)),
             (2, (1, 2), TautClass(1, 0, 3)),
+            # at d = 4 an S_n orbit meets the fiber in two chains
+            (3, (1, 1, 1, 1), TautClass(1, 0, 4)),
+            (3, (1, 2, 1), TautClass(1, 0, 4)),
+            (3, (1, 1, 2), TautClass(1, 0, 4)),
         ]
         for n, dims, P in cases:
             q = flag_fiber_Q(n, dims, P)
