@@ -11,6 +11,7 @@ or verify run that completed and found a mismatch, 1 for errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -19,12 +20,13 @@ from dataclasses import dataclass
 
 from .algebra import (MAX_EXPONENT, FactoredRational, SparsePolynomial,
                       rational_equal)
-from .errors import IndexOutOfRange, NahilbError, ParseError
+from .errors import IndexOutOfRange, NahilbError, ParseError, TooManyPoints
 from .localization import (
+    SPACES,
     TautClass,
     chern_taut,
-    contributions,
     cy_restrict,
+    gated_terms,
     integrate_localization,
 )
 from .partitions import (
@@ -67,7 +69,7 @@ class JobSpec:
                 raise ParseError(f"n must be >= 1, got {self.n}")
             if not self.dims or any(x < 0 for x in self.dims):
                 raise ParseError(f"dims must be nonempty and >= 0: {self.dims}")
-        if self.space not in ("nhilb", "nilfil"):
+        if self.space not in SPACES:
             raise ParseError(f"unknown space {self.space!r}")
         if self.method not in ("localization", "residue"):
             raise ParseError(f"unknown method {self.method!r}")
@@ -259,10 +261,12 @@ def cmd_enumerate(job: JobSpec) -> tuple:
         row = {"chain": nested_to_json(np_)}
         if job.command == "classify":
             # nilfil needs pointed dims and the identity fiber needs
-            # d - 1 <= n; where they do not apply the row says null
+            # room for its flag; where they do not apply the row says null
             nil = is_nilfil(np_) if np_.dims[0] == 1 else None
-            fiber = nil and (in_flag_fiber(np_) if np_.d - 1 <= np_.n
-                             else None)
+            try:
+                fiber = nil and in_flag_fiber(np_)
+            except TooManyPoints:
+                fiber = None
             wt, wb = fixed_ranks(canonical_enumeration(np_))
             row["admissible"] = is_admissible(np_)
             row["nilfil"] = nil
@@ -284,7 +288,7 @@ def cmd_contribution(job: JobSpec) -> tuple:
     P = parse_class_spec(job.class_spec, job.q, d)
     rows = [{"chain": nested_to_json(np_),
              "value": _rational_doc(v, job.expand)}
-            for np_, v in contributions(job.n, job.dims, job.space, P)]
+            for np_, v in gated_terms(job.n, job.dims, P, job.space)]
     doc = {
         "command": "contribution",
         "n": job.n,
@@ -427,7 +431,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: it holds no per-job state."""
     p = _ArgumentParser(
         prog="nahilb",
         description="Exact equivariant integrals on nested Hilbert schemes"
@@ -446,6 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="number of twisting roots theta_i")
             sp.add_argument("--expand", action="store_true", default=None,
                             help="include fully expanded polynomials")
+            sp.add_argument("--space", choices=SPACES, default=None)
         sp.add_argument("--config", default=None,
                         help="JSON file with default job fields")
         sp.add_argument("--max-points", type=int, default=None,
@@ -461,11 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("contribution", help="per-chain localization terms")
     common(sp)
-    sp.add_argument("--space", choices=("nhilb", "nilfil"), default=None)
 
     sp = sub.add_parser("integrate", help="equivariant virtual integral")
     common(sp)
-    sp.add_argument("--space", choices=("nhilb", "nilfil"), default=None)
     sp.add_argument("--method", choices=("localization", "residue"),
                     default=None)
     sp.add_argument("--cy", action="store_true", default=None,
@@ -473,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="run both methods and compare")
     common(sp)
-    sp.add_argument("--space", choices=("nhilb", "nilfil"), default=None)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     sp.add_argument("--checks", default=None,

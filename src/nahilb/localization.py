@@ -193,7 +193,7 @@ def passes_gate(tangent, obstruction) -> bool:
 def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
     """(value, tangent net rank - obstruction net rank) of one chain: the
     restriction of P times e(moving obstruction) over e(moving tangent)
-    * e(extra), or None as the value when the chain fails the gate.
+    * e(extra), or zero when the chain fails the gate.
 
     The Euler class is taken once, of the signed multiset obstruction -
     tangent [- extra]: euler_class skips the zero weights and merges
@@ -201,7 +201,7 @@ def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
     obstruction = obstruction_class(e)
     rank = tangent.net_rank() - obstruction.net_rank()
     if not passes_gate(tangent, obstruction):
-        return None, rank
+        return FactoredRational.zero(), rank
     weights = obstruction - tangent
     if extra is not None:
         weights = weights - extra
@@ -209,59 +209,12 @@ def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
     return (value * euler_class(weights, "s")).simplify(), rank
 
 
-def gated_terms(n: int, dims, P: TautClass, select, tangent_of,
-                extra_of=None):
-    """(chain, value, rank) of each chain of (n, dims) that select admits
-    (every chain when select is None), in enumeration order: gated_term
-    at the chain's canonical enumeration.
-
-    Permuting the coordinates maps fixed chains to fixed chains and
-    renames s_1..s_n in their gated terms, so the term is computed once
-    per orbit, at the first member enumeration reaches, and every other
-    member gets it relabelled.  That needs select, tangent_of and
-    extra_of to commute with permuting coordinates, and P to be symmetric
-    in the eta_j of each layer.  A relabelled term waits until its chain
-    comes up; one still waiting at the end means select or the builders
-    are not invariant."""
-    pending: dict = {}  # layers -> (perm, value, rank) of a later member
-    for np_ in enumerate_nested(n, dims):
-        if select is not None and not select(np_):
-            continue
-        if np_.layers in pending:
-            perm, value, rank = pending.pop(np_.layers)
-            yield np_, None if value is None else value.relabel_s(perm), rank
-            continue
-        e = canonical_enumeration(np_)
-        extra = None if extra_of is None else extra_of(e)
-        value, rank = gated_term(e, tangent_of(e), P, extra)
-        for layers, perm in s_orbit(np_).items():
-            if layers != np_.layers:
-                pending[layers] = (perm, value, rank)
-        yield np_, value, rank
-    if pending:
-        raise NotPermutationInvariant(
-            f"{len(pending)} relabelled terms of ({n}, {tuple(dims)}) were "
-            f"never reached: the chain filter or a weight builder is not "
-            f"invariant under permuting coordinates")
-
-
-def fixed_point_sum(n: int, dims, P: TautClass, select, tangent_of,
-                    extra_of=None, vdim=None) -> FactoredRational:
-    """Sum of gated_terms; given vdim, every chain's net rank must equal
-    it."""
-    terms = []
-    for np_, value, rank in gated_terms(n, dims, P, select, tangent_of,
-                                        extra_of):
-        if vdim is not None and rank != vdim:
-            raise InconsistentVirtualDimension(
-                f"{np_} reports {rank}, expected {vdim}")
-        if value is not None:
-            terms.append(value)
-    return sum_factored(terms)
+SPACES = ("nhilb", "nilfil")
 
 
 def _space(space: str) -> tuple:
-    """(chain filter or None, tangent builder, tangent net count)."""
+    """(chain filter or None, tangent builder, tangent net count), looked
+    up at each call, so a wrapper set on a module name is the one used."""
     if space == "nilfil":
         return is_nilfil, tangent_class_punctual, punctual_net_count
     if space == "nhilb":
@@ -275,33 +228,61 @@ def _net_rank(n: int, dims, space: str) -> int:
     return _space(space)[2](n, dims) - obstruction_net_count(dims)
 
 
+def gated_terms(n: int, dims, P: TautClass, space: str, extra_of=None):
+    """(chain, gated_term value) of each fixed chain of the space, in
+    enumeration order, with extra_of(e) dividing each term when given.
+
+    Refuses a bad shape before anything loops over n, P when it is not
+    symmetric in the eta_j of each layer, and a chain whose net rank is
+    not the space's virtual dimension.  Permuting the coordinates maps
+    fixed chains to fixed chains and renames s_1..s_n in their gated
+    terms, so the term is computed once per orbit, at the first member
+    enumeration reaches, and every other member gets it relabelled.  A
+    relabelled term waits until its chain comes up; one still waiting at
+    the end means the chain filter or a builder is not invariant."""
+    select, tangent_of, _ = _space(space)
+    dims = _shape(n, dims)
+    check_layer_symmetry(P, dims)
+    vdim = _net_rank(n, dims, space)
+    pending: dict = {}  # layers -> (perm, value) of a later member
+    for np_ in enumerate_nested(n, dims):
+        if select is not None and not select(np_):
+            continue
+        if np_.layers in pending:
+            perm, value = pending.pop(np_.layers)
+            yield np_, value.relabel_s(perm)
+            continue
+        e = canonical_enumeration(np_)
+        extra = None if extra_of is None else extra_of(e)
+        value, rank = gated_term(e, tangent_of(e), P, extra)
+        if rank != vdim:
+            raise InconsistentVirtualDimension(
+                f"{np_} reports {rank}, expected {vdim}")
+        for layers, perm in s_orbit(np_).items():
+            if layers != np_.layers:
+                pending[layers] = (perm, value)
+        yield np_, value
+    if pending:
+        raise NotPermutationInvariant(
+            f"{len(pending)} relabelled terms of ({n}, {dims}) were never "
+            f"reached: the chain filter or a weight builder is not "
+            f"invariant under permuting coordinates")
+
+
 def contribution(e: Enumeration, space: str, P: TautClass) -> FactoredRational:
     """Localization contribution of a single fixed chain.  It does not
     check P's layer symmetry; a job over many chains does that once."""
     select, tangent_of, _ = _space(space)
     if select is not None and not select(e.nested()):
         raise RequiresNilfil(f"{e.nested()} has a non-nilpotent step")
-    value, _ = gated_term(e, tangent_of(e), P)
-    return FactoredRational.zero() if value is None else value
-
-
-def contributions(n: int, dims, space: str, P: TautClass):
-    """(chain, contribution) of every fixed chain of the space, in
-    enumeration order, one gated term per orbit (see gated_terms)."""
-    select, tangent_of, _ = _space(space)
-    check_layer_symmetry(P, _shape(n, dims))
-    for np_, value, _ in gated_terms(n, dims, P, select, tangent_of):
-        yield np_, FactoredRational.zero() if value is None else value
+    return gated_term(e, tangent_of(e), P)[0]
 
 
 def integrate_localization(n: int, dims, space: str,
                            P: TautClass) -> IntegralResult:
     """Equivariant virtual integral of P as a sum over fixed chains."""
-    select, tangent_of, _ = _space(space)
-    dims = _shape(n, dims)
-    check_layer_symmetry(P, dims)
+    value = sum_factored([v for _, v in gated_terms(n, dims, P, space)])
     vdim = _net_rank(n, dims, space)
-    value = fixed_point_sum(n, dims, P, select, tangent_of, vdim=vdim)
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "localization", space)
 
@@ -325,11 +306,10 @@ def reduce_full_flag(n: int, r: int, P: TautClass) -> IntegralResult:
     """
     if r < 0:
         raise RequiresFullFlag(f"need r >= 0, got {r}")
-    dims = _shape(n, (1,) * (r + 1))
-    check_layer_symmetry(P, dims)
+    dims = (1,) * (r + 1)
+    value = sum_factored([v for _, v in gated_terms(n, dims, P, "nilfil",
+                                                    epunct_class)])
     vdim = _net_rank(n, dims, "nhilb")
-    value = fixed_point_sum(n, dims, P, is_nilfil, tangent_class_punctual,
-                            epunct_class)
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "localization", "nhilb")
 
@@ -345,7 +325,7 @@ def virtual_dimension(n: int, dims, space: str) -> int:
     """Net tangent rank minus obstruction rank, constant over the fixed
     set; raises when the space has no fixed points at all."""
     select = _space(space)[0]
-    dims = tuple(int(x) for x in dims)
+    dims = _shape(n, dims)
     if not any(select is None or select(p) for p in enumerate_nested(n, dims)):
         raise NoFixedPoints(f"no fixed chains for n={n}, dims={dims}, {space}")
     return _net_rank(n, dims, space)

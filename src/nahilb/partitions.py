@@ -348,14 +348,19 @@ def is_nilfil(np_: NestedPartition) -> bool:
     return True
 
 
+def check_flag_room(n: int, d: int) -> None:
+    """Refuse d chain points in fewer than d - 1 coordinates: the flag
+    through them takes one unit vector per step."""
+    if d - 1 > n:
+        raise TooManyPoints(
+            f"{d} points need ambient dimension >= {d - 1}, got {n}")
+
+
 def in_flag_fiber(np_: NestedPartition) -> bool:
     """True when the chain lies on the flag fiber over the identity coset:
     every unit vector e_c in a layer of k points has c <= k - 1.  By S_n
     symmetry every other fiber is a relabelled copy of this one."""
-    if np_.d - 1 > np_.n:
-        raise TooManyPoints(
-            f"{np_.d} points need ambient dimension >= {np_.d - 1}, "
-            f"got {np_.n}")
+    check_flag_room(np_.n, np_.d)
     if not is_nilfil(np_):
         raise RequiresNilfil(f"{np_} fails the nilpotent filtration rule")
     for layer in np_.layers:
@@ -372,9 +377,7 @@ def porteous(n: int, dims) -> NestedPartition:
     identity coset."""
     dims = tuple(int(d) for d in dims)
     d = sum(dims)
-    if d - 1 > n:
-        raise TooManyPoints(
-            f"{d} points need ambient dimension >= {d - 1}, got {n}")
+    check_flag_room(n, d)
     points = [(0,) * n] + [unit_vector(n, i) for i in range(1, d)]
     return Enumeration(n, dims, points).nested()
 
@@ -383,9 +386,7 @@ def flag_cosets(n: int, dhat) -> list:
     """Representatives of the cosets indexing flag fixed points: injections
     of the flag slots into 1..n, increasing within each block."""
     dhat = _shape(n, (1,) + tuple(dhat))[1:]
-    k = sum(dhat)
-    if k > n:
-        raise TooManyPoints(f"flag with {k} slots needs n >= {k}, got {n}")
+    check_flag_room(n, sum(dhat) + 1)
     reps = [()]
     available = [frozenset(range(1, n + 1))]
     for block in dhat:

@@ -35,7 +35,6 @@ from .errors import (
     IndexOutOfRange,
     NonElimination,
     RequiresNilfil,
-    TooManyPoints,
 )
 from .localization import (
     IntegralResult,
@@ -51,6 +50,7 @@ from .partitions import (
     NestedPartition,
     _shape,
     canonical_enumeration,
+    check_flag_room,
     check_point_budget,
     enumerate_nested,
     in_flag_fiber,
@@ -192,9 +192,7 @@ def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat) -> SparsePolynomial:
     by the flag tangent Euler class, as a polynomial identity.
     """
     dims = _shape(n, (1,) + tuple(dhat))
-    k = sum(dims) - 1
-    if k > n:
-        raise TooManyPoints(f"needs {k} flag steps in {n} variables")
+    check_flag_room(n, sum(dims))
     w = point_levels(dims)
     return _residue(Q, flag_terms(w, n), w)
 
@@ -211,16 +209,12 @@ def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
     through gated_terms.
     """
     dims = tuple(int(x) for x in dims)
-    d = sum(dims)
-    if d - 1 > n:
-        raise TooManyPoints(f"fiber needs d-1 <= n, got d={d}, n={n}")
+    check_flag_room(n, sum(dims))
     terms = []
     for np_ in enumerate_nested(n, dims):
         if is_nilfil(np_) and in_flag_fiber(np_):
             e = canonical_enumeration(np_)
-            value, _ = gated_term(e, fiber_tangent_class(e), P)
-            if value is not None:
-                terms.append(value)
+            terms.append(gated_term(e, fiber_tangent_class(e), P)[0])
     return sum_factored(terms).expand()
 
 

@@ -404,6 +404,22 @@ class TestMain:
         assert exc.value.code == 0
         assert "--dims" in capsys.readouterr().out
 
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = cli._ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            code, out, err = run_main(capsys, ["enumerate", "-n", "2",
+                                               "--dims", "1,1"])
+            assert (code, err) == (0, "")
+        assert built.count("nahilb") == 1
+
     @pytest.mark.parametrize("config", [
         {"dims": 5},
         {"checks": 5},

@@ -15,6 +15,7 @@ from itertools import permutations
 import pytest
 
 import nahilb
+import nahilb.localization as localization
 from nahilb.algebra import (
     FactoredRational,
     LinearForm,
@@ -22,6 +23,7 @@ from nahilb.algebra import (
     rational_equal,
     sum_factored,
 )
+from nahilb.cli import JobSpec, run
 from nahilb.errors import (
     DegenerateRestriction,
     InconsistentVirtualDimension,
@@ -41,9 +43,7 @@ from nahilb.localization import (
     check_layer_symmetry,
     chern_taut,
     contribution,
-    contributions,
     cy_restrict,
-    fixed_point_sum,
     gated_term,
     gated_terms,
     integrate_localization,
@@ -66,8 +66,8 @@ from nahilb.residues import integrate_residue_nilfil
 from nahilb.weights import (
     epunct_class,
     euler_class,
-    fiber_tangent_class,
     obstruction_class,
+    punctual_net_count,
     tangent_class,
     tangent_class_punctual,
 )
@@ -182,15 +182,20 @@ class TestSizeCaps:
     """n and q past their caps are refused before anything is built."""
 
     def test_n_past_the_cap(self):
-        n = MAX_N + 1
-        for job in (lambda: enumerate_nested(n, (1,)),
-                    lambda: integrate_localization(n, (1,), "nhilb",
-                                                   TautClass(1, 0, 1)),
-                    lambda: integrate_residue_nilfil(n, (1, 1),
-                                                     TautClass(1, 0, 2)),
-                    lambda: reduce_full_flag(n, 1, TautClass(1, 0, 2))):
-            with pytest.raises(SizeGuardExceeded, match=f"cap {MAX_N}$"):
-                job()
+        """Also at n = 10**8, where any loop over n before the cap check
+        would run for minutes."""
+        for n in (MAX_N + 1, 10 ** 8):
+            for job in (lambda: enumerate_nested(n, (1,)),
+                        lambda: integrate_localization(n, (1,), "nhilb",
+                                                       TautClass(1, 0, 1)),
+                        lambda: integrate_residue_nilfil(n, (1, 1),
+                                                         TautClass(1, 0, 2)),
+                        lambda: reduce_full_flag(n, 1, TautClass(1, 0, 2)),
+                        lambda: virtual_dimension(n, (1,), "nhilb"),
+                        lambda: list(gated_terms(n, (1,), TautClass(1, 0, 1),
+                                                 "nhilb"))):
+                with pytest.raises(SizeGuardExceeded, match=f"cap {MAX_N}$"):
+                    job()
 
     def test_q_past_the_cap(self):
         with pytest.raises(SizeGuardExceeded, match=f"cap {MAX_Q}$"):
@@ -386,14 +391,13 @@ class TestIntegrateLocalization:
         with pytest.raises(SizeGuardExceeded):
             integrate_localization(2, (13,), "nhilb", TautClass(1, 0, 13))
 
-    def test_a_chain_off_the_virtual_dimension_raises(self):
+    def test_a_chain_off_the_virtual_dimension_raises(self, monkeypatch):
         P = TautClass(1, 0, 2)
         vdim = virtual_dimension(2, (1, 1), "nilfil")
-        fixed_point_sum(2, (1, 1), P, is_nilfil, tangent_class_punctual,
-                        vdim=vdim)
+        assert integrate_localization(2, (1, 1), "nilfil", P).vdim == vdim
+        monkeypatch.setattr(localization, "_net_rank", lambda *a: vdim + 1)
         with pytest.raises(InconsistentVirtualDimension):
-            fixed_point_sum(2, (1, 1), P, is_nilfil, tangent_class_punctual,
-                            vdim=vdim + 1)
+            integrate_localization(2, (1, 1), "nilfil", P)
 
 
 class TestReduceFullFlag:
@@ -451,7 +455,7 @@ def test_gated_term_is_the_written_quotient(n):
             extra = None if extra_of is None else extra_of(e)
             value, _ = gated_term(e, tangent, P, extra)
             if not passes_gate(tangent, obstruction_class(e)):
-                assert value is None
+                assert value.is_zero()
                 continue
             want = FactoredRational.from_poly(restrict_class(P, e))
             want = want * euler_class(obstruction_class(e).moving(), "s")
@@ -477,49 +481,68 @@ def _is_relabelled(np_, seen: set) -> bool:
 @pytest.mark.parametrize("n", [2, 3])
 def test_orbit_terms_equal_the_direct_ones(n):
     """Each term gated_terms yields, relabelled or not, is == to
-    gated_term at that chain's own canonical enumeration: every chain with
-    d <= 5 (nhilb, and nilfil for pointed dims) and the full flags with
-    the punctual-to-full correction, with a theta integrand."""
+    gated_term at that chain's own canonical enumeration, whose net rank
+    is the space's: every chain with d <= 5 (nhilb, and nilfil for pointed
+    dims) and the full flags with the punctual-to-full correction, with a
+    theta integrand."""
+    builders = {"nhilb": (None, tangent_class),
+                "nilfil": (is_nilfil, tangent_class_punctual)}
     cases = []
     for d in range(1, 6):
         for dims in _compositions(d):
-            cases.append((dims, None, tangent_class, None))
+            cases.append((dims, "nhilb", None))
             if dims[0] == 1:
-                cases.append((dims, is_nilfil, tangent_class_punctual, None))
-        cases.append(((1,) * d, is_nilfil, tangent_class_punctual,
-                      epunct_class))
+                cases.append((dims, "nilfil", None))
+        cases.append(((1,) * d, "nilfil", epunct_class))
     relabelled = 0
-    for dims, select, tangent_of, extra_of in cases:
+    for dims, space, extra_of in cases:
+        select, tangent_of = builders[space]
         d = sum(dims)
         P = chern_taut(min(d, 2), 1, d)
         chains = [np_ for np_ in enumerate_nested(n, dims)
                   if select is None or select(np_)]
-        got = list(gated_terms(n, dims, P, select, tangent_of, extra_of))
+        got = list(gated_terms(n, dims, P, space, extra_of))
         assert [row[0] for row in got] == chains
+        vdim = virtual_dimension(n, dims, space) if chains else None
         seen: set = set()
-        for np_, value, rank in got:
+        for np_, value in got:
             e = canonical_enumeration(np_)
             extra = None if extra_of is None else extra_of(e)
-            assert (value, rank) == gated_term(e, tangent_of(e), P, extra)
+            assert gated_term(e, tangent_of(e), P, extra) == (value, vdim)
             relabelled += _is_relabelled(np_, seen)
     assert relabelled > 0
 
 
 class TestGatedTerms:
-    def test_a_filter_that_is_not_invariant_raises(self):
+    def test_a_filter_that_is_not_invariant_raises(self, monkeypatch):
         """The identity flag fiber singles out e_1, e_2, ... so relabelled
         terms wait for chains the filter never admits."""
+        monkeypatch.setattr(localization, "_space", lambda space: (
+            lambda np_: is_nilfil(np_) and in_flag_fiber(np_),
+            tangent_class_punctual, punctual_net_count))
         with pytest.raises(NotPermutationInvariant):
-            fixed_point_sum(
-                3, (1, 1, 1, 1), TautClass(1, 0, 4),
-                lambda np_: is_nilfil(np_) and in_flag_fiber(np_),
-                fiber_tangent_class)
+            list(gated_terms(3, (1, 1, 1, 1), TautClass(1, 0, 4), "nilfil"))
+
+    @pytest.mark.parametrize("job", [
+        lambda: run(JobSpec("contribution", n=2, dims=(1, 2))),
+        lambda: reduce_full_flag(2, 2, TautClass(1, 0, 3)),
+        lambda: integrate_localization(2, (1, 1), "nilfil",
+                                       TautClass(1, 0, 2)),
+    ], ids=["contribution-rows", "reduce-full-flag", "integrate"])
+    def test_every_entry_point_checks_the_net_rank(self, monkeypatch, job):
+        """Contribution rows and full-flag chains are rank-checked too."""
+        job()
+        net_rank = localization._net_rank
+        monkeypatch.setattr(localization, "_net_rank",
+                            lambda *a: net_rank(*a) + 1)
+        with pytest.raises(InconsistentVirtualDimension):
+            job()
 
     @pytest.mark.parametrize("space,dims", [("nhilb", (2, 2)),
                                             ("nilfil", (1, 1, 2))])
     def test_contributions_are_the_single_chain_ones(self, space, dims):
         P = chern_taut(2, 1, sum(dims))
-        rows = list(contributions(3, dims, space, P))
+        rows = list(gated_terms(3, dims, P, space))
         chains = [np_ for np_ in enumerate_nested(3, dims)
                   if space == "nhilb" or is_nilfil(np_)]
         assert [np_ for np_, _ in rows] == chains
