@@ -178,15 +178,12 @@ def _mono_sort_key(m: int):
     return (-sum(e for _, _, e in f), [(r, i, -e) for r, i, e in f])
 
 
-def mul_packed(terms: dict, rows: dict) -> dict:
-    """Product of packed terms; rows, which must be nonempty, drives the
-    outer loop, so the shorter factor goes there."""
-    # the first row of products cannot collide with itself
-    items = iter(rows.items())
-    pv, cf = next(items)
-    out = {m + pv: c * cf for m, c in terms.items()}
+def add_products(out: dict, terms: dict, rows) -> None:
+    """Add into out the products of packed terms with each (monomial,
+    coefficient) row, with no carry check; the rows drive the outer
+    loop, so the shorter factor goes there."""
     get = out.get
-    for pv, cf in items:
+    for pv, cf in rows:
         for m, c in terms.items():
             key = m + pv
             nc = get(key, _ZERO) + c * cf
@@ -194,6 +191,17 @@ def mul_packed(terms: dict, rows: dict) -> dict:
                 out[key] = nc
             elif key in out:
                 del out[key]
+
+
+def mul_packed(terms: dict, rows: dict) -> dict:
+    """Product of packed terms; rows, which must be nonempty, drives the
+    outer loop, so the shorter factor goes there."""
+    # the first row of products cannot collide with itself
+    items = iter(rows.items())
+    pv, cf = next(items)
+    out = {m + pv: c * cf for m, c in terms.items()}
+    if len(rows) > 1:
+        add_products(out, terms, items)
     _refuse_carry(out)
     return out
 
@@ -415,39 +423,76 @@ class SparsePolynomial:
 
 
 def slices_of(terms: dict, x: Var) -> dict:
-    """{k: packed terms of the coefficient of x^k} of packed terms."""
+    """{k: (0, packed terms of the coefficient of x^k)} of packed terms,
+    the slices that divide_slices takes."""
     sx = var_shift(x)
     out: dict = {}
     for m, c in terms.items():
         k = (m >> sx) & FIELD_MASK
-        out.setdefault(k, {})[m - (k << sx)] = c
+        out.setdefault(k, (0, {}))[1][m - (k << sx)] = c
     return out
+
+
+def monomial_root(a, neg: dict):
+    """The packed monomial m when a*x + r is x - m, else None."""
+    if a == 1 and len(neg) == 1:
+        (m, c), = neg.items()
+        if c == 1:
+            return m
+    return None
 
 
 def divide_slices(slices: dict, a, neg: dict, floor: int) -> dict:
     """Slices of p / (a*x + r) as a Laurent series in 1/x, kept down to
     x^floor, from the slices of p and neg = -r as packed terms.
 
-    Synthetic division from the top slice down:
-    q_{k-1} = (p_k + (-r)*q_k) / a.  Continued to floor = -1 it ends
-    with q_{-1}, the remainder over a, which is zero exactly when
-    a*x + r divides p.
+    A slice is a pair (offset, terms): the packed monomial offset
+    multiplies every key of terms, so key + offset is the monomial; keys
+    are plain ints and may hold negative fields.  Synthetic division from
+    the top slice down: q_{k-1} = (p_k + (-r)*q_k) / a.  When a*x + r is
+    x - m for one monomial m (monomial_root), m*q_k only adds m to the
+    offset.  Other divisors multiply q_k by neg with the offset folded
+    into neg's keys, which leaves offset 0.  p_k and that product are
+    merged by adding the shorter into the longer, at its monomials minus
+    the longer one's offset; a terms dict is shared between slices, in
+    and out, so the longer is copied first unless it is a fresh product.
+    Continued to floor = -1 it ends with q_{-1}, the remainder over a,
+    which is zero exactly when a*x + r divides p.
     """
     out: dict = {}
-    q: dict = {}
+    m = monomial_root(a, neg)
+    off, q = 0, {}
     for k in range(max(slices, default=floor), floor, -1):
-        q = mul_packed(q, neg) if q and neg else {}
-        for m, c in slices.get(k, {}).items():
-            nc = q.get(m, _ZERO) + c
-            if nc:
-                q[m] = nc
-            else:
-                del q[m]
+        if m is not None:
+            off += m
+        elif q and neg:
+            q = mul_packed(q, {pv + off: cf for pv, cf in neg.items()}
+                           if off else neg)
+            off = 0
+        else:
+            q = {}
+        p = slices.get(k)
+        if p and q:
+            poff, p = p
+            if len(p) > len(q):
+                off, q, poff, p = poff, dict(p), off, q
+            elif m is not None:
+                q = dict(q)
+            poff -= off
+            for key, c in p.items():
+                key += poff
+                nc = q.get(key, _ZERO) + c
+                if nc:
+                    q[key] = nc
+                else:
+                    del q[key]
+        elif p:
+            off, q = p
         if a != 1:
-            q = {m: c // a if not c % a else Fraction(c, a)
-                 for m, c in q.items()}
+            q = {key: c // a if not c % a else Fraction(c, a)
+                 for key, c in q.items()}
         if q:
-            out[k - 1] = q
+            out[k - 1] = (off, q)
     return out
 
 
@@ -467,7 +512,8 @@ def exact_divide_linear(p: SparsePolynomial, form: "LinearForm") -> SparsePolyno
     if -1 in q:
         return None
     return SparsePolynomial.from_packed(
-        {m + (k << sx): c for k, qk in q.items() for m, c in qk.items()})
+        {key + off + (k << sx): c
+         for k, (off, qk) in q.items() for key, c in qk.items()})
 
 
 class LinearForm(SparsePolynomial):

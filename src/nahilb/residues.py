@@ -18,20 +18,28 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import factorial, prod
+from operator import or_
 
 from .algebra import (
+    MAX_EXPONENT,
     FactoredRational,
     LinearForm,
     SparsePolynomial,
+    _mono_degree,
+    _refuse_carry,
+    add_products,
     divide_slices,
     linear_form_of,
+    monomial_root,
     mul_packed,
     slices_of,
     sum_factored,
     var_shift,
 )
 from .errors import (
+    ExponentOverflow,
     IndexOutOfRange,
     NonElimination,
     RequiresNilfil,
@@ -124,12 +132,22 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     Per round, the numerator N is divided by each factor F whose top
     z-variable is the current one, z_M, as a Laurent series in 1/z_M:
     each unit of a factor's exponent is one pass of synthetic division
-    (algebra.divide_slices) continued past z_M^0.  As (D*N)/F = D*(N/F),
-    the product D of the round's deferred forms multiplies in after the
-    divisions: the z_M^-1 coefficient is sum_j D_j*Q_{-1-j} over the z_M^j
-    slices of D and of the quotient Q.  Each pass stops at the exponents
-    that can no longer reach -1-deg_{z_M} D past the factors still
+    (algebra.divide_slices) continued past z_M^0.  Division commutes, so
+    the passes by z_M - m for one monomial m, which only move a slice's
+    offset, run after the others, which multiply every term and so run
+    while the state is short.  As (D*N)/F = D*(N/F), the product D of
+    the round's deferred forms, times the round's sign, multiplies in
+    after the divisions: the z_M^-1 coefficient is sum_j D_j*Q_{-1-j}
+    over the z_M^j slices of D and of the quotient Q, with each slice's
+    offset folded into the keys of D_j.  Each pass stops at the exponents
+    that can no longer reach -1-deg_{z_M} D past the passes still
     pending; margin loosens that cutoff and must never change the result.
+
+    The monomials behind offset keys are never built, so no carry check
+    sees them; instead a round raises ExponentOverflow before its first
+    division unless deg N + passes + deg_{z_M} D + margin + 1 <=
+    MAX_EXPONENT, which bounds the total degree of every quotient term,
+    and its result is checked as before.
     """
     num = dict(f.numerator.terms)
     factors, deferred = {}, {}
@@ -141,30 +159,40 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
             return SparsePolynomial.zero()
         zM = ("z", M)
         pz = 1 << var_shift(zM)
-        D = {0: 1}
-        for form, e in deferred.pop(M, ()):
-            for _ in range(e):
-                D = mul_packed(D, form.terms)
-        D = slices_of(D, zM)
-        active = factors.pop(M, ())
-        state = slices_of(num, zM)
         sign = RESIDUE_SIGN
-        # each pending pass lowers a slice by one, D lifts it by deg D
-        rem = sum(e for _, e in active) - max(D)
-        for form, e in active:
+        passes = []
+        for form, e in factors.pop(M, ()):
             # c*z_M + r is -(|c|*z_M - r) when c < 0
             c = form.terms[pz]
             flip = -1 if c < 0 else 1
             sign *= flip ** e
             neg = {pv: -flip * cf for pv, cf in form.terms.items() if pv != pz}
+            passes += [(flip * c, neg)] * e
+        passes.sort(key=lambda p: monomial_root(*p) is not None)
+        D = {0: sign}
+        for form, e in deferred.pop(M, ()):
             for _ in range(e):
-                rem -= 1
-                state = divide_slices(state, flip * c, neg, rem - 1 - margin)
+                D = mul_packed(D, form.terms)
+        D = slices_of(D, zM)
+        # the OR of the keys holds every field of each, so its degree
+        # bounds deg N and the exact maximum is needed only past it
+        room = MAX_EXPONENT - len(passes) - max(D) - margin - 1
+        if (_mono_degree(reduce(or_, num)) > room
+                and max(map(_mono_degree, num)) > room):
+            raise ExponentOverflow(
+                f"the z_{M} round could take an exponent past {MAX_EXPONENT}")
+        state = slices_of(num, zM)
+        # each pending pass lowers a slice by one, D lifts it by deg D
+        rem = len(passes) - max(D)
+        for a, neg in passes:
+            rem -= 1
+            state = divide_slices(state, a, neg, rem - 1 - margin)
         num = {}
-        for j, Dj in D.items():
-            for m, c in mul_packed(state.get(-1 - j, {}), Dj).items():
-                num[m] = num.get(m, 0) + c
-        num = {m: sign * c for m, c in num.items() if c}
+        for j, (_, Dj) in D.items():
+            if -1 - j in state:
+                off, Q = state[-1 - j]
+                add_products(num, Q, [(pv + off, c) for pv, c in Dj.items()])
+        _refuse_carry(num)
     result = SparsePolynomial.from_packed(num)
     if _max_z_index(result) or factors:
         raise NonElimination(f"z-variables survive the residue: {result}")

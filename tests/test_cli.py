@@ -4,6 +4,7 @@ deterministic JSON output."""
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -474,6 +475,24 @@ class TestMain:
         assert dict(os.environ) == env
 
 
+def test_closed_pipe_exits_1_without_traceback():
+    # the reader closes stdout before the 67 kB document is written
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nahilb.cli", "integrate", "-n", "3",
+         "--dims", "1,1,2", "--space", "nilfil", "--method", "residue",
+         "--q", "1", "--class", "1+theta1*c1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err
+
+
 class TestRun:
     def test_returns_document_and_code(self):
         doc, code = run(JobSpec("enumerate", n=1, dims=(1, 1)))
@@ -594,6 +613,12 @@ GOLDEN = [
         ["integrate", "-n", "3", "--dims", "2,2", "--class", "c2^dual"],
         "ee73b396500595dbbb26d2d00452b1dbb8d3c302baa5ab14c2cdbc98885a9d6b",
         id="integrate-orbits"),
+    # recorded before residue slices carried a monomial offset
+    pytest.param(
+        ["integrate", "-n", "3", "--dims", "1,1,2", "--space", "nilfil",
+         "--method", "residue", "--q", "1", "--class", "1+theta1*c1"],
+        "8577544ad08e96ab8294bb1397f71dca238a2ab7cb96863395551c42d435617b",
+        id="integrate-residue-theta-inhomogeneous"),
 ]
 
 

@@ -18,13 +18,17 @@ from hypothesis import strategies as st
 
 from nahilb import residues
 from nahilb.algebra import (
+    MAX_EXPONENT,
     FactoredRational,
     LinearForm,
     SparsePolynomial,
+    exact_divide_linear,
     rational_equal,
     sum_factored,
+    var_shift,
 )
 from nahilb.errors import (
+    ExponentOverflow,
     IndexOutOfRange,
     NonElimination,
     RequiresNilfil,
@@ -276,6 +280,134 @@ class TestIteratedResidue:
                         [(szlf(1, 1), 1), (szlf(2, 1), 1),
                          (szlf(1, 2), 1), (szlf(2, 2), 1)], 2)
         assert iterated_residue(f) == SparsePolynomial.one()
+
+
+def finite_residue_sum(num, factors, point):
+    """RESIDUE_SIGN times the sum of the classical residues of the one-z
+    form num / prod F^e, at the s-values of point: partial fractions with
+    poles of any order, num expanded in t = z_1 - p about each pole p."""
+    values = {("s", i): v for i, v in point.items()}
+    lines = []  # (a, b, e) for a factor (a*z_1 + b)^e
+    for form, e in factors:
+        b = form.evaluate({("z", 1): 0, **values})
+        lines.append((form.evaluate({("z", 1): 1, **values}) - b, b, e))
+    at = {v: SparsePolynomial.constant(x) for v, x in values.items()}
+    t = SparsePolynomial.variable(("z", 2))
+    total = Fraction(0)
+    for p in {-b / a for a, b, _ in lines}:
+        order = sum(e for a, b, e in lines if a * p + b == 0)
+        at[("z", 1)] = SparsePolynomial.constant(p) + t
+        series = num.substitute(at)
+        for a, b, e in lines:
+            c0 = a * p + b
+            if c0 == 0:
+                series = series * Fraction(1, a ** e)
+            else:  # 1/(c0 + a*t) = sum_j (-a)^j c0^(-1-j) t^j
+                inv = sum((t ** j * (Fraction(-a) ** j / c0 ** (j + 1))
+                           for j in range(order)), SparsePolynomial.zero())
+                series = series * inv ** e
+        total += series.terms.get((order - 1) << var_shift(("z", 2)), 0)
+    return RESIDUE_SIGN * total
+
+
+@st.composite
+def _shift_mixed_forms(draw):
+    """(num, factors, k, deferred) as coefficient dicts: each round's
+    factors mix the monomial roots z_M - s_i and z_M - z_l with
+    2*z_l - z_M and z_i + z_j - z_M, exponents 1 to 3."""
+    k = draw(st.integers(1, 3))
+
+    def factor(M):
+        kinds = ("s", "z", "2z", "zz") if M > 1 else ("s",)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "s":
+            coeffs = {("z", M): 1, ("s", draw(st.integers(1, 3))): -1}
+        elif kind == "z":
+            coeffs = {("z", M): 1, ("z", draw(st.integers(1, M - 1))): -1}
+        elif kind == "2z":
+            coeffs = {("z", M): -1, ("z", draw(st.integers(1, M - 1))): 2}
+        else:
+            coeffs = {("z", M): -1}
+            for _ in range(2):
+                zi = ("z", draw(st.integers(1, M - 1)))
+                coeffs[zi] = coeffs.get(zi, 0) + 1
+        return coeffs, draw(st.integers(1, 3))
+
+    factors, deferred = [], []
+    for M in range(1, k + 1):
+        factors += [factor(M) for _ in range(draw(st.integers(1, 2)))]
+        deferred += [factor(M) for _ in range(draw(st.integers(0, 1)))]
+    names = [("z", l) for l in range(1, k + 1)] + [("s", i) for i in (1, 2, 3)]
+    num = SparsePolynomial.zero()
+    for c, mono in draw(st.lists(st.tuples(
+            st.sampled_from((-3, -2, -1, 1, 2, 3)),
+            st.lists(st.sampled_from(names), max_size=4)),
+            min_size=1, max_size=4)):
+        num = num + SparsePolynomial({tuple((v, 1) for v in mono): c})
+    return num, factors, k, deferred
+
+
+@given(_shift_mixed_forms(), st.sampled_from((0, 2)),
+       st.lists(st.integers(-9, 9), min_size=3, max_size=3, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_monomial_shift_passes_match_general_passes(form, margin, values):
+    num, factors, k, deferred = form
+    forms = [(LinearForm(c), e) for c, e in factors]
+    lazy = [(LinearForm(c), e) for c, e in deferred]
+    got = iterated_residue(ResidueForm(num, forms, k, lazy), margin)
+    full = num
+    for f, e in lazy:
+        full = full * SparsePolynomial.from_packed(f.terms) ** e
+    assert got == iterated_residue(ResidueForm(full, forms, k), margin)
+    # scaled by 2, no factor has z_M coefficient +-1, so every pass
+    # multiplies the quotient and none moves an offset
+    doubled = [(LinearForm({v: 2 * x for v, x in c.items()}), e)
+               for c, e in factors]
+    scale = 2 ** sum(e for _, e in factors)
+    assert got == iterated_residue(
+        ResidueForm(num, doubled, k, lazy), margin) * scale
+    if k == 1:
+        point = dict(zip((1, 2, 3), values))
+        assert got.evaluate({("s", i): v for i, v in point.items()}) \
+            == finite_residue_sum(full, forms, point)
+
+
+_DIVISORS = [LinearForm({("s", 1): 1, ("s", 2): -1}),
+             LinearForm({("s", 2): 1, ("z", 1): -1}),
+             LinearForm({("s", 1): 2, ("s", 3): -1})]
+
+
+@given(st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(
+        [("s", 1), ("s", 2), ("s", 3), ("z", 1)]), st.integers(1, 3)),
+        max_size=3).map(tuple),
+    st.integers(-5, 5), max_size=5).map(SparsePolynomial),
+    st.sampled_from(_DIVISORS))
+@settings(max_examples=80, deadline=None)
+def test_exact_divide_linear_by_monomial_roots(p, f):
+    # s1 - s2 and s2 - z1 divide by moving an offset, 2*s1 - s3 by products
+    assert exact_divide_linear(p * f, f) == p
+    # f divides p*f + 1 only if it divides 1
+    assert exact_divide_linear(p * f + SparsePolynomial.one(), f) is None
+
+
+def test_exponent_bound_refuses_before_dividing(monkeypatch):
+    def no_division(*args):
+        raise AssertionError("divide_slices ran")
+
+    top = SparsePolynomial.variable(("s", 1)) ** (MAX_EXPONENT - 4)
+    pole = LinearForm({("z", 1): 1, ("s", 1): -1})
+    monkeypatch.setattr(residues, "divide_slices", no_division)
+    with pytest.raises(ExponentOverflow):
+        iterated_residue(ResidueForm(top, [(pole, 8)], 1))
+    monkeypatch.undo()
+    # at the bound the round runs; s1^K + s2^K has degree K although the
+    # OR of its monomials has degree 2K
+    K = MAX_EXPONENT - 2
+    for num in (s(1) ** K, s(1) ** K + s(2) ** K):
+        assert iterated_residue(ResidueForm(num, [(pole, 1)], 1)) == -num
+    with pytest.raises(ExponentOverflow):
+        iterated_residue(ResidueForm(s(1) ** (K + 1), [(pole, 1)], 1))
 
 
 class TestWeightedResidue:
