@@ -18,9 +18,11 @@ Variables are plain tuples ``(namespace, index)``.  The total order on
 variables is namespace rank (s < theta < eta < z) then index; monomial
 comparisons are graded lexicographic with earlier variables dominating.
 A monomial is one int with a fixed bit field per variable (see
-``var_shift``), so multiplying monomials is an int addition; the order
-is decoded only where it is visible: ``sorted_terms`` (which the
-serializer uses), ``leading`` and printing.
+``var_shift``), so multiplying monomials is an int addition.  The order
+is decoded only where it is visible, in ``sorted_terms`` and
+``leading`` (``_graded_rows``): they read once, from the OR of a
+polynomial's keys, which fields it uses, and decode only those.
+Printing and the serializer go through ``sorted_terms``.
 
 Example::
 
@@ -86,6 +88,42 @@ def parse_var(name: str) -> Var:
         if name.startswith(ns) and name[len(ns):].isdigit():
             return (ns, int(name[len(ns):]))
     raise ValueError(f"not a variable name: {name!r}")
+
+
+def term_text(pairs, coeff: str) -> str:
+    """Display text of one term of a polynomial, from the text of its
+    coefficient and its (variable name, exponent) pairs."""
+    mono = "*".join(name + (f"^{e}" if e > 1 else "") for name, e in pairs)
+    if not mono:
+        return coeff
+    if coeff == "1":
+        return mono
+    return "-" + mono if coeff == "-1" else f"{coeff}*{mono}"
+
+
+def sum_text(terms: list) -> str:
+    """Display text of a polynomial from its terms' texts, leading first."""
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def rational_text(r: "FactoredRational", poly: str, forms: list) -> str:
+    """Display text of r from the texts of its polynomial part and of
+    its forms, in the order of r.factors: str(r) and the command line's
+    one-pass render (serialize.render_rational) both write it here."""
+    if r.is_zero():
+        return "0"
+    num = [f"({r.scalar})"] if r.scalar != 1 else []
+    if not r.poly.is_one() or not num and not r.factors:
+        num.append(f"({poly})")
+    den = []
+    for text, (_, exp) in zip(forms, r.factors):
+        e = abs(exp)
+        (num if exp > 0 else den).append(
+            f"({text})" + (f"^{e}" if e > 1 else ""))
+    out = "*".join(num) if num else "1"
+    if den:
+        out += " / " + "*".join(den)
+    return out
 
 
 # A monomial is a nonnegative int holding one FIELD_BITS-bit exponent field
@@ -171,11 +209,19 @@ def _mono_degree(m: int) -> int:
     return d
 
 
-def _mono_sort_key(m: int):
-    # Ascending sort by this key lists monomials in descending graded-lex
-    # order, leading term first.
-    f = _fields(m)
-    return (-sum(e for _, _, e in f), [(r, i, -e) for r, i, e in f])
+def _graded_rows(terms: dict) -> tuple:
+    """The variables that the packed monomials of terms use, in variable
+    order, and a row (-degree, negated exponents of those variables, m)
+    per monomial m.  The fields come once from the OR of the keys, and
+    only they are decoded; ascending rows list the monomials in
+    descending graded-lex order, leading term first."""
+    names = [(NAMESPACES[r], i) for r, i, _ in _fields(reduce(or_, terms, 0))]
+    shifts = [var_shift(v) for v in names]
+    rows = []
+    for m in terms:
+        es = [-((m >> sh) & FIELD_MASK) for sh in shifts]
+        rows.append((sum(es), es, m))
+    return names, rows
 
 
 def add_products(out: dict, terms: dict, rows) -> None:
@@ -368,15 +414,18 @@ class SparsePolynomial:
     def sorted_terms(self) -> list:
         """(monomial pairs, coefficient) in descending graded-lex order,
         leading term first."""
-        # monomials are distinct, so the sort never compares coefficients
-        keyed = sorted((_mono_sort_key(m), c) for m, c in self.terms.items())
-        return [(tuple(((NAMESPACES[r], i), -e) for r, i, e in key[1]), c)
-                for key, c in keyed]
+        names, rows = _graded_rows(self.terms)
+        # distinct monomials have distinct exponents, so the sort never
+        # compares the monomials themselves
+        rows.sort()
+        terms = self.terms
+        return [(tuple((v, -e) for v, e in zip(names, es) if e), terms[m])
+                for _, es, m in rows]
 
     def leading(self) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=_mono_sort_key)
+        m = min(_graded_rows(self.terms)[1])[2]
         return _unpack(m), self.terms[m]
 
     def extract_content(self) -> tuple:
@@ -401,23 +450,8 @@ class SparsePolynomial:
         return content, prim
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(
-                var_name(v) + (f"^{e}" if e > 1 else "") for v, e in m
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append(f"{c}*{mono}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return sum_text([term_text([(var_name(v), e) for v, e in m], str(c))
+                         for m, c in self.sorted_terms()])
 
     __repr__ = __str__
 
@@ -808,20 +842,8 @@ class FactoredRational:
         return FactoredRational(self.scalar * sign, poly, tuple(factors))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        num = [f"({self.scalar})"] if self.scalar != 1 else []
-        if not self.poly.is_one() or not num and not self.factors:
-            num.append(f"({self.poly})")
-        den = []
-        for form, exp in self.factors:
-            target = num if exp > 0 else den
-            e = abs(exp)
-            target.append(f"({form})" + (f"^{e}" if e > 1 else ""))
-        out = "*".join(num) if num else "1"
-        if den:
-            out += " / " + "*".join(den)
-        return out
+        return rational_text(self, str(self.poly),
+                             [str(form) for form, _ in self.factors])
 
     __repr__ = __str__
 

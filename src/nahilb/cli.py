@@ -38,7 +38,7 @@ from .partitions import (
     point_budget,
 )
 from .residues import integrate_residue_nilfil
-from .serialize import integral_result_to_json, nested_to_json, value_to_json
+from .serialize import integral_result_to_json, nested_to_json, render_value
 from .verify import CHECKS, DEFAULT_SEED, run_checks
 from .weights import fixed_ranks
 
@@ -250,8 +250,11 @@ def parse_class_spec(text: str, q: int, d: int) -> TautClass:
 # ---------------------------------------------------------------------------
 # commands
 
-def _rational_doc(v: FactoredRational, expand: bool) -> dict:
-    return {**value_to_json(v, expand), "display": str(v)}
+def _rational_doc(v: FactoredRational, expand: bool, forms: dict) -> dict:
+    """The value's document with its display text; forms is the job's
+    one dict of rendered linear forms (serialize.render_rational)."""
+    doc, text = render_value(v, expand, forms)
+    return {**doc, "display": text}
 
 
 def cmd_enumerate(job: JobSpec) -> tuple:
@@ -286,8 +289,9 @@ def cmd_enumerate(job: JobSpec) -> tuple:
 def cmd_contribution(job: JobSpec) -> tuple:
     d = sum(job.dims)
     P = parse_class_spec(job.class_spec, job.q, d)
+    forms: dict = {}
     rows = [{"chain": nested_to_json(np_),
-             "value": _rational_doc(v, job.expand)}
+             "value": _rational_doc(v, job.expand, forms)}
             for np_, v in gated_terms(job.n, job.dims, P, job.space)]
     doc = {
         "command": "contribution",
@@ -313,17 +317,17 @@ def _integral(job: JobSpec, method: str):
 
 def cmd_integrate(job: JobSpec) -> tuple:
     res = _integral(job, job.method)
-    doc = integral_result_to_json(res, expand=job.expand)
+    forms: dict = {}
+    doc = integral_result_to_json(res, job.expand, forms)
     doc.update({
         "command": "integrate",
         "n": job.n,
         "dims": list(job.dims),
         "class": job.class_spec,
-        "display": str(res.value),
     })
     if job.cy:
         doc["cy_value"] = _rational_doc(cy_restrict(res.value, job.n),
-                                        job.expand)
+                                        job.expand, forms)
     return doc, 0
 
 
@@ -334,6 +338,7 @@ def cmd_compare(job: JobSpec) -> tuple:
     a = _integral(job, "localization")
     b = _integral(job, "residue")
     equal = rational_equal(a.value, b.value)
+    forms: dict = {}
     doc = {
         "command": "compare",
         "n": job.n,
@@ -342,8 +347,8 @@ def cmd_compare(job: JobSpec) -> tuple:
         "method_a": a.method,
         "method_b": b.method,
         "vdim": a.vdim,
-        "value_a": _rational_doc(a.value, job.expand),
-        "value_b": _rational_doc(b.value, job.expand),
+        "value_a": _rational_doc(a.value, job.expand, forms),
+        "value_b": _rational_doc(b.value, job.expand, forms),
         "equal": equal,
     }
     return doc, 0 if equal else 2
@@ -550,15 +555,29 @@ def write_json(doc, write) -> None:
             ends = "{}" if t is dict else "[]"
             inner = nl + "  "
             sep = ends[0] + inner
+            # str and int children are written inline, without a call
             if t is dict:
                 for k in sorted(o):
-                    append(f"{sep}{quote(k)}: ")
-                    item(o[k], inner)
+                    v = o[k]
+                    tv = type(v)
+                    if tv is str:
+                        append(f"{sep}{quote(k)}: {quote(v)}")
+                    elif tv is int:
+                        append(f"{sep}{quote(k)}: {int.__repr__(v)}")
+                    else:
+                        append(f"{sep}{quote(k)}: ")
+                        item(v, inner)
                     sep = "," + inner
             else:
                 for v in o:
-                    append(sep)
-                    item(v, inner)
+                    tv = type(v)
+                    if tv is str:
+                        append(sep + quote(v))
+                    elif tv is int:
+                        append(sep + int.__repr__(v))
+                    else:
+                        append(sep)
+                        item(v, inner)
                     sep = "," + inner
             append(nl + ends[1] if o else ends)
             if len(parts) >= _FLUSH_AT:

@@ -136,18 +136,22 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     the passes by z_M - m for one monomial m, which only move a slice's
     offset, run after the others, which multiply every term and so run
     while the state is short.  As (D*N)/F = D*(N/F), the product D of
-    the round's deferred forms, times the round's sign, multiplies in
-    after the divisions: the z_M^-1 coefficient is sum_j D_j*Q_{-1-j}
-    over the z_M^j slices of D and of the quotient Q, with each slice's
-    offset folded into the keys of D_j.  Each pass stops at the exponents
-    that can no longer reach -1-deg_{z_M} D past the passes still
-    pending; margin loosens that cutoff and must never change the result.
+    the round's deferred forms, times the round's sign, multiplies
+    either N before the divisions or the quotient tail after them.  A
+    round takes the first route when N has fewer terms than D, and then
+    divides D*N with D = 1.  After the divisions the z_M^-1 coefficient
+    is sum_j D_j*Q_{-1-j} over the z_M^j slices of D and of the quotient
+    Q, with each slice's offset folded into the keys of D_j.  Each pass
+    stops at the exponents that can no longer reach -1-deg_{z_M} D past
+    the passes still pending; margin loosens that cutoff and must never
+    change the result.
 
     The monomials behind offset keys are never built, so no carry check
     sees them; instead a round raises ExponentOverflow before its first
     division unless deg N + passes + deg_{z_M} D + margin + 1 <=
     MAX_EXPONENT, which bounds the total degree of every quotient term,
-    and its result is checked as before.
+    and its result is checked as before.  On the first route N is D*N,
+    whose product checks its own exponents.
     """
     num = dict(f.numerator.terms)
     factors, deferred = {}, {}
@@ -173,6 +177,8 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
         for form, e in deferred.pop(M, ()):
             for _ in range(e):
                 D = mul_packed(D, form.terms)
+        if len(num) < len(D):
+            num, D = mul_packed(D, num), {0: 1}
         D = slices_of(D, zM)
         # the OR of the keys holds every field of each, so its degree
         # bounds deg N and the exact maximum is needed only past it

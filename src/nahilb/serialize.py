@@ -18,6 +18,9 @@ from .algebra import (
     LinearForm,
     SparsePolynomial,
     parse_var,
+    rational_text,
+    sum_text,
+    term_text,
     var_name,
 )
 from .errors import NotPolynomial, SizeGuardExceeded
@@ -83,13 +86,37 @@ def nested_to_json(np_: NestedPartition) -> dict:
     }
 
 
-def value_to_json(v: FactoredRational, expand: bool) -> dict:
-    """The factored value, and with expand its expanded polynomial when
-    the denominators clear; other values omit the expanded form.  A
+def render_rational(r: FactoredRational, forms: dict) -> tuple:
+    """(rational_to_json(r), str(r)) from one sorted_terms call.  forms
+    maps each LinearForm rendered before to its (JSON document, text);
+    a new form is rendered once and added."""
+    numerator, terms = [], []
+    for mono, c in r.poly.sorted_terms():
+        coeff = str(c)
+        exps = {var_name(v): e for v, e in mono}
+        numerator.append({"coeff": coeff, "exps": exps})
+        terms.append(term_text(exps.items(), coeff))
+    factors, texts = [], []
+    for form, e in r.factors:
+        done = forms.get(form)
+        if done is None:
+            done = forms[form] = linear_form_to_json(form), str(form)
+        factors.append([done[0], e])
+        texts.append(done[1])
+    doc = {"scalar": str(r.scalar), "numerator": numerator,
+           "factors": factors}
+    return doc, rational_text(r, sum_text(terms), texts)
+
+
+def render_value(v: FactoredRational, expand: bool, forms: dict) -> tuple:
+    """(document, display text) of a value: the document holds the
+    factored value and, with expand, its expanded polynomial when the
+    denominators clear; other values omit the expanded form.  The
+    factored form and the text come from render_rational(v, forms).  A
     coefficient too long for str() raises SizeGuardExceeded."""
-    doc = {}
     try:
-        doc["factored"] = rational_to_json(v)
+        factored, text = render_rational(v, forms)
+        doc = {"factored": factored}
         if expand:
             doc["expanded"] = poly_to_json(v.expand())
     except NotPolynomial:
@@ -98,13 +125,18 @@ def value_to_json(v: FactoredRational, expand: bool) -> dict:
         raise SizeGuardExceeded(
             f"a coefficient has more than {sys.get_int_max_str_digits()} "
             f"decimal digits, the limit for printing an int") from exc
-    return doc
+    return doc, text
 
 
-def integral_result_to_json(res: IntegralResult, expand: bool = False) -> dict:
+def integral_result_to_json(res: IntegralResult, expand: bool,
+                            forms: dict) -> dict:
+    """The integral's document with its value's display text; forms as
+    in render_rational."""
+    value, display = render_value(res.value, expand, forms)
     return {
         "space": res.space,
         "method": res.method,
         "vdim": res.vdim,
-        "value": value_to_json(res.value, expand),
+        "value": value,
+        "display": display,
     }

@@ -15,6 +15,7 @@ from nahilb.algebra import (
     FactoredRational,
     LinearForm,
     SparsePolynomial,
+    _unpack,
     exact_divide_linear,
     linear_form_of,
     rational_equal,
@@ -583,6 +584,37 @@ def test_exponent_past_the_field_raises(v, a, b):
     else:
         assert (x * y).sorted_terms() == [(tuple(sorted(
             [(v, a + b), (neighbour, 1)], key=lambda ve: var_key(ve[0]))), 1)]
+
+
+_RANK = {"s": 0, "theta": 1, "eta": 2, "z": 3}
+_WIDE_VARS = [(ns, i) for ns in _RANK for i in (1, 2, 9, 10, 11, 23)]
+
+
+def _reference_order(p: SparsePolynomial) -> list:
+    """p's terms as (var, exponent) pairs from _unpack, sorted by total
+    degree and then by the exponent vector over every variable of p, in
+    the order s < theta < eta < z and numeric index, larger first."""
+    names = sorted({v for m in p.terms for v, _ in _unpack(m)},
+                   key=lambda v: (_RANK[v[0]], v[1]))
+
+    def key(m):
+        exps = dict(_unpack(m))
+        vec = [exps.get(v, 0) for v in names]
+        return sum(vec), vec
+
+    return [(_unpack(m), p.terms[m])
+            for m in sorted(p.terms, key=key, reverse=True)]
+
+
+@given(st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(_WIDE_VARS), st.integers(1, 12)),
+             max_size=4).map(tuple),
+    st.integers(-9, 9).filter(bool), max_size=12).map(SparsePolynomial))
+@settings(max_examples=150, deadline=None)
+def test_sorted_terms_follow_the_graded_order(p):
+    assert p.sorted_terms() == _reference_order(p)
+    if p:
+        assert p.leading() == p.sorted_terms()[0]
 
 
 def test_constructor_refuses_exponent_past_the_field():

@@ -619,6 +619,28 @@ GOLDEN = [
          "--method", "residue", "--q", "1", "--class", "1+theta1*c1"],
         "8577544ad08e96ab8294bb1397f71dca238a2ab7cb96863395551c42d435617b",
         id="integrate-residue-theta-inhomogeneous"),
+    # recorded before the one-pass render of values and the residue
+    # rounds that multiply D in before their divisions
+    pytest.param(
+        ["integrate", "-n", "3", "--dims", "1,1,1", "--space", "nilfil",
+         "--class", "1", "--expand"],
+        "3d036808efa3b3b7a2290afd0bdf8cc22c799613c0e7554aba8bd5a297e0470d",
+        id="integrate-zero"),
+    pytest.param(
+        ["contribution", "-n", "2", "--dims", "1,2", "--class",
+         "c2^dual^2*c1", "--expand"],
+        "cf36a115e8f3452b80a101fc1b9a7fea4c138383961c1f26389a51830fe053fd",
+        id="contribution-expand-rational"),
+    pytest.param(
+        ["contribution", "-n", "1", "--dims", "2,2", "--class", "c1^5",
+         "--expand"],
+        "715623c7c07a4036f206050638990a09b9714efb87c1dd186ca4bfc32280225f",
+        id="contribution-expand-polynomial"),
+    pytest.param(
+        ["integrate", "-n", "12", "--dims", "1,1", "--space", "nilfil",
+         "--method", "residue", "--class", "c1^13"],
+        "a06829166987bb9d92fe98f0833d61a79a533a68bc503fa2d1c345cec1098415",
+        id="integrate-residue-s12"),
 ]
 
 
@@ -627,3 +649,13 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run_main(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(p.values[0], id=p.id) for p in GOLDEN])
+def test_stdout_is_json_dumps_of_the_document(capsys, argv):
+    # the writer against json.dumps on real documents, whose rendered
+    # linear forms are shared between values
+    doc, code = run(cli._job_from_args(cli._build_parser().parse_args(argv)))
+    assert run_main(capsys, argv) \
+        == (code, json.dumps(doc, sort_keys=True, indent=2) + "\n", "")

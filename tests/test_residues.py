@@ -7,6 +7,7 @@ is pinned by exact anchor values.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
@@ -143,6 +144,31 @@ def symmetrize_blocks(Q, dhat):
     return out * Fraction(1, len(combos))
 
 
+def residue_routes(form, margin):
+    """iterated_residue(form, margin), and how many of its rounds
+    multiplied the deferred product D into the numerator before the
+    divisions and how many into the quotient after them.  A round of the
+    first kind calls mul_packed with rows that are not a deferred form's
+    terms, and every round slices D and the numerator once each."""
+    calls = Counter()
+    mul, slices = residues.mul_packed, residues.slices_of
+    lazy = [f.terms for f, _ in form.deferred]
+
+    def counted_mul(terms, rows):
+        calls["before"] += all(rows is not t for t in lazy)
+        return mul(terms, rows)
+
+    def counted_slices(terms, x):
+        calls["slices"] += 1
+        return slices(terms, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residues, "mul_packed", counted_mul)
+        mp.setattr(residues, "slices_of", counted_slices)
+        got = iterated_residue(form, margin)
+    return got, calls["before"], calls["slices"] // 2 - calls["before"]
+
+
 def margin_changes(monkeypatch, values):
     """For margins 2 and -1, which of values() change when every residue
     entry point runs iterated_residue with that margin.  margin lives on
@@ -240,9 +266,13 @@ class TestIteratedResidue:
     def test_deferred_forms_match_premultiplied(self):
         # the pre-multiplied form defers nothing, so its deferred product
         # is 1 and it stays an independent oracle; every fourth form has a
-        # round with deferred forms but no pole, whose residue is zero
+        # round with deferred forms but no pole, whose residue is zero.
+        # Numerators of at most 4 terms are shorter than D, which has 6 or
+        # more, and those of every other trial are longer (times an
+        # s-polynomial of 15 terms), so both routes of a round run.
         rng = random.Random(20261019)
         nonzero = 0
+        routes = Counter()
         for trial in range(12):
             k = 2 + trial % 2
             bare = rng.randint(1, k) if trial % 4 == 3 else 0
@@ -253,17 +283,23 @@ class TestIteratedResidue:
                     factors += [(random_zform(rng, M), rng.randint(1, 2))
                                 for _ in range(rng.randint(1, 2))]
             num = random_q(rng, k, k, terms=4)
+            if trial % 4 < 2:
+                num = num * (s(1) + 2 * s(2) + 1) ** 4
             full = num
             for form, e in deferred:
                 full = full * SparsePolynomial.from_packed(form.terms) ** e
             for margin in (0, 2):
-                got = iterated_residue(
+                got, before, after = residue_routes(
                     ResidueForm(num, factors, k, deferred), margin)
+                routes[margin, "before"] += before
+                routes[margin, "after"] += after
                 assert got == iterated_residue(
                     ResidueForm(full, factors, k), margin), (trial, margin)
             nonzero += not got.is_zero()
             assert not bare or got.is_zero()
         assert nonzero >= 6
+        assert min(routes[m, r] for m in (0, 2)
+                   for r in ("before", "after")) >= 1, routes
 
     def test_margin_never_changes_results(self):
         rng = random.Random(7)
@@ -408,6 +444,28 @@ def test_exponent_bound_refuses_before_dividing(monkeypatch):
         assert iterated_residue(ResidueForm(num, [(pole, 1)], 1)) == -num
     with pytest.raises(ExponentOverflow):
         iterated_residue(ResidueForm(s(1) ** (K + 1), [(pole, 1)], 1))
+
+
+def test_exponent_bound_refuses_premultiplied_rounds(monkeypatch):
+    # a one-term numerator is shorter than D = -(z1 - s2), so D multiplies
+    # it before the divisions, and the bound reads the product's degree
+    pole = LinearForm({("z", 1): 1, ("s", 1): -1})
+    lazy = [(LinearForm({("z", 1): 1, ("s", 2): -1}), 1)]
+    K = MAX_EXPONENT - 3
+    got, before, after = residue_routes(
+        ResidueForm(s(1) ** K, [(pole, 1)], 1, lazy), 0)
+    assert (before, after) == (1, 0)
+    assert got == -s(1) ** K * (s(1) - s(2))
+
+    def no_division(*args):
+        raise AssertionError("divide_slices ran")
+
+    monkeypatch.setattr(residues, "divide_slices", no_division)
+    # past the degree bound, and past a field in the product itself
+    for num, e in ((s(1) ** (K + 1), 1), (s(2) ** (MAX_EXPONENT - 1), 2)):
+        form = ResidueForm(num, [(pole, 1)], 1, [(lazy[0][0], e)])
+        with pytest.raises(ExponentOverflow):
+            residue_routes(form, 0)
 
 
 class TestWeightedResidue:

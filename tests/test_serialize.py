@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nahilb.algebra import (
     FactoredRational,
@@ -32,7 +34,8 @@ from nahilb.serialize import (
     poly_to_json,
     rational_from_json,
     rational_to_json,
-    value_to_json,
+    render_rational,
+    render_value,
 )
 
 
@@ -104,6 +107,48 @@ class TestScalarsAndForms:
         assert rational_from_json(doc).is_zero()
 
 
+_NAMES = [("s", 1), ("s", 2), ("s", 11), ("theta", 1), ("theta", 2),
+          ("eta", 1), ("eta", 10), ("z", 2)]
+_POLYS = st.one_of(
+    st.just(SparsePolynomial.zero()), st.just(SparsePolynomial.one()),
+    st.dictionaries(
+        st.lists(st.tuples(st.sampled_from(_NAMES), st.integers(1, 3)),
+                 max_size=3).map(tuple),
+        st.integers(-30, 30), max_size=6).map(SparsePolynomial))
+_FORMS = st.dictionaries(st.sampled_from(_NAMES), st.integers(-3, 3),
+                         min_size=1, max_size=3).filter(
+    lambda c: any(c.values())).map(LinearForm)
+_RATIONALS = st.builds(
+    FactoredRational.build,
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    _POLYS,
+    st.lists(st.tuples(_FORMS, st.integers(-3, 3)), max_size=4))
+
+_THETA_ETA = SparsePolynomial.variable(("theta", 2)) \
+    * SparsePolynomial.variable(("eta", 10)) - 3 * s(11)
+_SHARED = LinearForm({("s", 1): 1, ("s", 11): -2})
+
+
+@given(_RATIONALS, _RATIONALS)
+@example(FactoredRational.zero(), FactoredRational.one())
+@example(FactoredRational.build(Fraction(-5, 3), SparsePolynomial.one()),
+         FactoredRational.build(1, SparsePolynomial.one(),
+                                [(_SHARED, 2), (_SHARED + s(2), -1)]))
+@example(FactoredRational.build(7, _THETA_ETA, [(_SHARED, -3)]),
+         FactoredRational.build(-1, _THETA_ETA ** 2, [(_SHARED, 1)]))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_render_matches_rational_to_json_and_str(a, b):
+    forms: dict = {}
+    for r in (a, b, a):
+        doc, text = render_rational(r, forms)
+        assert doc == rational_to_json(r)
+        assert text == str(r)
+    # each distinct form is rendered once, with its own document and text
+    assert forms.keys() == {f for r in (a, b) for f, _ in r.factors}
+    for form, (doc, text) in forms.items():
+        assert (doc, text) == (linear_form_to_json(form), str(form))
+
+
 class TestCombinatorics:
     def test_nested_partition(self):
         np_ = porteous(3, (1, 2, 1))
@@ -125,34 +170,35 @@ class TestCombinatorics:
 class TestResults:
     def test_integral_result(self):
         res = integrate_localization(2, (1, 2), "nilfil", TautClass(1, 0, 3))
-        doc = roundtrip_doc(integral_result_to_json(res))
+        doc = roundtrip_doc(integral_result_to_json(res, False, {}))
         assert (doc["space"], doc["method"], doc["vdim"]) \
             == (res.space, res.method, res.vdim)
         assert rational_equal(rational_from_json(doc["value"]["factored"]),
                               res.value)
+        assert doc["display"] == str(res.value)
 
     def test_integral_result_expanded_field(self):
         res = integrate_localization(3, (1, 1, 1), "nhilb",
                                      chern_taut(2, 0, 3, dual=True))
-        doc = roundtrip_doc(integral_result_to_json(res, expand=True))
+        doc = roundtrip_doc(integral_result_to_json(res, True, {}))
         assert poly_from_json(doc["value"]["expanded"]) == res.value.expand()
 
     def test_coefficient_too_long_to_print(self):
         value = FactoredRational.from_poly(SparsePolynomial.constant(2 ** 16000))
         with pytest.raises(SizeGuardExceeded,
                            match=str(sys.get_int_max_str_digits())):
-            value_to_json(value, expand=True)
+            render_value(value, True, {})
 
     def test_expanded_field_omitted_for_true_rationals(self):
         c2 = chern_taut(2, 0, 3, dual=True)
         res = integrate_localization(3, (3,), "nhilb",
                                      TautClass(c2.poly ** 3, 0, 3))
-        doc = integral_result_to_json(res, expand=True)
+        doc = integral_result_to_json(res, True, {})
         assert "expanded" not in doc["value"]
         assert "factored" in doc["value"]
 
     def test_documents_are_deterministic(self):
         res = integrate_localization(2, (1, 1), "nilfil", TautClass(1, 0, 2))
-        a = json.dumps(integral_result_to_json(res), sort_keys=True)
-        b = json.dumps(integral_result_to_json(res), sort_keys=True)
+        a = json.dumps(integral_result_to_json(res, False, {}), sort_keys=True)
+        b = json.dumps(integral_result_to_json(res, False, {}), sort_keys=True)
         assert a == b
