@@ -55,9 +55,6 @@ _NS_RANK = {ns: i for i, ns in enumerate(NAMESPACES)}
 
 Var = tuple  # (namespace, index), index >= 1
 
-_ZERO = 0
-_ONE = 1
-
 
 def _num(c):
     """Keep coefficients as plain ints whenever they are integral.
@@ -93,7 +90,7 @@ def parse_var(name: str) -> Var:
 def term_text(pairs, coeff: str) -> str:
     """Display text of one term of a polynomial, from the text of its
     coefficient and its (variable name, exponent) pairs."""
-    mono = "*".join(name + (f"^{e}" if e > 1 else "") for name, e in pairs)
+    mono = "*".join([f"{name}^{e}" if e > 1 else name for name, e in pairs])
     if not mono:
         return coeff
     if coeff == "1":
@@ -232,7 +229,7 @@ def add_products(out: dict, terms: dict, rows) -> None:
     for pv, cf in rows:
         for m, c in terms.items():
             key = m + pv
-            nc = get(key, _ZERO) + c * cf
+            nc = get(key, 0) + c * cf
             if nc:
                 out[key] = nc
             elif key in out:
@@ -264,7 +261,7 @@ class SparsePolynomial:
         out: dict = {}
         for mono, c in (terms or {}).items():
             m = _pack(mono)
-            nc = out.get(m, _ZERO) + (c if type(c) is int else _num(Fraction(c)))
+            nc = out.get(m, 0) + (c if type(c) is int else _num(Fraction(c)))
             if nc:
                 out[m] = nc
             elif m in out:
@@ -284,7 +281,7 @@ class SparsePolynomial:
 
     @classmethod
     def one(cls) -> "SparsePolynomial":
-        return cls.from_packed({0: _ONE})
+        return cls.from_packed({0: 1})
 
     @classmethod
     def constant(cls, c) -> "SparsePolynomial":
@@ -293,13 +290,13 @@ class SparsePolynomial:
 
     @classmethod
     def variable(cls, v: Var) -> "SparsePolynomial":
-        return cls.from_packed({1 << var_shift(v): _ONE})
+        return cls.from_packed({1 << var_shift(v): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {0: _ONE}
+        return self.terms == {0: 1}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -317,12 +314,7 @@ class SparsePolynomial:
         if isinstance(other, (int, Fraction)):
             other = SparsePolynomial.constant(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, _ZERO) + c
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
+        add_products(out, other.terms, ((0, 1),))
         return SparsePolynomial.from_packed(out)
 
     __radd__ = __add__
@@ -390,18 +382,13 @@ class SparsePolynomial:
                     if (sh, e) not in pows:
                         pows[sh, e] = p if e == 1 else p ** e
                     repl = pows[sh, e] if repl is None else repl * pows[sh, e]
-            for mr, cr in ((0, _ONE),) if repl is None else repl.terms.items():
-                key = m + mr
-                nc = out.get(key, _ZERO) + c * cr
-                if nc:
-                    out[key] = nc
-                elif key in out:
-                    del out[key]
+            add_products(out, {0: 1} if repl is None else repl.terms,
+                         ((m, c),))
         _refuse_carry(out)
         return SparsePolynomial.from_packed(out)
 
     def evaluate(self, assignment: dict) -> Fraction:
-        total = _ZERO
+        total = 0
         for m, c in self.terms.items():
             val = c
             for v, e in _unpack(m):
@@ -434,7 +421,7 @@ class SparsePolynomial:
         primitive polynomial is its own primitive part.  Zero returns
         (1, zero)."""
         if not self.terms:
-            return _ONE, self
+            return 1, self
         values = self.terms.values()
         content = Fraction(gcd(*(c.numerator for c in values)),
                            lcm(*(c.denominator for c in values)))
@@ -444,7 +431,7 @@ class SparsePolynomial:
         if (self.leading()[1] if low < 0 < max(values) else low) < 0:
             content = -content
         if content == 1 and all(type(c) is int for c in values):
-            return _ONE, self
+            return 1, self
         prim = self.from_packed(
             {m: _num(c / content) for m, c in self.terms.items()})
         return content, prim
@@ -515,7 +502,7 @@ def divide_slices(slices: dict, a, neg: dict, floor: int) -> dict:
             poff -= off
             for key, c in p.items():
                 key += poff
-                nc = q.get(key, _ZERO) + c
+                nc = q.get(key, 0) + c
                 if nc:
                     q[key] = nc
                 else:
@@ -564,11 +551,17 @@ class LinearForm(SparsePolynomial):
 
     def __init__(self, coeffs: dict | None = None):
         """Form of {var: coefficient}; zero coefficients are dropped."""
-        pairs = sorted(
-            (var_key(v), v, c if type(c) is int else _num(Fraction(c)))
-            for v, c in (coeffs or {}).items() if c != 0)
-        self.terms = {1 << var_shift(v): c for _, v, c in pairs}
-        self._key = tuple((k, c) for k, _, c in pairs)
+        self._keyed(tuple(sorted(
+            (var_key(v), c if type(c) is int else _num(Fraction(c)))
+            for v, c in (coeffs or {}).items() if c != 0)))
+
+    def _keyed(self, key: tuple) -> "LinearForm":
+        """self with the given key, ((rank, index), nonzero coefficient)
+        pairs in variable order, and the packed terms it names."""
+        self._key = key
+        self.terms = {1 << var_shift((NAMESPACES[r], i)): c
+                      for (r, i), c in key}
+        return self
 
     @classmethod
     def from_packed(cls, terms: dict) -> "LinearForm":
@@ -599,14 +592,8 @@ class LinearForm(SparsePolynomial):
     primitive = SparsePolynomial.extract_content
 
     def __str__(self) -> str:
-        if not self._key:
-            return "0"
-        parts = []
-        for (r, i), c in self._key:
-            name = f"{NAMESPACES[r]}{i}"
-            parts.append(name if c == 1 else "-" + name if c == -1
-                         else f"{c}*{name}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return sum_text([term_text([(f"{NAMESPACES[r]}{i}", 1)], str(c))
+                         for (r, i), c in self._key])
 
     __repr__ = __str__
 
@@ -614,13 +601,9 @@ class LinearForm(SparsePolynomial):
 def linear_form_of(weight, namespace: str) -> LinearForm:
     """Linear form of an integer weight vector in the given namespace,
     coordinate i paired with index i+1."""
-    lane, stride, offset = _LANES[namespace]
     rank = _NS_RANK[namespace]
-    form = LinearForm.__new__(LinearForm)
-    form.terms = {1 << FIELD_BITS * (lane + 3 * (stride * i + offset)): c
-                  for i, c in enumerate(weight) if c}
-    form._key = tuple(((rank, i + 1), c) for i, c in enumerate(weight) if c)
-    return form
+    return LinearForm.__new__(LinearForm)._keyed(
+        tuple(((rank, i + 1), c) for i, c in enumerate(weight) if c))
 
 
 def canonical_factors(pairs) -> tuple:
@@ -675,7 +658,7 @@ class FactoredRational:
                 scalar *= content ** exp
             prims.append((prim, exp))
         if pending_zero or scalar == 0 or poly.is_zero():
-            return cls(_ONE, SparsePolynomial.zero(), ())
+            return cls(1, SparsePolynomial.zero(), ())
         content, prim_poly = poly.extract_content()
         return cls(scalar * content, prim_poly, canonical_factors(prims))
 
@@ -689,7 +672,7 @@ class FactoredRational:
 
     @classmethod
     def from_poly(cls, p: SparsePolynomial) -> "FactoredRational":
-        return cls.build(_ONE, p)
+        return cls.build(1, p)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -807,7 +790,7 @@ class FactoredRational:
         simplified value stays simplified."""
         if self.is_zero():
             return self
-        moves = [(FIELD_BITS * 3 * i, FIELD_BITS * 3 * j)
+        moves = [(var_shift(("s", i + 1)), var_shift(("s", j + 1)))
                  for i, j in enumerate(perm) if i != j]
         if not moves:
             return self
@@ -831,33 +814,16 @@ class FactoredRational:
         # renaming is one to one, so the keys stay distinct and sorting
         # the rows is canonical_factors
         rows.sort()
-        factors = []
-        for key, e in rows:
-            # from the key: decoding the terms (from_packed) costs more
-            form = LinearForm.__new__(LinearForm)
-            form._key = key
-            form.terms = {1 << var_shift((NAMESPACES[r], i)): c
-                          for (r, i), c in key}
-            factors.append((form, e))
-        return FactoredRational(self.scalar * sign, poly, tuple(factors))
+        # from the key: decoding the terms (from_packed) costs more
+        factors = tuple((LinearForm.__new__(LinearForm)._keyed(key), e)
+                        for key, e in rows)
+        return FactoredRational(self.scalar * sign, poly, factors)
 
     def __str__(self) -> str:
         return rational_text(self, str(self.poly),
                              [str(form) for form, _ in self.factors])
 
     __repr__ = __str__
-
-
-def _field_shifts(packed: int) -> list:
-    """Bit offsets of the nonzero exponent fields of a packed monomial."""
-    out = []
-    sh = 0
-    while packed:
-        if packed & FIELD_MASK:
-            out.append(sh)
-        packed >>= FIELD_BITS
-        sh += FIELD_BITS
-    return out
 
 
 # the largest int _kronecker_sum may build, in bytes
@@ -885,12 +851,12 @@ def _kronecker_sum(summands, forms: list) -> dict:
     if not forms:
         # nothing to multiply: the polynomials add as they are
         for scalar, terms, _ in summands:
-            for m, c in terms.items():
-                out[m] = out.get(m, 0) + scalar * c
-        return {m: c for m, c in out.items() if c}
+            add_products(out, terms, ((0, scalar),))
+        return out
     # each form's variables as one packed monomial, exponent 1 each
     marks = [reduce(or_, f.terms) for f in forms]
-    shifts = _field_shifts(reduce(or_, marks))
+    shifts = [var_shift((NAMESPACES[r], i))
+              for r, i, _ in _fields(reduce(or_, marks))]
     outside = ~sum(FIELD_MASK << sh for sh in shifts)
     norms = [sum(map(abs, f.terms.values())) for f in forms]
     slots: dict = {}  # (monomial in the other variables, D) -> slot

@@ -31,6 +31,7 @@ from .localization import (
 )
 from .partitions import (
     canonical_enumeration,
+    check_point_budget,
     enumerate_nested,
     in_flag_fiber,
     is_admissible,
@@ -378,10 +379,13 @@ _COMMANDS = {
 
 
 def run(job: JobSpec) -> tuple:
-    """Execute a job; returns (JSON document, exit code)."""
+    """Execute a job; returns (JSON document, exit code).  A job past
+    the point budget is refused before its class is parsed."""
     job.validate()
     token = point_budget.set(job.max_points)
     try:
+        if job.command != "verify":
+            check_point_budget(job.dims)
         return _COMMANDS[job.command](job)
     finally:
         point_budget.reset(token)

@@ -34,6 +34,7 @@ from .partitions import (
     Enumeration,
     _shape,
     canonical_enumeration,
+    check_point_budget,
     enumerate_nested,
     is_nilfil,
     s_orbit,
@@ -232,16 +233,18 @@ def gated_terms(n: int, dims, P: TautClass, space: str, extra_of=None):
     """(chain, gated_term value) of each fixed chain of the space, in
     enumeration order, with extra_of(e) dividing each term when given.
 
-    Refuses a bad shape before anything loops over n, P when it is not
-    symmetric in the eta_j of each layer, and a chain whose net rank is
-    not the space's virtual dimension.  Permuting the coordinates maps
-    fixed chains to fixed chains and renames s_1..s_n in their gated
-    terms, so the term is computed once per orbit, at the first member
-    enumeration reaches, and every other member gets it relabelled.  A
-    relabelled term waits until its chain comes up; one still waiting at
-    the end means the chain filter or a builder is not invariant."""
+    Refuses a bad shape or one past the point budget before anything
+    loops over n or dims, P when it is not symmetric in the eta_j of
+    each layer, and a chain whose net rank is not the space's virtual
+    dimension.  Permuting the coordinates maps fixed chains to fixed
+    chains and renames s_1..s_n in their gated terms, so the term is
+    computed once per orbit, at the first member enumeration reaches,
+    and every other member gets it relabelled.  A relabelled term waits
+    until its chain comes up; one still waiting at the end means the
+    chain filter or a builder is not invariant."""
     select, tangent_of, _ = _space(space)
     dims = _shape(n, dims)
+    check_point_budget(dims)
     check_layer_symmetry(P, dims)
     vdim = _net_rank(n, dims, space)
     pending: dict = {}  # layers -> (perm, value) of a later member

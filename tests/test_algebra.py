@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nahilb.algebra import (
@@ -117,7 +117,8 @@ class TestLinearForm:
         assert (form == LinearForm(other)) == (key == _dict_form(other)[0])
         shuffled = LinearForm(dict(reversed(coeffs.items())))
         packed = LinearForm.from_packed(dict(form.terms))
-        for same in (shuffled, packed):
+        keyed = LinearForm.__new__(LinearForm)._keyed(key)
+        for same in (shuffled, packed, keyed):
             assert same == form and same.key() == key
             assert hash(same) == hash(form)
         got_content, prim = form.primitive()
@@ -405,6 +406,9 @@ class TestRelabel:
             [(f.substitute(rename), e) for f, e in a.factors])
         got = a.relabel_s(perm)
         assert _fields(got) == _fields(want)
+        # == on forms reads their terms alone
+        for (f, _), (g, _) in zip(got.factors, want.factors):
+            assert (f.key(), hash(f), f.terms) == (g.key(), hash(g), g.terms)
         assert _fields(got.simplify()) == _fields(got)
 
     def test_signs(self):
@@ -509,6 +513,31 @@ def test_sum_factored_matches_evaluation(terms, point):
 def test_rational_equal_across_presentations(a, form):
     lhs = FactoredRational.build(1, a * form, [(form, -1)])
     assert rational_equal(lhs, FactoredRational.from_poly(a))
+
+
+_s_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3).map(
+        lambda es: tuple((sv(i + 1), e) for i, e in enumerate(es) if e)),
+    _coeffs, max_size=6).map(SparsePolynomial)
+
+# images that merge terms or cancel them
+_s_images = st.sampled_from([s(1), s(2) - s(1), SparsePolynomial.zero(),
+                             SparsePolynomial.constant(3), s(3) + 1, -s(2)])
+_s_maps = st.dictionaries(st.sampled_from([sv(1), sv(2), sv(3)]), _s_images,
+                          max_size=3)
+
+
+@given(_s_polys, _s_maps, _points)
+@example(s(1) * s(2) - s(1) * s(1) + s(3),
+         {sv(2): s(1), sv(3): SparsePolynomial.zero()},
+         {sv(1): Fraction(2), sv(2): Fraction(11), sv(3): Fraction(23)})
+@settings(max_examples=150, deadline=None)
+def test_substitute_evaluates_at_the_mapped_point(p, mapping, point):
+    got = p.substitute(mapping)
+    mapped = {v: mapping[v].evaluate(point) if v in mapping else x
+              for v, x in point.items()}
+    assert got.evaluate(point) == p.evaluate(mapped)
+    assert 0 not in got.terms.values()
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nahilb.cli as cli
+import nahilb.localization as localization
 import nahilb.verify as verify
 from nahilb.algebra import FactoredRational, SparsePolynomial, rational_equal
 from nahilb.cli import JobSpec, main, parse_class_spec, run, write_json
-from nahilb.errors import IndexOutOfRange, NotBisymmetric, ParseError
+from nahilb.errors import (IndexOutOfRange, NotBisymmetric, ParseError,
+                           SizeGuardExceeded)
 from nahilb.localization import (
     IntegralResult,
     TautClass,
     chern_taut,
     integrate_localization,
+    reduce_full_flag,
 )
 from nahilb.serialize import poly_from_json, rational_from_json
 
@@ -475,6 +478,35 @@ class TestMain:
         assert dict(os.environ) == env
 
 
+class TestBudgetBeforeWork:
+    """A job past the point budget is refused before anything that grows
+    with its size runs: parsing the class (c_k is built over every
+    point), the layer symmetry check and the net rank count."""
+
+    @pytest.fixture(autouse=True)
+    def tripwires(self, monkeypatch):
+        def tripped(*args, **kwargs):
+            raise AssertionError("ran before the point budget refused")
+        monkeypatch.setattr(cli, "parse_class_spec", tripped)
+        monkeypatch.setattr(localization, "check_layer_symmetry", tripped)
+        monkeypatch.setattr(localization, "_net_rank", tripped)
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate"], ["contribution"], ["compare", "--space", "nilfil"],
+        ["integrate", "--space", "nilfil", "--method", "residue"],
+    ])
+    def test_command_line(self, capsys, argv):
+        argv = argv + ["-n", "2", "--dims", "1,40", "--class", "c1"]
+        assert run_main(capsys, argv) == (
+            1, "", "error: total size 41 exceeds the point budget 12\n")
+
+    def test_library(self):
+        with pytest.raises(SizeGuardExceeded, match="point budget 12$"):
+            integrate_localization(2, (40,), "nhilb", TautClass(1, 0, 40))
+        with pytest.raises(SizeGuardExceeded, match="point budget 12$"):
+            reduce_full_flag(2, 40, TautClass(1, 0, 41))
+
+
 def test_closed_pipe_exits_1_without_traceback():
     # the reader closes stdout before the 67 kB document is written
     env = dict(os.environ)
@@ -641,6 +673,12 @@ GOLDEN = [
          "--method", "residue", "--class", "c1^13"],
         "a06829166987bb9d92fe98f0833d61a79a533a68bc503fa2d1c345cec1098415",
         id="integrate-residue-s12"),
+    # recorded before linear forms were built from their keys in one step
+    pytest.param(
+        ["contribution", "-n", "10", "--dims", "1,1,1", "--space", "nilfil",
+         "--class", "c1"],
+        "db2ea19cbb1818eb445df98a456fec11b20c32cb0d80915973d17fb39ba5a874",
+        id="contribution-s10"),
 ]
 
 
