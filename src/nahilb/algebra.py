@@ -87,10 +87,15 @@ def parse_var(name: str) -> Var:
     raise ValueError(f"not a variable name: {name!r}")
 
 
-def term_text(pairs, coeff: str) -> str:
-    """Display text of one term of a polynomial, from the text of its
-    coefficient and its (variable name, exponent) pairs."""
-    mono = "*".join([f"{name}^{e}" if e > 1 else name for name, e in pairs])
+def mono_text(pairs) -> str:
+    """Display text of a monomial from its (variable name, exponent)
+    pairs."""
+    return "*".join([f"{name}^{e}" if e > 1 else name for name, e in pairs])
+
+
+def term_text(mono: str, coeff: str) -> str:
+    """Display text of one term of a polynomial, from the texts of its
+    monomial and its coefficient."""
     if not mono:
         return coeff
     if coeff == "1":
@@ -437,7 +442,8 @@ class SparsePolynomial:
         return content, prim
 
     def __str__(self) -> str:
-        return sum_text([term_text([(var_name(v), e) for v, e in m], str(c))
+        return sum_text([term_text(mono_text([(var_name(v), e) for v, e in m]),
+                                   str(c))
                          for m, c in self.sorted_terms()])
 
     __repr__ = __str__
@@ -592,7 +598,7 @@ class LinearForm(SparsePolynomial):
     primitive = SparsePolynomial.extract_content
 
     def __str__(self) -> str:
-        return sum_text([term_text([(f"{NAMESPACES[r]}{i}", 1)], str(c))
+        return sum_text([term_text(f"{NAMESPACES[r]}{i}", str(c))
                          for (r, i), c in self._key])
 
     __repr__ = __str__

@@ -18,8 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .algebra import (MAX_EXPONENT, FactoredRational, SparsePolynomial,
-                      rational_equal)
+from .algebra import MAX_EXPONENT, SparsePolynomial, rational_equal
 from .errors import IndexOutOfRange, NahilbError, ParseError, TooManyPoints
 from .localization import (
     SPACES,
@@ -251,13 +250,6 @@ def parse_class_spec(text: str, q: int, d: int) -> TautClass:
 # ---------------------------------------------------------------------------
 # commands
 
-def _rational_doc(v: FactoredRational, expand: bool, forms: dict) -> dict:
-    """The value's document with its display text; forms is the job's
-    one dict of rendered linear forms (serialize.render_rational)."""
-    doc, text = render_value(v, expand, forms)
-    return {**doc, "display": text}
-
-
 def cmd_enumerate(job: JobSpec) -> tuple:
     chains = enumerate_nested(job.n, job.dims)
     rows = []
@@ -288,11 +280,11 @@ def cmd_enumerate(job: JobSpec) -> tuple:
 
 
 def cmd_contribution(job: JobSpec) -> tuple:
-    d = sum(job.dims)
-    P = parse_class_spec(job.class_spec, job.q, d)
+    P = parse_class_spec(job.class_spec, job.q, sum(job.dims))
+    # the job's one dict of rendered linear forms (serialize.render_rational)
     forms: dict = {}
     rows = [{"chain": nested_to_json(np_),
-             "value": _rational_doc(v, job.expand, forms)}
+             "value": render_value(v, job.expand, forms)}
             for np_, v in gated_terms(job.n, job.dims, P, job.space)]
     doc = {
         "command": "contribution",
@@ -305,19 +297,15 @@ def cmd_contribution(job: JobSpec) -> tuple:
     return doc, 0
 
 
-def _integral(job: JobSpec, method: str):
-    d = sum(job.dims)
-    P = parse_class_spec(job.class_spec, job.q, d)
-    if method == "residue":
-        if job.space != "nilfil":
-            raise ParseError("the residue method computes nilfil integrals;"
-                             " pass --space nilfil")
-        return integrate_residue_nilfil(job.n, job.dims, P)
-    return integrate_localization(job.n, job.dims, job.space, P)
-
-
 def cmd_integrate(job: JobSpec) -> tuple:
-    res = _integral(job, job.method)
+    P = parse_class_spec(job.class_spec, job.q, sum(job.dims))
+    if job.method == "localization":
+        res = integrate_localization(job.n, job.dims, job.space, P)
+    elif job.space != "nilfil":
+        raise ParseError("the residue method computes nilfil integrals;"
+                         " pass --space nilfil")
+    else:
+        res = integrate_residue_nilfil(job.n, job.dims, P)
     forms: dict = {}
     doc = integral_result_to_json(res, job.expand, forms)
     doc.update({
@@ -327,8 +315,8 @@ def cmd_integrate(job: JobSpec) -> tuple:
         "class": job.class_spec,
     })
     if job.cy:
-        doc["cy_value"] = _rational_doc(cy_restrict(res.value, job.n),
-                                        job.expand, forms)
+        doc["cy_value"] = render_value(cy_restrict(res.value, job.n),
+                                       job.expand, forms)
     return doc, 0
 
 
@@ -336,8 +324,9 @@ def cmd_compare(job: JobSpec) -> tuple:
     if job.space != "nilfil":
         raise ParseError("compare runs both methods, so it needs a nilfil"
                          " integral; pass --space nilfil")
-    a = _integral(job, "localization")
-    b = _integral(job, "residue")
+    P = parse_class_spec(job.class_spec, job.q, sum(job.dims))
+    a = integrate_localization(job.n, job.dims, job.space, P)
+    b = integrate_residue_nilfil(job.n, job.dims, P)
     equal = rational_equal(a.value, b.value)
     forms: dict = {}
     doc = {
@@ -348,8 +337,8 @@ def cmd_compare(job: JobSpec) -> tuple:
         "method_a": a.method,
         "method_b": b.method,
         "vdim": a.vdim,
-        "value_a": _rational_doc(a.value, job.expand, forms),
-        "value_b": _rational_doc(b.value, job.expand, forms),
+        "value_a": render_value(a.value, job.expand, forms),
+        "value_b": render_value(b.value, job.expand, forms),
         "equal": equal,
     }
     return doc, 0 if equal else 2
@@ -449,11 +438,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     " of points in affine space.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_class=True):
-        sp.add_argument("-n", type=int, default=None,
-                        help="number of torus weights (ambient dimension)")
-        sp.add_argument("--dims", type=str, default=None,
-                        help="layer sizes, comma separated, e.g. 1,2")
+    def add(name, summary, chains=True, with_class=True):
+        sp = sub.add_parser(name, help=summary)
+        if chains:
+            sp.add_argument("-n", type=int, default=None,
+                            help="number of torus weights (ambient dimension)")
+            sp.add_argument("--dims", type=str, default=None,
+                            help="layer sizes, comma separated, e.g. 1,2")
         if with_class:
             sp.add_argument("--class", dest="class_spec", default=None,
                             help="integrand, e.g. 'c2^dual^3' or 'eta1*eta2'")
@@ -468,33 +459,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="point budget override (capped at 14)")
         sp.add_argument("--output", default=None,
                         help="write the JSON document here instead of stdout")
+        return sp
 
-    sp = sub.add_parser("enumerate", help="list the fixed chains")
-    common(sp, with_class=False)
-
-    sp = sub.add_parser("classify", help="enumerate with classification flags")
-    common(sp, with_class=False)
-
-    sp = sub.add_parser("contribution", help="per-chain localization terms")
-    common(sp)
-
-    sp = sub.add_parser("integrate", help="equivariant virtual integral")
-    common(sp)
+    add("enumerate", "list the fixed chains", with_class=False)
+    add("classify", "enumerate with classification flags", with_class=False)
+    add("contribution", "per-chain localization terms")
+    sp = add("integrate", "equivariant virtual integral")
     sp.add_argument("--method", choices=("localization", "residue"),
                     default=None)
     sp.add_argument("--cy", action="store_true", default=None,
                     help="also restrict to the trace-zero subtorus")
-
-    sp = sub.add_parser("compare", help="run both methods and compare")
-    common(sp)
-
-    sp = sub.add_parser("verify", help="run the verification suite")
+    add("compare", "run both methods and compare")
+    sp = add("verify", "run the verification suite", chains=False,
+             with_class=False)
     sp.add_argument("--checks", default=None,
                     help=f"comma-separated subset of: {', '.join(CHECKS)}")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--max-points", type=int, default=None)
-    sp.add_argument("--output", default=None)
     return p
 
 
@@ -559,29 +539,15 @@ def write_json(doc, write) -> None:
             ends = "{}" if t is dict else "[]"
             inner = nl + "  "
             sep = ends[0] + inner
-            # str and int children are written inline, without a call
             if t is dict:
                 for k in sorted(o):
-                    v = o[k]
-                    tv = type(v)
-                    if tv is str:
-                        append(f"{sep}{quote(k)}: {quote(v)}")
-                    elif tv is int:
-                        append(f"{sep}{quote(k)}: {int.__repr__(v)}")
-                    else:
-                        append(f"{sep}{quote(k)}: ")
-                        item(v, inner)
+                    append(f"{sep}{quote(k)}: ")
+                    item(o[k], inner)
                     sep = "," + inner
             else:
                 for v in o:
-                    tv = type(v)
-                    if tv is str:
-                        append(sep + quote(v))
-                    elif tv is int:
-                        append(sep + int.__repr__(v))
-                    else:
-                        append(sep)
-                        item(v, inner)
+                    append(sep)
+                    item(v, inner)
                     sep = "," + inner
             append(nl + ends[1] if o else ends)
             if len(parts) >= _FLUSH_AT:

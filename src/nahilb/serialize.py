@@ -17,6 +17,7 @@ from .algebra import (
     FactoredRational,
     LinearForm,
     SparsePolynomial,
+    mono_text,
     parse_var,
     rational_text,
     sum_text,
@@ -95,7 +96,7 @@ def render_rational(r: FactoredRational, forms: dict) -> tuple:
         coeff = str(c)
         exps = {var_name(v): e for v, e in mono}
         numerator.append({"coeff": coeff, "exps": exps})
-        terms.append(term_text(exps.items(), coeff))
+        terms.append(term_text(mono_text(exps.items()), coeff))
     factors, texts = [], []
     for form, e in r.factors:
         done = forms.get(form)
@@ -108,15 +109,15 @@ def render_rational(r: FactoredRational, forms: dict) -> tuple:
     return doc, rational_text(r, sum_text(terms), texts)
 
 
-def render_value(v: FactoredRational, expand: bool, forms: dict) -> tuple:
-    """(document, display text) of a value: the document holds the
-    factored value and, with expand, its expanded polynomial when the
-    denominators clear; other values omit the expanded form.  The
-    factored form and the text come from render_rational(v, forms).  A
-    coefficient too long for str() raises SizeGuardExceeded."""
+def render_value(v: FactoredRational, expand: bool, forms: dict) -> dict:
+    """The document of a value: its factored form, its display text and,
+    with expand, its expanded polynomial when the denominators clear;
+    other values omit the expanded form.  The factored form and the
+    display come from render_rational(v, forms).  A coefficient too long
+    for str() raises SizeGuardExceeded."""
     try:
         factored, text = render_rational(v, forms)
-        doc = {"factored": factored}
+        doc = {"factored": factored, "display": text}
         if expand:
             doc["expanded"] = poly_to_json(v.expand())
     except NotPolynomial:
@@ -125,18 +126,18 @@ def render_value(v: FactoredRational, expand: bool, forms: dict) -> tuple:
         raise SizeGuardExceeded(
             f"a coefficient has more than {sys.get_int_max_str_digits()} "
             f"decimal digits, the limit for printing an int") from exc
-    return doc, text
+    return doc
 
 
 def integral_result_to_json(res: IntegralResult, expand: bool,
                             forms: dict) -> dict:
-    """The integral's document with its value's display text; forms as
-    in render_rational."""
-    value, display = render_value(res.value, expand, forms)
+    """The integral's document with its value's display text beside the
+    value; forms as in render_rational."""
+    value = render_value(res.value, expand, forms)
     return {
         "space": res.space,
         "method": res.method,
         "vdim": res.vdim,
+        "display": value.pop("display"),
         "value": value,
-        "display": display,
     }

@@ -320,6 +320,19 @@ class TestMain:
         assert code == 2
         assert json.loads(out)["equal"] is False
 
+    def test_compare_parses_its_class_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return parse_class_spec(*args)
+
+        monkeypatch.setattr(cli, "parse_class_spec", counting)
+        code, out, _ = run_main(capsys, [
+            "compare", "-n", "2", "--dims", "1,2,1", "--class", "c1^2"])
+        assert (code, json.loads(out)["equal"]) == (0, True)
+        assert calls == [("c1^2", 0, 4)]
+
     def test_verify_subset(self, capsys):
         code, out, _ = run_main(capsys, [
             "verify", "--checks", "hilb3-closed-form"])
@@ -407,6 +420,13 @@ class TestMain:
             main(["integrate", "--help"])
         assert exc.value.code == 0
         assert "--dims" in capsys.readouterr().out
+
+    def test_verify_flags_have_the_shared_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert "JSON file with default job fields" in out
+        assert "point budget override (capped at 14)" in out
 
     def test_main_builds_the_parser_once(self, capsys, monkeypatch):
         built = []
