@@ -43,7 +43,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm, prod
 from operator import or_
 
 from .errors import (DegenerateRestriction, DivisionByZero, ExponentOverflow,
@@ -319,7 +320,12 @@ class SparsePolynomial:
         if isinstance(other, (int, Fraction)):
             other = SparsePolynomial.constant(other)
         out = dict(self.terms)
-        add_products(out, other.terms, ((0, 1),))
+        for m, c in other.terms.items():
+            nc = out.get(m, 0) + c
+            if nc:
+                out[m] = nc
+            else:
+                del out[m]
         return SparsePolynomial.from_packed(out)
 
     __radd__ = __add__
@@ -836,6 +842,57 @@ class FactoredRational:
 MAX_KRONECKER_BYTES = 1 << 28
 
 
+def _kronecker_layout(radix: list, width: int, slots: int) -> tuple:
+    """(steps, slot step) in bits of a packed int with `slots` slots of
+    width-byte digits, one digit per exponent vector below radix, where
+    the variable of largest radix is dehomogenized: its step is 0 and its
+    exponent is read back from the slot's degree.  Raises
+    SizeGuardExceeded past MAX_KRONECKER_BYTES, before anything is
+    built."""
+    drop = radix.index(max(radix))
+    steps = []
+    step = 8 * width
+    for k, r in enumerate(radix):
+        steps.append(0 if k == drop else step)
+        step *= 1 if k == drop else r
+    size = step // 8 * slots
+    if size > MAX_KRONECKER_BYTES:
+        raise SizeGuardExceeded(
+            f"the packed sum needs 2**{size.bit_length() - 1}"
+            f" bytes or more, past the cap of {MAX_KRONECKER_BYTES}")
+    return steps, step
+
+
+def _kronecker_decode(total: int, width: int, step: int, keys: list,
+                      shifts: list, radix: list, steps: list) -> dict:
+    """Packed terms of the int laid out by _kronecker_layout(radix, width,
+    len(keys)) as (steps, step): slot k holds the terms of monomial
+    keys[k][0] in the other variables and of degree keys[k][1] in the
+    variables at bit offsets shifts.  Each digit lies strictly between
+    -X/2 and X/2, X = 2**(8 * width); one to_bytes with a bias of X/2 on
+    every digit reads them all."""
+    count = step // (8 * width)
+    size = count * len(keys)
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")
+    raw = (total + int.from_bytes(zero * size, "little")).to_bytes(
+        size * width, "little")
+    kept = [(sh, r) for sh, r, st in zip(shifts, radix, steps) if st]
+    last = shifts[steps.index(0)]
+    out: dict = {}
+    for pos in range(size):
+        chunk = raw[pos * width:(pos + 1) * width]
+        if chunk != zero:
+            slot, pos = divmod(pos, count)
+            m, rest = keys[slot]
+            for sh, r in kept:
+                pos, e = divmod(pos, r)
+                m += e << sh
+                rest -= e
+            out[m + (rest << last)] = int.from_bytes(chunk, "little") - half
+    return out
+
+
 def _kronecker_sum(summands, forms: list) -> dict:
     """Packed terms of the sum of scalar * poly * prod forms[k]**e over
     the summands (int scalar, packed int terms, ((k, e > 0), ...)).
@@ -895,18 +952,7 @@ def _kronecker_sum(summands, forms: list) -> dict:
             f"degree {top} exceeds {MAX_EXPONENT}, the packed field limit")
     width = bound.bit_length() // 8 + 1
     radix = [min(top, r) + 1 for r in reach]
-    drop = radix.index(max(radix))
-    steps = []
-    step = bits = 8 * width
-    for k, r in enumerate(radix):
-        steps.append(0 if k == drop else step)
-        step *= 1 if k == drop else r
-    count = step // bits
-    size = count * len(slots)
-    if size * width > MAX_KRONECKER_BYTES:
-        raise SizeGuardExceeded(
-            f"the packed sum needs 2**{(size * width).bit_length() - 1}"
-            f" bytes or more, past the cap of {MAX_KRONECKER_BYTES}")
+    steps, step = _kronecker_layout(radix, width, len(slots))
     digit = dict(zip((1 << sh for sh in shifts), steps))
     # each form's (shift, coefficient) terms, shift 0 first
     fterms = [sorted(zip(map(digit.__getitem__, f.terms), f.terms.values()))
@@ -933,24 +979,117 @@ def _kronecker_sum(summands, forms: list) -> dict:
                         acc += (v << sh) * c
                 v = acc
         total += v
-    half = 1 << (bits - 1)
-    zero = half.to_bytes(width, "little")
-    raw = (total + int.from_bytes(zero * size, "little")).to_bytes(
-        size * width, "little")
-    keys = list(slots)
-    kept = [(sh, r) for k, (sh, r) in enumerate(zip(shifts, radix))
-            if k != drop]
-    last = shifts[drop]
-    for pos in range(size):
-        chunk = raw[pos * width:(pos + 1) * width]
-        if chunk != zero:
-            slot, pos = divmod(pos, count)
-            m, rest = keys[slot]
-            for sh, r in kept:
-                pos, e = divmod(pos, r)
-                m += e << sh
-                rest -= e
-            out[m + (rest << last)] = int.from_bytes(chunk, "little") - half
+    return _kronecker_decode(total, width, step, list(slots), shifts, radix,
+                             steps)
+
+
+def _horner(groups: dict, times, plus):
+    """sum over mu of groups[mu] * prod_j y_(j+1)**mu_j, by Horner's rule
+    in y_1, then in y_2 inside each coefficient, and so on; times(v, j)
+    multiplies v by y_(j+1)."""
+    def rec(items, j):
+        if j == len(items[0][0]):
+            return items[0][1]
+        rows: dict = {}
+        for mu, v in items:
+            rows.setdefault(mu[j], []).append((mu, v))
+        acc = None
+        for a in range(max(rows), -1, -1):
+            if acc is not None:
+                acc = times(acc, j)
+            if a in rows:
+                v = rec(rows[a], j + 1)
+                acc = v if acc is None else plus(acc, v)
+        return acc
+    return rec(list(groups.items()), 0)
+
+
+# substitute_elementary packs densely while a slot has at most this many
+# digits per monomial of its degree.  Timed on the 28 conversions of the
+# residue benchmark, packing won by up to 2.8x at n <= 4, where a slot
+# has at most 5 digits per monomial, and the sparse terms won by up to
+# 1.2x at n = 5, with 13 to 15
+_DENSE_WASTE = 8
+
+
+def substitute_elementary(terms: dict, ys: list) -> dict:
+    """Packed terms with the variable at bit offset ys[j - 1] replaced by
+    e_j(s_1..s_n), the j-th elementary symmetric polynomial, n = len(ys).
+
+    Horner's rule over the y_j (_horner), on one packed int laid out as
+    _kronecker_sum lays out its sums, with s_1..s_n as the variables: one
+    of them is set to 1, and a slot holds the terms of one monomial in
+    the other variables and one degree in s_1..s_n after the
+    substitution, each y_j counting j.  An e_j is then C(n, j) unit
+    digits, so multiplying by it takes shifts and adds, and the total is
+    decoded once.  A digit is bounded by the 1-norm, the sum of |c| *
+    prod C(n, j)**mu_j over the terms c * y**mu * ..., scaled to
+    integers.  A slot has a digit for every exponent vector below the
+    radix, up to (n-1)! times as many as the monomials of its degree, so
+    with many s-variables the Horner steps multiply sparse terms
+    instead.
+    """
+    n = len(ys)
+    ymask = sum(FIELD_MASK << y for y in ys)
+    if not terms or not reduce(or_, terms) & ymask:
+        return dict(terms)
+    shifts = [var_shift(("s", i)) for i in range(1, n + 1)]
+    groups: dict = {}  # y exponents -> {the monomial without them: c}
+    for m, c in terms.items():
+        mu = tuple((m >> y) & FIELD_MASK for y in ys)
+        groups.setdefault(mu, {})[m & ~ymask] = c
+    rows: dict = {}  # y exponents -> [(slot key, s exponents, c)]
+    reach = [0] * n  # the most degree of each s_i
+    for mu, part in groups.items():
+        lift = sum(mu)
+        weight = sum(map(int.__mul__, mu, range(1, n + 1)))
+        row = rows[mu] = []
+        for m, c in part.items():
+            es = [(m >> sh) & FIELD_MASK for sh in shifts]
+            row.append(((m - sum(e << sh for e, sh in zip(es, shifts)),
+                         sum(es) + weight), es, c))
+            reach = [max(r, e + lift) for r, e in zip(reach, es)]
+    if max(reach) > MAX_EXPONENT:
+        raise ExponentOverflow(f"degree {max(reach)} exceeds {MAX_EXPONENT},"
+                               " the packed field limit")
+    top = max(key[1] for row in rows.values() for key, _, _ in row)
+    radix = [min(top, r) + 1 for r in reach]
+    if prod(radix) // max(radix) > _DENSE_WASTE * comb(top + n - 1, n - 1):
+        units: dict = {}
+
+        def times(v, j):
+            if j not in units:
+                units[j] = {sum(1 << shifts[i] for i in c): 1
+                            for c in combinations(range(n), j + 1)}
+            e = units[j]
+            return v and (mul_packed(v, e) if len(e) <= len(v)
+                          else mul_packed(e, v))
+
+        def plus(v, w):
+            add_products(v, w, ((0, 1),))
+            return v
+
+        return _horner(groups, times, plus)
+    scale = lcm(*(c.denominator for c in terms.values()))
+    norms = [comb(n, j) for j in range(1, n + 1)]
+    bound = int(scale * sum(abs(c) * prod(map(pow, norms, mu))
+                            for mu, row in rows.items() for _, _, c in row))
+    width = bound.bit_length() // 8 + 1
+    slots: dict = {}  # (monomial in the other variables, degree) -> slot
+    steps, step = _kronecker_layout(
+        radix, width, len({key for row in rows.values() for key, _, _ in row}))
+    packed = {mu: sum(_num(c * scale) << (
+        step * slots.setdefault(key, len(slots))
+        + sum(map(int.__mul__, es, steps))) for key, es, c in row)
+        for mu, row in rows.items()}
+    # the shifts of the unit digits of each e_j
+    units = [[sum(c) for c in combinations(steps, j)] for j in range(1, n + 1)]
+    total = _horner(packed, lambda v, j: sum(v << sh for sh in units[j]),
+                    int.__add__)
+    out = _kronecker_decode(total, width, step, list(slots), shifts, radix,
+                            steps)
+    if scale != 1:
+        out = {m: _num(Fraction(c, scale)) for m, c in out.items()}
     return out
 
 

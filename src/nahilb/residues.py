@@ -7,6 +7,16 @@ continued past z_M^0 and takes minus the coefficient of z_M^{-1}.  The
 engine consumes forms whose denominators are products of linear factors,
 which covers every integrand produced here.
 
+Every denominator holds the coordinate block prod (s_i - z_l) over the
+n parameters and all z_l.  Since prod_i (z - s_i) = sum_j (-1)^j e_j(s)
+z^(n-j), each round of a residue with two rounds or more divides by the
+block once, as sigma(z_M) with formal variables Y_j for the elementary
+symmetric e_j(s), and a single substitution Y_j -> e_j(s) at the end
+brings the result back to s.  The
+substitution is a ring map, so it commutes with the divisions and with
+taking the z_M^{-1} coefficient, and the result is exact for any
+numerator.
+
 The flag decomposition behind the main formula sums over unordered
 block cosets while the residue telescopes over ordered assignments of
 the z-variables to the s-parameters, so the raw residue overshoots by
@@ -35,6 +45,7 @@ from .algebra import (
     monomial_root,
     mul_packed,
     slices_of,
+    substitute_elementary,
     sum_factored,
     var_shift,
 )
@@ -94,36 +105,118 @@ def _z_factors(pairs, kind: str) -> tuple:
     return tuple(out)
 
 
+# Y_j, the stand-in for e_j(s_1..s_n) in the rounds of a residue with a
+# coordinate block, takes the field of eta_j: every entry point restricts
+# the etas before it builds a residue form
+_Y = "eta"
+
+
 class ResidueForm:
-    """numerator / product of linear factors in z_1..z_{z_count}.
+    """numerator / product of linear factors in z_1..z_{z_count}, further
+    divided by the coordinate block prod (s_i - z_l) over i <= coordinates
+    and l <= z_count.
 
     Every denominator factor must involve a z-variable; z-free factors
     belong in the numerator's rational content instead.  Linear factors
     of the numerator can be passed in `deferred`: they multiply the
     quotient of the round that eliminates their top z-variable, after
     its divisions, so the divisions work on much smaller polynomials.
+    The block is data, not factors, because iterated_residue divides by
+    all of it at once; a form with a block may use no eta-variable.
     """
 
-    __slots__ = ("numerator", "factors", "z_count", "deferred")
+    __slots__ = ("numerator", "factors", "z_count", "deferred", "coordinates")
 
     def __init__(self, numerator: SparsePolynomial, factors, z_count: int,
-                 deferred=()):
+                 deferred=(), coordinates: int = 0):
         self.numerator = numerator
         self.z_count = int(z_count)
         self.factors = _z_factors(factors, "denominator")
         self.deferred = _z_factors(deferred, "deferred")
+        self.coordinates = int(coordinates)
         top = max([_max_z_index(numerator)] + [
             form.max_index("z") for form, _ in self.factors + self.deferred])
         if top > self.z_count:
             raise IndexOutOfRange(f"z_{top} exceeds z_count={self.z_count}")
+        if self.coordinates < 0:
+            raise IndexOutOfRange("coordinates must be nonnegative")
+        if self.coordinates:
+            used = reduce(or_, (reduce(or_, form.terms) for form, _ in
+                                self.factors + self.deferred),
+                          reduce(or_, numerator.terms, 0))
+            if any(ns == _Y for ns, _ in
+                   SparsePolynomial.from_packed({used: 1}).variables()):
+                raise IndexOutOfRange(
+                    f"the coordinate block takes the {_Y} fields; restrict"
+                    f" the {_Y}-variables before the residue")
 
     def __repr__(self) -> str:
         num = f"({self.numerator})"
         num += "".join(f"*({f})" + (f"^{e}" if e > 1 else "")
                        for f, e in self.deferred)
-        den = "*".join(f"({f})" + (f"^{e}" if e > 1 else "")
-                       for f, e in self.factors) or "1"
-        return f"ResidueForm({num} / {den}, z_count={self.z_count})"
+        den = [f"({f})" + (f"^{e}" if e > 1 else "") for f, e in self.factors]
+        if self.coordinates:
+            den.append(f"prod_(i<={self.coordinates},l<={self.z_count})"
+                       "(s_i - z_l)")
+        return (f"ResidueForm({num} / {'*'.join(den) or '1'},"
+                f" z_count={self.z_count})")
+
+
+def _complete_homogeneous(H: list, ys: list, u: int) -> dict:
+    """H_u(Y), packed, from the list H of H_0, H_1, ..., which it extends
+    by H_t = sum_j (-1)^(j+1) Y_j H_(t-j), j <= n; Y_j is at bit offset
+    ys[j - 1]."""
+    while len(H) <= u:
+        t = len(H)
+        h: dict = {}
+        for j, y in enumerate(ys[:t], 1):
+            add_products(h, H[t - j], ((1 << y, 1 if j % 2 else -1),))
+        H.append(h)
+    return H[u]
+
+
+def _sigma_read_out(state: dict, ys: list, H: list) -> dict:
+    """The z_M^-1 slice of p / sigma(z_M), sigma = prod_i (z_M - s_i), from
+    the slices of p: 1/sigma = sum_u H_u z_M^(-n-u), so q_-1 = sum_k p_k
+    H_(k-n+1)."""
+    q: dict = {}
+    for k, (off, p) in state.items():
+        u = k - len(ys) + 1
+        if u >= 0:
+            add_products(q, p, [(h + off, c) for h, c in
+                                _complete_homogeneous(H, ys, u).items()])
+    return {-1: (0, q)} if q else {}
+
+
+def _sigma_recurrence(state: dict, ys: list, floor: int) -> dict:
+    """The slices down to floor of p / sigma(z_M), from the top: q_t =
+    p_(t+n) + sum_j (-1)^(j+1) Y_j q_(t+j), as p = sigma * q.  Y_j q only
+    adds Y_j to q's offset; the parts are merged into the longest, at
+    their monomials minus its offset."""
+    n = len(ys)
+    out: dict = {}
+    for t in range(max(state, default=floor) - n, floor - 1, -1):
+        parts = [(out[t + j][0] + (1 << y), out[t + j][1], 1 if j % 2 else -1)
+                 for j, y in enumerate(ys, 1) if t + j in out]
+        if t + n in state:
+            parts.append(state[t + n] + (1,))
+        if not parts:
+            continue
+        parts.sort(key=lambda part: len(part[1]))
+        off, q, sign = parts.pop()
+        acc = dict(q) if sign > 0 else {key: -c for key, c in q.items()}
+        for poff, p, sign in parts:
+            poff -= off
+            for key, c in p.items():
+                key += poff
+                nc = acc.get(key, 0) + sign * c
+                if nc:
+                    acc[key] = nc
+                else:
+                    del acc[key]
+        if acc:
+            out[t] = (off, acc)
+    return out
 
 
 def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
@@ -146,14 +239,28 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     the passes still pending; margin loosens that cutoff and must never
     change the result.
 
+    The coordinate block of n = f.coordinates parameters divides last,
+    in one step: prod_i (z_M - s_i) = sigma(z_M) = sum_j (-1)^j e_j(s)
+    z_M^(n-j), with a formal variable Y_j for e_j(s), so the state holds
+    symmetric functions of s as few Y-monomials.  When D has no z_M, the
+    one slice needed is read off as sum_k p_k H_(k-n+1)(Y), H_u the
+    complete homogeneous polynomial written in the Y_j
+    (_sigma_read_out); a wider window runs the recurrence of p = sigma*q
+    (_sigma_recurrence).  Y_j -> e_j(s) is a ring map, so it commutes
+    with the divisions and with reading off z_M^-1: the result in the
+    Y_j is turned back into s once, at the end
+    (algebra.substitute_elementary).
+
     The monomials behind offset keys are never built, so no carry check
     sees them; instead a round raises ExponentOverflow before its first
-    division unless deg N + passes + deg_{z_M} D + margin + 1 <=
+    division unless deg N + passes + n + deg_{z_M} D + margin + 1 <=
     MAX_EXPONENT, which bounds the total degree of every quotient term,
-    and its result is checked as before.  On the first route N is D*N,
-    whose product checks its own exponents.
+    Y-exponents included, and its result is checked as before.  On the
+    first route N is D*N, whose product checks its own exponents.
     """
     num = dict(f.numerator.terms)
+    ys = [var_shift((_Y, j)) for j in range(1, f.coordinates + 1)]
+    H = [{0: 1}]
     factors, deferred = {}, {}
     for bucket, pairs in ((factors, f.factors), (deferred, f.deferred)):
         for form, e in pairs:
@@ -163,7 +270,8 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
             return SparsePolynomial.zero()
         zM = ("z", M)
         pz = 1 << var_shift(zM)
-        sign = RESIDUE_SIGN
+        # each s_i - z_M of the block is -(z_M - s_i)
+        sign = RESIDUE_SIGN * (-1) ** len(ys)
         passes = []
         for form, e in factors.pop(M, ()):
             # c*z_M + r is -(|c|*z_M - r) when c < 0
@@ -182,39 +290,51 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
         D = slices_of(D, zM)
         # the OR of the keys holds every field of each, so its degree
         # bounds deg N and the exact maximum is needed only past it
-        room = MAX_EXPONENT - len(passes) - max(D) - margin - 1
+        room = MAX_EXPONENT - len(passes) - len(ys) - max(D) - margin - 1
         if (_mono_degree(reduce(or_, num)) > room
                 and max(map(_mono_degree, num)) > room):
             raise ExponentOverflow(
                 f"the z_{M} round could take an exponent past {MAX_EXPONENT}")
         state = slices_of(num, zM)
         # each pending pass lowers a slice by one, D lifts it by deg D
-        rem = len(passes) - max(D)
+        rem = len(passes) + len(ys) - max(D)
         for a, neg in passes:
             rem -= 1
             state = divide_slices(state, a, neg, rem - 1 - margin)
+        if ys:
+            if max(D):
+                state = _sigma_recurrence(state, ys, -1 - max(D) - margin)
+            else:
+                state = _sigma_read_out(state, ys, H) if margin >= 0 else {}
         num = {}
         for j, (_, Dj) in D.items():
             if -1 - j in state:
                 off, Q = state[-1 - j]
                 add_products(num, Q, [(pv + off, c) for pv, c in Dj.items()])
         _refuse_carry(num)
-    result = SparsePolynomial.from_packed(num)
+    result = SparsePolynomial.from_packed(substitute_elementary(num, ys))
     if _max_z_index(result) or factors:
         raise NonElimination(f"z-variables survive the residue: {result}")
     return result
 
 
-def _residue(num, tangent, w, factors=(), deferred=()) -> SparsePolynomial:
+def _residue(num, n: int, tangent, w, factors=(),
+             deferred=()) -> SparsePolynomial:
     """Residue of num over the z-forms of a tangent's terms at the levels
     w, with the extra (form, exponent) factors dividing and the deferred
-    ones multiplying.  Negative tangent terms multiply too.  The block
-    factorials of w are divided back out."""
+    ones multiplying.  The tangent's terms with a coordinate, s_i - z_l
+    for i <= n and l >= 1, are the coordinate block of the residue form
+    when there are two rounds or more; a single round divides by them as
+    factors, whose offset passes give the result in s directly.  Its
+    negative terms multiply.  The block factorials of w are divided back
+    out."""
+    block = n if len(w) > 2 else 0
     den, mul = [], []
-    for sign, form in term_zforms(tangent):
+    for sign, form in term_zforms(t for t in tangent
+                                  if not block or t[1] is None):
         (den if sign > 0 else mul).append((form, 1))
     form = ResidueForm(num, den + list(factors), len(w) - 1,
-                       deferred=mul + list(deferred))
+                       deferred=mul + list(deferred), coordinates=block)
     blocks = prod(factorial(size) for size in Counter(w).values())
     return iterated_residue(form) * Fraction(1, blocks)
 
@@ -228,7 +348,7 @@ def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat) -> SparsePolynomial:
     dims = _shape(n, (1,) + tuple(dhat))
     check_flag_room(n, sum(dims))
     w = point_levels(dims)
-    return _residue(Q, flag_terms(w, n), w)
+    return _residue(Q, n, flag_terms(w, n), w)
 
 
 def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
@@ -274,7 +394,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
     num = _restrict_etas(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]
     value = FactoredRational.from_poly(
-        _residue(num, punctual_terms(w, n), w, deferred=obstruction))
+        _residue(num, n, punctual_terms(w, n), w, deferred=obstruction))
     vdim = _net_rank(n, dims, "nilfil")
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, "residue", "nilfil")
@@ -293,7 +413,7 @@ def residue_term(np_: NestedPartition, P: TautClass) -> SparsePolynomial:
     if not passes_gate(tangent, obstruction):
         return SparsePolynomial.zero()
     return _residue(
-        num, flag_terms(e.w, e.n), e.w,
+        num, e.n, flag_terms(e.w, e.n), e.w,
         [(_zform_of(v, k), m) for v, m in tangent.moving().items()],
         [(_zform_of(v, k), m) for v, m in obstruction.moving().items()])
 

@@ -3,12 +3,14 @@ rationals, and the canonical-form contracts the rest of the engine
 relies on."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nahilb.algebra as algebra
 from nahilb.algebra import (
     MAX_EXPONENT,
     NAMESPACES,
@@ -19,8 +21,10 @@ from nahilb.algebra import (
     exact_divide_linear,
     linear_form_of,
     rational_equal,
+    substitute_elementary,
     sum_factored,
     var_key,
+    var_shift,
 )
 from nahilb.errors import (
     DegenerateRestriction,
@@ -743,3 +747,66 @@ def test_sum_factored_refuses_a_packed_int_past_the_cap():
          for j in range(1, n + 1) if j != i]) for i in range(1, n + 1)]
     with pytest.raises(SizeGuardExceeded, match="past the cap of 268435456$"):
         sum_factored(terms)
+
+
+# ---------------------------------------------------------------------------
+# y_j -> e_j(s_1..s_n), the way back from a residue's symmetric variables
+
+
+def elementary(j, n):
+    """e_j(s_1..s_n)."""
+    return sum((prod((s(i) for i in c), start=SparsePolynomial.one())
+                for c in combinations(range(1, n + 1), j)),
+               SparsePolynomial.zero())
+
+
+@st.composite
+def _symmetric_inputs(draw):
+    """(p, n): p in y_1..y_n (eta fields), s_1..s_(n+1) and theta_1,
+    theta_2, with mixed degrees and large coefficients of both signs."""
+    n = draw(st.integers(1, 4))
+    names = ([("eta", j) for j in range(1, n + 1)]
+             + [sv(i) for i in range(1, n + 2)] + [("theta", 1), ("theta", 2)])
+    mono = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 4)),
+                    max_size=4).map(tuple)
+    coeff = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                      st.fractions(max_denominator=50)).filter(bool)
+    return SparsePolynomial(draw(st.dictionaries(mono, coeff, max_size=8))), n
+
+
+@given(_symmetric_inputs())
+@example((SparsePolynomial({((("eta", 1), 2),): -(10 ** 40),
+                            ((("eta", 2), 1),): 2 * 10 ** 40,
+                            ((sv(1), 2),): 10 ** 40}), 2))
+@settings(max_examples=100, deadline=None)
+def test_substitute_elementary_matches_substitute(case):
+    p, n = case
+    want = p.substitute({("eta", j): elementary(j, n)
+                         for j in range(1, n + 1)}).terms
+    ys = [var_shift(("eta", j)) for j in range(1, n + 1)]
+    # every slot packed densely, and every Horner step on sparse terms
+    for waste in (10 ** 9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "_DENSE_WASTE", waste)
+            assert substitute_elementary(p.terms, ys) == want, waste
+    assert 0 not in want.values()
+
+
+def _no_horner(*args):
+    raise AssertionError("the conversion ran")
+
+
+def test_substitute_elementary_refuses_before_packing(monkeypatch):
+    ys = [var_shift(("eta", j)) for j in (1, 2, 3)]
+    monkeypatch.setattr(algebra, "_horner", _no_horner)
+    # e_1**20000 in three variables: 20001**2 digits of about 4 kB
+    big = {20000 << ys[0]: 1}
+    with pytest.raises(SizeGuardExceeded, match="past the cap of 268435456$"):
+        substitute_elementary(big, ys)
+    # s_1 of e_1**K * s_1 past the field
+    top = {(MAX_EXPONENT << ys[0]) + (1 << var_shift(sv(1))): -1}
+    with pytest.raises(ExponentOverflow):
+        substitute_elementary(top, ys)
+    # no y-variable: nothing to pack
+    plain = {1 << var_shift(sv(1)): 2}
+    assert substitute_elementary(plain, ys) == plain

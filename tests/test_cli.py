@@ -699,6 +699,27 @@ GOLDEN = [
          "--class", "c1"],
         "db2ea19cbb1818eb445df98a456fec11b20c32cb0d80915973d17fb39ba5a874",
         id="contribution-s10"),
+    # recorded before the residue divided each round by the coordinate
+    # block as one polynomial in elementary symmetric variables
+    pytest.param(
+        ["integrate", "--space", "nilfil", "--method", "residue", "-n", "6",
+         "--dims", "1,1,2", "--class", "c1"],
+        "dfca9e3be745860a11601421d29bf339950bdb1b61e10cff079308fb03f1317d",
+        id="integrate-residue-s6"),
+    pytest.param(
+        ["integrate", "--space", "nilfil", "--method", "residue", "-n", "4",
+         "--dims", "1,1,1,1,1", "--class", "c1"],
+        "13b7b7190b6de7f30a0382d4bea69382a1d23ba379bce50a667c35d41a405acb",
+        id="integrate-residue-n4-d5"),
+    pytest.param(
+        ["integrate", "--space", "nilfil", "--method", "residue", "-n", "5",
+         "--dims", "1,1,1,1,1", "--class", "1"],
+        "ca62c269a39d65215008ede96774586d931f1954b001bec649b61beb0defcb3c",
+        id="integrate-residue-n5-d5"),
+    pytest.param(
+        ["compare", "-n", "3", "--dims", "1,1,1,1", "--class", "c2^dual"],
+        "ab710df698067cc568b59b2f2048d9ba19e38bc756a4fbe2c334f1aeb381007e",
+        id="compare-full-flag"),
 ]
 
 

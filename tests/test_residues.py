@@ -71,6 +71,10 @@ def eta(j):
     return SparsePolynomial.variable(("eta", j))
 
 
+def theta(i):
+    return SparsePolynomial.variable(("theta", i))
+
+
 def szlf(i, l):
     """The parameter factor s_i - z_l."""
     return LinearForm({("s", i): Fraction(1), ("z", l): Fraction(-1)})
@@ -83,6 +87,11 @@ def random_zform(rng, top):
     coeffs.update({("z", l): rng.randint(-2, 2) for l in range(1, top)})
     coeffs.update({("s", i): rng.randint(-2, 2) for i in (1, 2)})
     return LinearForm(coeffs)
+
+
+def block(n, k):
+    """The coordinate block s_i - z_l, i <= n and l <= k, as factors."""
+    return [(szlf(i, l), 1) for i in range(1, n + 1) for l in range(1, k + 1)]
 
 
 def one_var_form(P, n):
@@ -468,6 +477,84 @@ def test_exponent_bound_refuses_premultiplied_rounds(monkeypatch):
             residue_routes(form, 0)
 
 
+def test_block_matches_explicit_factors():
+    # with the block as data, a round divides once by sigma in the
+    # symmetric variables; with it as explicit s_i - z_l factors, by n
+    # offset passes in s.  Numerators carry s, theta and fractions, other
+    # factors mix z_M - z_b with general forms, and deferred forms take
+    # both routes of D, so the one-slice read-out and the recurrence both
+    # run at margins 0 and 2
+    rng = random.Random(20261020)
+    ran = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            ran[name] += 1
+            return fn(*args)
+        return wrapper
+
+    nonzero = 0
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_sigma_read_out", "_sigma_recurrence"):
+            mp.setattr(residues, name, counted(name, getattr(residues, name)))
+        for trial in range(18):
+            n, k = 1 + trial % 3, 1 + trial // 3 % 3
+            factors, deferred = [], []
+            for M in range(1, k + 1):
+                if rng.random() < 0.6:
+                    factors.append((random_zform(rng, M), rng.randint(1, 2)))
+                if M > 1 and rng.random() < 0.6:
+                    b = rng.randint(1, M - 1)
+                    factors.append(
+                        (LinearForm({("z", M): 1, ("z", b): -1}), 1))
+                if trial % 2:
+                    deferred.append((random_zform(rng, M), rng.randint(1, 2)))
+            num = random_q(rng, k, 2, terms=3)
+            for M in range(1, k + 1):
+                num = num * z(M) ** rng.randint(n - 1, n + 2)
+            if trial % 4 < 2:
+                num = num * (s(1) - 2 * theta(1) + s(n + 1) + 1) ** 3
+            for margin in (0, 2):
+                got = iterated_residue(ResidueForm(
+                    num, factors, k, deferred, coordinates=n), margin)
+                assert got == iterated_residue(
+                    ResidueForm(num, factors + block(n, k), k, deferred),
+                    margin), (trial, margin)
+            nonzero += not got.is_zero()
+    assert nonzero >= 12
+    assert min(ran.values()) >= 4 and len(ran) == 2, ran
+
+
+def test_block_refusals(monkeypatch):
+    for numerator, factors in ((eta(1) * z(1), []),
+                               (z(1), [(LinearForm({("z", 1): 1,
+                                                    ("eta", 2): 1}), 1)])):
+        with pytest.raises(IndexOutOfRange, match="eta"):
+            ResidueForm(numerator, factors, 1, coordinates=2)
+    # without a block an eta is only another parameter
+    ResidueForm(eta(1) * z(1), [], 1)
+    with pytest.raises(IndexOutOfRange):
+        ResidueForm(z(1), [], 1, coordinates=-1)
+
+    def no_division(*args):
+        raise AssertionError("a division ran")
+
+    # the bound counts the n sigma steps: z1^K over the block of one
+    # parameter is s1^K, whose y_1^K is the largest exponent, and one
+    # parameter more or K one higher is refused before any division
+    K = MAX_EXPONENT - 2
+    want = iterated_residue(ResidueForm(z(1) ** K, block(1, 1), 1))
+    assert want == s(1) ** K
+    assert want == iterated_residue(
+        ResidueForm(z(1) ** K, [], 1, coordinates=1))
+    for name in ("divide_slices", "_sigma_read_out", "_sigma_recurrence"):
+        monkeypatch.setattr(residues, name, no_division)
+    for num, n in ((z(1) ** (K + 1), 1), (z(1) ** K, 2),
+                   (z(1) ** 2 * s(1) ** (K - 1), 2)):
+        with pytest.raises(ExponentOverflow):
+            iterated_residue(ResidueForm(num, [], 1, coordinates=n))
+
+
 class TestWeightedResidue:
     def test_constant_q(self):
         assert weighted_residue_rhs(SparsePolynomial.one(), 2, (1,)) == \
@@ -675,6 +762,38 @@ def test_methods_agree_on_random_block_symmetric_integrands(n, dims, data):
     res = integrate_residue_nilfil(n, dims, P)
     assert loc.vdim == res.vdim
     assert rational_equal(loc.value, res.value)
+
+
+# d = 5 keeps the shapes whose last block is one point: the two sides
+# of the others take 1 to 60 s here for the four integrands, from
+# (1, 1, 1, 2) and (1, 2, 2) at n = 1, 2 to (1, 1, 3) and (1, 4), the fat
+# blocks, and every shape but (1, 2, 1, 1) at n = 3.  At n = 4 the
+# localization sum of (1, 1, 1, 1) takes about 1 s per integrand and 9 s
+# for the theta class, so that shape keeps c1 alone, and (1, 2, 1) drops
+# the theta class (1.6 s).
+_AGREEMENT_SHAPES = (
+    [(n, dims) for n in (1, 2, 3, 4) for dims in _POINTED_D4 if dims != (1,)]
+    + [(n, dims) for n in (1, 2) for dims in ((1, 1, 1, 1, 1), (1, 1, 2, 1),
+                                              (1, 2, 1, 1), (1, 3, 1))]
+    + [(3, (1, 2, 1, 1))])
+
+
+@pytest.mark.parametrize("n,dims", _AGREEMENT_SHAPES, ids=[
+    f"n{n}-" + ",".join(map(str, dims)) for n, dims in _AGREEMENT_SHAPES])
+def test_residue_equals_the_localization_sum(n, dims):
+    d = sum(dims)
+    classes = [TautClass(1, 0, d), chern_taut(1, 0, d),
+               chern_taut(2, 0, d, dual=True),
+               TautClass(theta(1) * chern_taut(1, 1, d).poly + 1, 1, d)]
+    if (n, dims) == (4, (1, 1, 1, 1)):
+        classes = classes[1:2]
+    elif (n, dims) == (4, (1, 2, 1)):
+        classes.pop()
+    for P in classes:
+        res = integrate_residue_nilfil(n, dims, P)
+        loc = integrate_localization(n, dims, "nilfil", P)
+        assert res.vdim == loc.vdim
+        assert rational_equal(res.value, loc.value), (n, dims, P.poly)
 
 
 class TestResidueTerms:
