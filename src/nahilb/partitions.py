@@ -52,7 +52,7 @@ def check_point_budget(dims: tuple):
 
 
 def point_key(p: tuple) -> tuple:
-    return tuple(reversed(p))
+    return p[::-1]
 
 
 def unit_vector(n: int, i: int) -> tuple:

@@ -14,8 +14,8 @@ evaluates the terms at a chain (the direct builders), term_count counts
 them with sign (the net ranks), and term_zforms turns point p into the
 residue variable z_p (the residue forms).
 
-The recursive route assembles sum_m sum_{v in layer m} (S_m - v) in one
-loop over a running Counter S_m; each builder yields only what level m
+The recursive route assembles sum_m sum_{v in layer m} (S_m - v) over a
+list S_m with repeats, counted once; each builder yields what level m
 adds to S and removes.  It never reads the term statement; it is the
 default for the tangent, obstruction and fiber tangent, and the tests
 check the direct builders against it on every chain they can enumerate.
@@ -98,9 +98,12 @@ class SignedWeightMultiset:
     __slots__ = ("n", "counts")
 
     def __init__(self, n: int, counts: dict | None = None):
-        self.n = n
-        self.counts = {self._key(w): int(m)
-                       for w, m in (counts or {}).items() if m != 0}
+        self.n, self.counts = n, {}
+        for w, m in (counts or {}).items():
+            if m:
+                if len(w := tuple(w)) != n:
+                    raise IndexOutOfRange(f"weight {w} is not in Z^{n}")
+                self.counts[pack(w)] = int(m)
 
     @classmethod
     def from_packed(cls, n: int, counts: dict) -> "SignedWeightMultiset":
@@ -110,13 +113,6 @@ class SignedWeightMultiset:
         m.n = n
         m.counts = {w: c for w, c in counts.items() if c}
         return m
-
-    def _key(self, weight) -> int:
-        """The packed key of a weight tuple, which must lie in Z^n."""
-        weight = tuple(weight)
-        if len(weight) != self.n:
-            raise IndexOutOfRange(f"weight {weight} is not in Z^{self.n}")
-        return pack(weight)
 
     def items(self) -> list:
         """(weight tuple, multiplicity) pairs in lexicographic order."""
@@ -350,23 +346,26 @@ def _assemble(e: Enumeration, steps) -> SignedWeightMultiset:
     steps(n, blocks) yields, for each level m, the packed weights
     that level m adds to the running multiset S and those it removes;
     blocks[m] holds the level-m points other than u_0, whatever the level
-    of u_0.  A negative count means e is not a chain order."""
+    of u_0; removing a weight S lacks means e is not a chain order.
+    product snapshots the list S, and a count of shifts is never zero."""
     pts = _packed_points(e)
     at, blocks, start = [], [], 0
     for size in e.dims:
         at.append(pts[start:start + size])
         blocks.append(pts[max(start, 1):start + size])
         start += size
-    S, out = Counter(), Counter()
+    S, shifts = [], []
     for vs, (added, removed) in zip(at, steps(e.n, blocks)):
-        S.update(added)
-        if removed:
-            S.subtract(removed)
-            if any(c < 0 for c in S.values()):
+        S += added
+        for v in removed:
+            if v not in S:
                 raise IndexOutOfRange("level multiset went negative: the "
                                       "enumeration is not a chain order")
-        out.update(starmap(sub, product(S.elements(), vs)))
-    return SignedWeightMultiset.from_packed(e.n, out)
+            S.remove(v)
+        shifts.append(product(S, vs))
+    m = SignedWeightMultiset(e.n)
+    m.counts = Counter(starmap(sub, chain.from_iterable(shifts)))
+    return m
 
 
 def tangent_class(e: Enumeration) -> SignedWeightMultiset:

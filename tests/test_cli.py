@@ -338,7 +338,7 @@ class TestMain:
             "verify", "--checks", "hilb3-closed-form"])
         assert code == 0
         doc = json.loads(out)
-        assert doc["all_ok"] is True
+        assert (doc["all_ok"], doc["seed"]) == (True, verify.DEFAULT_SEED)
         assert [r["name"] for r in doc["results"]] == ["hilb3-closed-form"]
         assert doc["results"][0]["ok"] is True
 
@@ -527,22 +527,37 @@ class TestBudgetBeforeWork:
             reduce_full_flag(2, 40, TautClass(1, 0, 41))
 
 
-def test_closed_pipe_exits_1_without_traceback():
-    # the reader closes stdout before the 67 kB document is written
+def _src_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the reader closes stdout before the 67 kB document is written
     proc = subprocess.Popen(
         [sys.executable, "-m", "nahilb.cli", "integrate", "-n", "3",
          "--dims", "1,1,2", "--space", "nilfil", "--method", "residue",
          "--q", "1", "--class", "1+theta1*c1"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert b"Traceback" not in err
     assert b"BrokenPipeError" not in err
+
+
+def test_importing_the_cli_leaves_the_verification_suite_unloaded():
+    """Only a verify job imports nahilb.verify, so the interpreter of any
+    other job does not compile the acceptance suite."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import nahilb.cli, sys; print('nahilb.verify' in sys.modules)"],
+        env=_src_env(), capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "False\n"
 
 
 class TestRun:

@@ -8,6 +8,7 @@ products.  Sweeps here stay small; the acceptance tests run the big ones.
 
 from fractions import Fraction
 from itertools import chain as chain_terms
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -364,10 +365,52 @@ class TestDirectAgainstRecursiveDeep:
                         fiber_tangent_class_direct(e)
 
 
+class TestRandomOrderings:
+    """The recursive kernel against the direct builders on seeded random
+    orderings of chains with n = 2, 3 and d <= 7, zero layers included."""
+
+    def test_against_the_direct_builders(self):
+        rng = Random(20261020)
+        checked = fibers = 0
+        for _ in range(80):
+            n, d = rng.choice((2, 3)), rng.randint(2, 7)
+            cuts = sorted(rng.sample(range(1, d), rng.randint(0, d - 1)))
+            dims = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+            for _ in range(rng.randint(0, 2)):
+                dims.insert(rng.randint(0, len(dims)), 0)
+            dims = tuple(dims)
+            nps = enumerate_nested(n, dims)
+            for np_ in rng.sample(nps, min(3, len(nps))):
+                es = all_enumerations(np_)
+                e = rng.choice(es[1:] or es)
+                checked += e != canonical_enumeration(np_)
+                t, b = tangent_class(e), obstruction_class(e)
+                assert t == tangent_class_direct(e)
+                assert b == obstruction_class_direct(e)
+                if (dims[0] == 1 and d - 1 <= n and is_nilfil(np_)
+                        and in_flag_fiber(np_)):
+                    f = fiber_tangent_class(e)
+                    assert f == fiber_tangent_class_direct(e)
+                    assert 0 not in f.counts.values()
+                    fibers += 1
+                assert 0 not in t.counts.values()
+                assert 0 not in b.counts.values()
+        assert checked > 80 and fibers > 5
+
+
 def test_negative_level_multiset_raises():
-    """The unchecked constructor lets a bad ordering reach the guard."""
+    """The unchecked constructor lets a bad ordering reach the guard: level
+    1 removes the point (2,), which S never held."""
     e = _enumeration(1, (1, 1), ((0,), (2,)), point_levels((1, 1)))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="not a chain order"):
+        tangent_class(e)
+
+
+def test_removing_a_weight_held_once_twice_raises():
+    """S holds e_1 = (1,) once, and level 1 removes the repeated point
+    (1,) twice."""
+    e = _enumeration(1, (1, 2), ((0,), (1,), (1,)), point_levels((1, 2)))
+    with pytest.raises(IndexOutOfRange, match="not a chain order"):
         tangent_class(e)
 
 
