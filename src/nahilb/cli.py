@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import MAX_EXPONENT, SparsePolynomial, rational_equal
 from .errors import IndexOutOfRange, NahilbError, ParseError, TooManyPoints
@@ -42,24 +42,16 @@ from .serialize import integral_result_to_json, nested_to_json, render_value
 from .weights import fixed_ranks
 
 
-@dataclass
-class JobSpec:
+class JobSpec(namedtuple(
+        "JobSpec", "command n dims space method class_spec q cy expand seed"
+        " checks output max_points",
+        # a seed of None means verify.DEFAULT_SEED
+        defaults=(0, (), "nhilb", "localization", "1", 0, False, False, None,
+                  (), None, None))):
     """One batch job, fully determined by its fields; their defaults are
     the defaults of every flag and config key."""
 
-    command: str
-    n: int = 0
-    dims: tuple = ()
-    space: str = "nhilb"
-    method: str = "localization"
-    class_spec: str = "1"
-    q: int = 0
-    cy: bool = False
-    expand: bool = False
-    seed: int | None = None  # None: verify.DEFAULT_SEED
-    checks: tuple = ()
-    output: str | None = None
-    max_points: int | None = None
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.command in ("enumerate", "classify", "contribution",

@@ -285,9 +285,15 @@ def integrate_localization(n: int, dims, space: str,
                            P: TautClass) -> IntegralResult:
     """Equivariant virtual integral of P as a sum over fixed chains."""
     value = sum_factored([v for _, v in gated_terms(n, dims, P, space)])
+    return _integral(value, P, n, dims, space, "localization")
+
+
+def _integral(value: FactoredRational, P: TautClass, n: int, dims,
+              space: str, method: str) -> IntegralResult:
+    """The integral of P as value, once its degree is checked."""
     vdim = _net_rank(n, dims, space)
     _check_degree(value, P, vdim)
-    return IntegralResult(value, vdim, "localization", space)
+    return IntegralResult(value, vdim, method, space)
 
 
 def _check_degree(value: FactoredRational, P: TautClass, vdim: int):
@@ -312,9 +318,7 @@ def reduce_full_flag(n: int, r: int, P: TautClass) -> IntegralResult:
     dims = (1,) * (r + 1)
     value = sum_factored([v for _, v in gated_terms(n, dims, P, "nilfil",
                                                     epunct_class)])
-    vdim = _net_rank(n, dims, "nhilb")
-    _check_degree(value, P, vdim)
-    return IntegralResult(value, vdim, "localization", "nhilb")
+    return _integral(value, P, n, dims, "nhilb", "localization")
 
 
 def cy_restrict(v: FactoredRational, n: int) -> FactoredRational:

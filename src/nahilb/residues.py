@@ -15,7 +15,9 @@ symmetric e_j(s), and a single substitution Y_j -> e_j(s) at the end
 brings the result back to s.  The
 substitution is a ring map, so it commutes with the divisions and with
 taking the z_M^{-1} coefficient, and the result is exact for any
-numerator.
+numerator.  When a round needs only that coefficient, it reads it off
+the product of the numerator with the series of 1/sigma, which is the
+recurrence of p = sigma*q run on p = 1.
 
 The flag decomposition behind the main formula sums over unordered
 block cosets while the residue telescopes over ordered assignments of
@@ -58,8 +60,7 @@ from .errors import (
 from .localization import (
     IntegralResult,
     TautClass,
-    _check_degree,
-    _net_rank,
+    _integral,
     _restrict_etas,
     check_layer_symmetry,
     gated_term,
@@ -87,10 +88,6 @@ from .weights import (
 )
 
 RESIDUE_SIGN = -1
-
-
-def _max_z_index(poly: SparsePolynomial) -> int:
-    return max((idx for ns, idx in poly.variables() if ns == "z"), default=0)
 
 
 def _z_factors(pairs, kind: str) -> tuple:
@@ -134,21 +131,20 @@ class ResidueForm:
         self.factors = _z_factors(factors, "denominator")
         self.deferred = _z_factors(deferred, "deferred")
         self.coordinates = int(coordinates)
-        top = max([_max_z_index(numerator)] + [
-            form.max_index("z") for form, _ in self.factors + self.deferred])
+        # one OR of the keys holds every variable that the form uses
+        used = reduce(or_, (reduce(or_, form.terms) for form, _ in
+                            self.factors + self.deferred),
+                      reduce(or_, numerator.terms, 0))
+        used = SparsePolynomial.from_packed({used: 1}).variables()
+        top = max((idx for ns, idx in used if ns == "z"), default=0)
         if top > self.z_count:
             raise IndexOutOfRange(f"z_{top} exceeds z_count={self.z_count}")
         if self.coordinates < 0:
             raise IndexOutOfRange("coordinates must be nonnegative")
-        if self.coordinates:
-            used = reduce(or_, (reduce(or_, form.terms) for form, _ in
-                                self.factors + self.deferred),
-                          reduce(or_, numerator.terms, 0))
-            if any(ns == _Y for ns, _ in
-                   SparsePolynomial.from_packed({used: 1}).variables()):
-                raise IndexOutOfRange(
-                    f"the coordinate block takes the {_Y} fields; restrict"
-                    f" the {_Y}-variables before the residue")
+        if self.coordinates and any(ns == _Y for ns, _ in used):
+            raise IndexOutOfRange(
+                f"the coordinate block takes the {_Y} fields; restrict"
+                f" the {_Y}-variables before the residue")
 
     def __repr__(self) -> str:
         num = f"({self.numerator})"
@@ -162,37 +158,27 @@ class ResidueForm:
                 f" z_count={self.z_count})")
 
 
-def _complete_homogeneous(H: list, ys: list, u: int) -> dict:
-    """H_u(Y), packed, from the list H of H_0, H_1, ..., which it extends
-    by H_t = sum_j (-1)^(j+1) Y_j H_(t-j), j <= n; Y_j is at bit offset
-    ys[j - 1]."""
-    while len(H) <= u:
-        t = len(H)
-        h: dict = {}
-        for j, y in enumerate(ys[:t], 1):
-            add_products(h, H[t - j], ((1 << y, 1 if j % 2 else -1),))
-        H.append(h)
-    return H[u]
-
-
-def _sigma_read_out(state: dict, ys: list, H: list) -> dict:
-    """The z_M^-1 slice of p / sigma(z_M), sigma = prod_i (z_M - s_i), from
-    the slices of p: 1/sigma = sum_u H_u z_M^(-n-u), so q_-1 = sum_k p_k
-    H_(k-n+1)."""
-    q: dict = {}
-    for k, (off, p) in state.items():
-        u = k - len(ys) + 1
-        if u >= 0:
-            add_products(q, p, [(h + off, c) for h, c in
-                                _complete_homogeneous(H, ys, u).items()])
-    return {-1: (0, q)} if q else {}
+def _slice_product(a: dict, b: dict, t: int) -> dict:
+    """The z^t slice, as packed terms, of the product of two sliced
+    series, sum_k a_k b_(t-k); the shorter of each pair of slices gives
+    the rows, with both offsets folded into their keys."""
+    out: dict = {}
+    for k, (aoff, A) in a.items():
+        if t - k in b:
+            boff, B = b[t - k]
+            if len(A) > len(B):
+                A, B = B, A
+            add_products(out, B, [(m + aoff + boff, c) for m, c in A.items()])
+    return out
 
 
 def _sigma_recurrence(state: dict, ys: list, floor: int) -> dict:
     """The slices down to floor of p / sigma(z_M), from the top: q_t =
     p_(t+n) + sum_j (-1)^(j+1) Y_j q_(t+j), as p = sigma * q.  Y_j q only
     adds Y_j to q's offset; the parts are merged into the longest, at
-    their monomials minus its offset."""
+    their monomials minus its offset.  Run on p = 1 it yields the series
+    of 1/sigma, whose z_M^(-n-u) slice is H_u(Y), the complete
+    homogeneous polynomial written in the Y_j."""
     n = len(ys)
     out: dict = {}
     for t in range(max(state, default=floor) - n, floor - 1, -1):
@@ -233,20 +219,19 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     either N before the divisions or the quotient tail after them.  A
     round takes the first route when N has fewer terms than D, and then
     divides D*N with D = 1.  After the divisions the z_M^-1 coefficient
-    is sum_j D_j*Q_{-1-j} over the z_M^j slices of D and of the quotient
-    Q, with each slice's offset folded into the keys of D_j.  Each pass
-    stops at the exponents that can no longer reach -1-deg_{z_M} D past
-    the passes still pending; margin loosens that cutoff and must never
-    change the result.
+    is that slice of the product of D and the quotient Q, read off their
+    slices (_slice_product).  Each pass stops at the exponents that can
+    no longer reach -1-deg_{z_M} D past the passes still pending; margin
+    loosens that cutoff and must never change the result.
 
     The coordinate block of n = f.coordinates parameters divides last,
     in one step: prod_i (z_M - s_i) = sigma(z_M) = sum_j (-1)^j e_j(s)
     z_M^(n-j), with a formal variable Y_j for e_j(s), so the state holds
-    symmetric functions of s as few Y-monomials.  When D has no z_M, the
-    one slice needed is read off as sum_k p_k H_(k-n+1)(Y), H_u the
-    complete homogeneous polynomial written in the Y_j
-    (_sigma_read_out); a wider window runs the recurrence of p = sigma*q
-    (_sigma_recurrence).  Y_j -> e_j(s) is a ring map, so it commutes
+    symmetric functions of s as few Y-monomials.  A window of slices
+    runs the recurrence of p = sigma*q (_sigma_recurrence).  When D has
+    no z_M only the z_M^-1 slice is needed: it is read off as that slice
+    of the product of p with the series of 1/sigma, which the recurrence
+    yields when run on 1.  Y_j -> e_j(s) is a ring map, so it commutes
     with the divisions and with reading off z_M^-1: the result in the
     Y_j is turned back into s once, at the end
     (algebra.substitute_elementary).
@@ -260,7 +245,6 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     """
     num = dict(f.numerator.terms)
     ys = [var_shift((_Y, j)) for j in range(1, f.coordinates + 1)]
-    H = [{0: 1}]
     factors, deferred = {}, {}
     for bucket, pairs in ((factors, f.factors), (deferred, f.deferred)):
         for form, e in pairs:
@@ -304,16 +288,16 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
         if ys:
             if max(D):
                 state = _sigma_recurrence(state, ys, -1 - max(D) - margin)
+            elif margin >= 0 and state:
+                series = _sigma_recurrence({0: (0, {0: 1})}, ys,
+                                           -1 - max(state))
+                state = {-1: (0, _slice_product(state, series, -1))}
             else:
-                state = _sigma_read_out(state, ys, H) if margin >= 0 else {}
-        num = {}
-        for j, (_, Dj) in D.items():
-            if -1 - j in state:
-                off, Q = state[-1 - j]
-                add_products(num, Q, [(pv + off, c) for pv, c in Dj.items()])
+                state = {}
+        num = _slice_product(D, state, -1)
         _refuse_carry(num)
     result = SparsePolynomial.from_packed(substitute_elementary(num, ys))
-    if _max_z_index(result) or factors:
+    if any(ns == "z" for ns, _ in result.variables()) or factors:
         raise NonElimination(f"z-variables survive the residue: {result}")
     return result
 
@@ -395,9 +379,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]
     value = FactoredRational.from_poly(
         _residue(num, n, punctual_terms(w, n), w, deferred=obstruction))
-    vdim = _net_rank(n, dims, "nilfil")
-    _check_degree(value, P, vdim)
-    return IntegralResult(value, vdim, "residue", "nilfil")
+    return _integral(value, P, n, dims, "nilfil", "residue")
 
 
 def residue_term(np_: NestedPartition, P: TautClass) -> SparsePolynomial:

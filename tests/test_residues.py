@@ -9,9 +9,10 @@ is pinned by exact anchor values.
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial
-from itertools import permutations, product
+from functools import partial, reduce
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from nahilb.algebra import (
     SparsePolynomial,
     exact_divide_linear,
     rational_equal,
+    slices_of,
+    substitute_elementary,
     sum_factored,
     var_shift,
 )
@@ -477,26 +480,88 @@ def test_exponent_bound_refuses_premultiplied_rounds(monkeypatch):
             residue_routes(form, 0)
 
 
+# the series 1, as the slices that _sigma_recurrence takes
+UNIT_SERIES = {0: (0, {0: 1})}
+
+
+def folded(slice_):
+    """The packed terms of an (offset, terms) slice."""
+    off, terms = slice_
+    return {m + off: c for m, c in terms.items()}
+
+
+def elementary_ys(n):
+    return [var_shift(("eta", j)) for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_series_slices_are_complete_homogeneous(n):
+    # 1/sigma = sum_u h_u(s) z^(-n-u); the oracle sums the monomials of
+    # degree u in s_1..s_n directly
+    ys = elementary_ys(n)
+    series = residues._sigma_recurrence(UNIT_SERIES, ys, -n - 6)
+    for u in range(7):
+        want = SparsePolynomial.zero()
+        for alpha in combinations_with_replacement(range(1, n + 1), u):
+            want = want + reduce(mul, map(s, alpha), SparsePolynomial.one())
+        got = substitute_elementary(folded(series[-n - u]), ys)
+        assert SparsePolynomial.from_packed(got) == want, (n, u)
+
+
+def test_read_out_is_the_recurrence_slice():
+    # the z^-1 slice of p / sigma, as the slice of p times the series of
+    # 1/sigma, against the recurrence run on p: on states whose slices
+    # carry offsets, and through a residue round, which takes the
+    # read-out when no deferred form has its z-variable
+    rng = random.Random(20261021)
+    nonzero = 0
+    for trial in range(36):
+        n = 1 + trial % 3
+        ys = elementary_ys(n)
+        fields = ys + [var_shift(("theta", 1)), var_shift(("s", 1))]
+        state = {}
+        for k in rng.sample(range(n + 4), rng.randint(1, 4)):
+            terms = {sum(rng.randint(0, 2) << sh for sh in fields):
+                     Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 4))}
+            state[k] = (sum(rng.randint(0, 1) << sh for sh in fields), terms)
+        want = residues._sigma_recurrence(state, ys, -1)
+        series = residues._sigma_recurrence(UNIT_SERIES, ys, -1 - max(state))
+        assert residues._slice_product(state, series, -1) == (
+            folded(want[-1]) if -1 in want else {}), trial
+
+        # free of s and Y, so that Y_j -> e_j(s) is one to one on the
+        # quotient; the round's sign is RESIDUE_SIGN * (-1)^n
+        num = random_q(rng, 1, n + 3) * (theta(1) + trial % 5)
+        want = residues._sigma_recurrence(slices_of(num.terms, ("z", 1)),
+                                          ys, -1)
+        want = SparsePolynomial.from_packed(substitute_elementary(
+            folded(want[-1]) if -1 in want else {}, ys))
+        got = iterated_residue(ResidueForm(num, [], 1, coordinates=n))
+        assert got == want * (RESIDUE_SIGN * (-1) ** n), trial
+        nonzero += not got.is_zero()
+    assert nonzero >= 30
+
+
 def test_block_matches_explicit_factors():
     # with the block as data, a round divides once by sigma in the
     # symmetric variables; with it as explicit s_i - z_l factors, by n
     # offset passes in s.  Numerators carry s, theta and fractions, other
     # factors mix z_M - z_b with general forms, and deferred forms take
-    # both routes of D, so the one-slice read-out and the recurrence both
-    # run at margins 0 and 2
+    # both routes of D, so the one-slice read-out (the recurrence run on
+    # the unit series) and the recurrence on a state both run at margins
+    # 0 and 2
     rng = random.Random(20261020)
     ran = Counter()
+    recurrence = residues._sigma_recurrence
 
-    def counted(name, fn):
-        def wrapper(*args):
-            ran[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(state, *args):
+        ran["read-out" if state == UNIT_SERIES else "recurrence"] += 1
+        return recurrence(state, *args)
 
     nonzero = 0
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_sigma_read_out", "_sigma_recurrence"):
-            mp.setattr(residues, name, counted(name, getattr(residues, name)))
+        mp.setattr(residues, "_sigma_recurrence", counted)
         for trial in range(18):
             n, k = 1 + trial % 3, 1 + trial // 3 % 3
             factors, deferred = [], []
@@ -547,7 +612,7 @@ def test_block_refusals(monkeypatch):
     assert want == s(1) ** K
     assert want == iterated_residue(
         ResidueForm(z(1) ** K, [], 1, coordinates=1))
-    for name in ("divide_slices", "_sigma_read_out", "_sigma_recurrence"):
+    for name in ("divide_slices", "_sigma_recurrence"):
         monkeypatch.setattr(residues, name, no_division)
     for num, n in ((z(1) ** (K + 1), 1), (z(1) ** K, 2),
                    (z(1) ** 2 * s(1) ** (K - 1), 2)):
