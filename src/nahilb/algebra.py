@@ -19,10 +19,11 @@ variables is namespace rank (s < theta < eta < z) then index; monomial
 comparisons are graded lexicographic with earlier variables dominating.
 A monomial is one int with a fixed bit field per variable (see
 ``var_shift``), so multiplying monomials is an int addition.  The order
-is decoded only where it is visible, in ``sorted_terms`` and
+is decoded only where it is visible, in ``sorted_rows`` and
 ``leading`` (``_graded_rows``): they read once, from the OR of a
 polynomial's keys, which fields it uses, and decode only those.
-Printing and the serializer go through ``sorted_terms``.
+Printing goes through ``sorted_terms`` and the serializer through
+``sorted_rows``, which decodes each variable once per polynomial.
 
 Example::
 
@@ -214,15 +215,15 @@ def _mono_degree(m: int) -> int:
 
 def _graded_rows(terms: dict) -> tuple:
     """The variables that the packed monomials of terms use, in variable
-    order, and a row (-degree, negated exponents of those variables, m)
-    per monomial m.  The fields come once from the OR of the keys, and
-    only they are decoded; ascending rows list the monomials in
-    descending graded-lex order, leading term first."""
+    order, and a row (degree, exponents of those variables, m) per
+    monomial m.  The fields come once from the OR of the keys, and only
+    they are decoded; descending rows list the monomials in descending
+    graded-lex order, leading term first."""
     names = [(NAMESPACES[r], i) for r, i, _ in _fields(reduce(or_, terms, 0))]
     shifts = [var_shift(v) for v in names]
     rows = []
     for m in terms:
-        es = [-((m >> sh) & FIELD_MASK) for sh in shifts]
+        es = [(m >> sh) & FIELD_MASK for sh in shifts]
         rows.append((sum(es), es, m))
     return names, rows
 
@@ -367,14 +368,20 @@ class SparsePolynomial:
     def homogeneous_degree(self) -> int | None:
         """Common degree of all terms, or None if degrees are mixed.
 
-        The zero polynomial reports 0.
+        The zero polynomial reports 0.  A term's degree is its packed
+        monomial mod FIELD_MASK while the degree of the OR of the keys,
+        which bounds every term's, stays below FIELD_MASK; past it the
+        fields are summed one by one.
         """
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return 0
-        degs = {_mono_degree(m) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        # 2^16 = 1 mod 2^16 - 1, so m % FIELD_MASK is the sum of m's fields
+        if _mono_degree(reduce(or_, terms)) < FIELD_MASK:
+            degs = {m % FIELD_MASK for m in terms}
+        else:
+            degs = set(map(_mono_degree, terms))
+        return degs.pop() if len(degs) == 1 else None
 
     def variables(self) -> set:
         return {v for v, _ in _unpack(reduce(or_, self.terms, 0))}
@@ -409,43 +416,56 @@ class SparsePolynomial:
             total += val
         return Fraction(total)
 
-    def sorted_terms(self) -> list:
-        """(monomial pairs, coefficient) in descending graded-lex order,
-        leading term first."""
+    def sorted_rows(self) -> tuple:
+        """The variables of the terms, in variable order, and a row
+        (degree, exponents of those variables, packed monomial) per term
+        in descending graded-lex order, leading term first: the variables
+        are decoded once for all the terms."""
         names, rows = _graded_rows(self.terms)
         # distinct monomials have distinct exponents, so the sort never
         # compares the monomials themselves
-        rows.sort()
+        rows.sort(reverse=True)
+        return names, rows
+
+    def sorted_terms(self) -> list:
+        """(monomial pairs, coefficient) in descending graded-lex order,
+        leading term first."""
+        names, rows = self.sorted_rows()
         terms = self.terms
-        return [(tuple((v, -e) for v, e in zip(names, es) if e), terms[m])
+        return [(tuple((v, e) for v, e in zip(names, es) if e), terms[m])
                 for _, es, m in rows]
 
     def leading(self) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = min(_graded_rows(self.terms)[1])[2]
+        m = max(_graded_rows(self.terms)[1])[2]
         return _unpack(m), self.terms[m]
 
     def extract_content(self) -> tuple:
         """Return (content, primitive) with primitive integer coefficients,
         gcd 1, positive leading coefficient, of the same type as self; a
         primitive polynomial is its own primitive part.  Zero returns
-        (1, zero)."""
+        (1, zero).  The content is the gcd g of the numerators over the
+        lcm l of the denominators, signed once, and each coefficient a/b
+        becomes the int a * (l // b) // g, with no Fraction per term.  It
+        is the int 1 for int coefficients of unit content, which build
+        skips, and a Fraction otherwise, which build may raise to a
+        negative power."""
         if not self.terms:
             return 1, self
         values = self.terms.values()
-        content = Fraction(gcd(*(c.numerator for c in values)),
-                           lcm(*(c.denominator for c in values)))
-        low = min(values)
+        nums = [c.numerator for c in values]
+        g = gcd(*nums)
+        den = lcm(*(c.denominator for c in values))
         # only the leading sign matters, and a one-signed polynomial
         # needs no search for its leading term
-        if (self.leading()[1] if low < 0 < max(values) else low) < 0:
-            content = -content
-        if content == 1 and all(type(c) is int for c in values):
+        if min(nums) < 0 and (max(nums) < 0 or self.leading()[1] < 0):
+            g = -g
+        if g == den == 1 and all(type(c) is int for c in values):
             return 1, self
-        prim = self.from_packed(
-            {m: _num(c / content) for m, c in self.terms.items()})
-        return content, prim
+        prim = self.from_packed({m: c.numerator * (den // c.denominator) // g
+                                 for m, c in self.terms.items()})
+        return Fraction(g, den), prim
 
     def __str__(self) -> str:
         return sum_text([term_text(mono_text([(var_name(v), e) for v, e in m]),

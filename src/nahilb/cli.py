@@ -531,17 +531,31 @@ def write_json(doc, write) -> None:
         elif t is dict or t is list or t is tuple:
             ends = "{}" if t is dict else "[]"
             inner = nl + "  "
-            sep = ends[0] + inner
+            sep, comma = ends[0] + inner, "," + inner
+            # str and int children are written here, with no call each
             if t is dict:
                 for k in sorted(o):
-                    append(f"{sep}{quote(k)}: ")
-                    item(o[k], inner)
-                    sep = "," + inner
+                    v = o[k]
+                    tv = type(v)
+                    if tv is str:
+                        append(f"{sep}{quote(k)}: {quote(v)}")
+                    elif tv is int:
+                        append(f"{sep}{quote(k)}: {int.__repr__(v)}")
+                    else:
+                        append(f"{sep}{quote(k)}: ")
+                        item(v, inner)
+                    sep = comma
             else:
                 for v in o:
-                    append(sep)
-                    item(v, inner)
-                    sep = "," + inner
+                    tv = type(v)
+                    if tv is str:
+                        append(sep + quote(v))
+                    elif tv is int:
+                        append(sep + int.__repr__(v))
+                    else:
+                        append(sep)
+                        item(v, inner)
+                    sep = comma
             append(nl + ends[1] if o else ends)
             if len(parts) >= _FLUSH_AT:
                 write("".join(parts))

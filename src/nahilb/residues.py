@@ -16,14 +16,16 @@ brings the result back to s.  The
 substitution is a ring map, so it commutes with the divisions and with
 taking the z_M^{-1} coefficient, and the result is exact for any
 numerator.  When a round needs only that coefficient, it reads it off
-the product of the numerator with the series of 1/sigma, which is the
-recurrence of p = sigma*q run on p = 1.
+the product of the numerator with the series of D/sigma, which is the
+recurrence of p = sigma*q run on the round's unit D = +-1.
 
 The flag decomposition behind the main formula sums over unordered
 block cosets while the residue telescopes over ordered assignments of
 the z-variables to the s-parameters, so the raw residue overshoots by
 the product of the block factorials.  Every entry point divides it back
-out; the weighted-residue identity in the test suite pins the factor.
+out, as the scalar of the value, so the integer residue keeps its int
+coefficients; the weighted-residue identity in the test suite pins the
+factor.
 """
 
 from __future__ import annotations
@@ -176,9 +178,9 @@ def _sigma_recurrence(state: dict, ys: list, floor: int) -> dict:
     """The slices down to floor of p / sigma(z_M), from the top: q_t =
     p_(t+n) + sum_j (-1)^(j+1) Y_j q_(t+j), as p = sigma * q.  Y_j q only
     adds Y_j to q's offset; the parts are merged into the longest, at
-    their monomials minus its offset.  Run on p = 1 it yields the series
-    of 1/sigma, whose z_M^(-n-u) slice is H_u(Y), the complete
-    homogeneous polynomial written in the Y_j."""
+    their monomials minus its offset.  Run on p = +-1 it yields the
+    series of +-1/sigma, whose z_M^(-n-u) slice is +-H_u(Y), the
+    complete homogeneous polynomial written in the Y_j."""
     n = len(ys)
     out: dict = {}
     for t in range(max(state, default=floor) - n, floor - 1, -1):
@@ -229,11 +231,12 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
     z_M^(n-j), with a formal variable Y_j for e_j(s), so the state holds
     symmetric functions of s as few Y-monomials.  A window of slices
     runs the recurrence of p = sigma*q (_sigma_recurrence).  When D has
-    no z_M only the z_M^-1 slice is needed: it is read off as that slice
-    of the product of p with the series of 1/sigma, which the recurrence
-    yields when run on 1.  Y_j -> e_j(s) is a ring map, so it commutes
-    with the divisions and with reading off z_M^-1: the result in the
-    Y_j is turned back into s once, at the end
+    no z_M it is the unit +-1, and only the z_M^-1 slice is needed: it is
+    read off as that slice of the product of p with the series of
+    D/sigma, which the recurrence yields when run on D, so the read-out
+    is the round's result with no copy.  Y_j -> e_j(s) is a ring map, so
+    it commutes with the divisions and with reading off z_M^-1: the
+    result in the Y_j is turned back into s once, at the end
     (algebra.substitute_elementary).
 
     The monomials behind offset keys are never built, so no carry check
@@ -285,16 +288,14 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
         for a, neg in passes:
             rem -= 1
             state = divide_slices(state, a, neg, rem - 1 - margin)
-        if ys:
-            if max(D):
+        if ys and not max(D):
+            # D is the unit +-1, so the read-out takes the series of D/sigma
+            num = (_slice_product(state, _sigma_recurrence(
+                D, ys, -1 - max(state)), -1) if margin >= 0 and state else {})
+        else:
+            if ys:
                 state = _sigma_recurrence(state, ys, -1 - max(D) - margin)
-            elif margin >= 0 and state:
-                series = _sigma_recurrence({0: (0, {0: 1})}, ys,
-                                           -1 - max(state))
-                state = {-1: (0, _slice_product(state, series, -1))}
-            else:
-                state = {}
-        num = _slice_product(D, state, -1)
+            num = _slice_product(D, state, -1)
         _refuse_carry(num)
     result = SparsePolynomial.from_packed(substitute_elementary(num, ys))
     if any(ns == "z" for ns, _ in result.variables()) or factors:
@@ -303,15 +304,16 @@ def iterated_residue(f: ResidueForm, margin: int = 0) -> SparsePolynomial:
 
 
 def _residue(num, n: int, tangent, w, factors=(),
-             deferred=()) -> SparsePolynomial:
+             deferred=()) -> FactoredRational:
     """Residue of num over the z-forms of a tangent's terms at the levels
     w, with the extra (form, exponent) factors dividing and the deferred
     ones multiplying.  The tangent's terms with a coordinate, s_i - z_l
     for i <= n and l >= 1, are the coordinate block of the residue form
     when there are two rounds or more; a single round divides by them as
     factors, whose offset passes give the result in s directly.  Its
-    negative terms multiply.  The block factorials of w are divided back
-    out."""
+    negative terms multiply.  The value is built with the inverse of the
+    block factorials of w as its scalar, so no term of the integer
+    residue is divided."""
     block = n if len(w) > 2 else 0
     den, mul = [], []
     for sign, form in term_zforms(t for t in tangent
@@ -320,7 +322,7 @@ def _residue(num, n: int, tangent, w, factors=(),
     form = ResidueForm(num, den + list(factors), len(w) - 1,
                        deferred=mul + list(deferred), coordinates=block)
     blocks = prod(factorial(size) for size in Counter(w).values())
-    return iterated_residue(form) * Fraction(1, blocks)
+    return FactoredRational.build(Fraction(1, blocks), iterated_residue(form))
 
 
 def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat) -> SparsePolynomial:
@@ -332,7 +334,7 @@ def weighted_residue_rhs(Q: SparsePolynomial, n: int, dhat) -> SparsePolynomial:
     dims = _shape(n, (1,) + tuple(dhat))
     check_flag_room(n, sum(dims))
     w = point_levels(dims)
-    return _residue(Q, n, flag_terms(w, n), w)
+    return _residue(Q, n, flag_terms(w, n), w).expand()
 
 
 def flag_fiber_Q(n: int, dims, P: TautClass) -> SparsePolynomial:
@@ -377,8 +379,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
     w = point_levels(dims)
     num = _restrict_etas(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]
-    value = FactoredRational.from_poly(
-        _residue(num, n, punctual_terms(w, n), w, deferred=obstruction))
+    value = _residue(num, n, punctual_terms(w, n), w, deferred=obstruction)
     return _integral(value, P, n, dims, "nilfil", "residue")
 
 
@@ -397,5 +398,6 @@ def residue_term(np_: NestedPartition, P: TautClass) -> SparsePolynomial:
     return _residue(
         num, e.n, flag_terms(e.w, e.n), e.w,
         [(_zform_of(v, k), m) for v, m in tangent.moving().items()],
-        [(_zform_of(v, k), m) for v, m in obstruction.moving().items()])
+        [(_zform_of(v, k), m) for v, m in obstruction.moving().items()]
+    ).expand()
 

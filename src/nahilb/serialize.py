@@ -48,13 +48,14 @@ def linear_form_from_json(doc: dict) -> LinearForm:
 
 
 def poly_to_json(p: SparsePolynomial) -> list:
-    out = []
-    for mono, coeff in p.sorted_terms():
-        out.append({
-            "coeff": str(coeff),
-            "exps": {var_name(v): e for v, e in mono},
-        })
-    return out
+    """The terms of p, leading first, with the names of its variables
+    decoded once from p.sorted_rows()."""
+    names, rows = p.sorted_rows()
+    names = [var_name(v) for v in names]
+    terms = p.terms
+    return [{"coeff": str(terms[m]),
+             "exps": {name: e for name, e in zip(names, es) if e}}
+            for _, es, m in rows]
 
 
 def poly_from_json(doc: list) -> SparsePolynomial:
@@ -88,15 +89,12 @@ def nested_to_json(np_: NestedPartition) -> dict:
 
 
 def render_rational(r: FactoredRational, forms: dict) -> tuple:
-    """(rational_to_json(r), str(r)) from one sorted_terms call.  forms
-    maps each LinearForm rendered before to its (JSON document, text);
-    a new form is rendered once and added."""
-    numerator, terms = [], []
-    for mono, c in r.poly.sorted_terms():
-        coeff = str(c)
-        exps = {var_name(v): e for v, e in mono}
-        numerator.append({"coeff": coeff, "exps": exps})
-        terms.append(term_text(mono_text(exps.items()), coeff))
+    """(rational_to_json(r), str(r)) from one poly_to_json call, whose
+    terms give the text too.  forms maps each LinearForm rendered before
+    to its (JSON document, text); a new form is rendered once and added."""
+    numerator = poly_to_json(r.poly)
+    terms = [term_text(mono_text(t["exps"].items()), t["coeff"])
+             for t in numerator]
     factors, texts = [], []
     for form, e in r.factors:
         done = forms.get(form)

@@ -207,6 +207,16 @@ class TestHomogeneousDegree:
         assert (a * b).homogeneous_degree() \
             == a.homogeneous_degree() + b.homogeneous_degree()
 
+    def test_degrees_at_the_field_modulus(self):
+        # a packed monomial is its degree mod 2^16 - 1, which can stand
+        # for the degree only below that modulus
+        top = ((sv(1), MAX_EXPONENT), (sv(2), MAX_EXPONENT))
+        assert SparsePolynomial({top + ((sv(3), 1),): 1}) \
+            .homogeneous_degree() == 65535
+        # degrees 65536 and 1, equal mod 65535
+        assert SparsePolynomial({top + ((sv(3), 2),): 1, ((sv(4), 1),): 1}) \
+            .homogeneous_degree() is None
+
 
 class TestSumFactored:
     def test_antisymmetric_pair(self):
@@ -284,6 +294,27 @@ class TestCanonicalForms:
         assert content == Fraction(-2, 3)
         assert prim == s(1) + 2 * s(2)
         assert all(isinstance(c, int) for c in prim.terms.values())
+
+    @given(st.dictionaries(
+        st.lists(st.sampled_from(_ALL_VARS), max_size=3).map(
+            lambda vs: sum(1 << var_shift(v) for v in vs)),
+        st.one_of(st.integers(-40, 40),
+                  st.builds(Fraction, st.integers(-40, 40),
+                            st.integers(1, 12))).filter(bool),
+        min_size=1, max_size=6),
+        st.sampled_from((1, -1, 6, Fraction(-5, 4), Fraction(9, 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_extract_content_properties(self, terms, scale):
+        # int, Fraction and integral Fraction coefficients, mixed
+        p = SparsePolynomial.from_packed(
+            {m: c * scale for m, c in terms.items()})
+        content, prim = p.extract_content()
+        assert prim * content == p
+        values = list(prim.terms.values())
+        assert all(type(c) is int for c in values)
+        assert gcd(*values) == 1 and prim.leading()[1] > 0
+        ints = all(type(c) is int for c in p.terms.values())
+        assert type(content) is (int if ints and content == 1 else Fraction)
 
     @pytest.mark.parametrize("coeffs", [(Fraction(2, 1), Fraction(3, 1)),
                                         (Fraction(2, 1),)])

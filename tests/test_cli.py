@@ -756,6 +756,13 @@ GOLDEN = [
         ["compare", "-n", "2", "--dims", "1,3", "--class", "c1^2"],
         "c910742587ec961db2d690c3a2635608c004fbed2040a1ab0c502fced7c3743b",
         id="compare-fat-block"),
+    # recorded before residue values kept int coefficients until they
+    # print: n = 5, and the sparse route from the Y_j to e_j(s)
+    pytest.param(
+        ["integrate", "-n", "5", "--dims", "1,1,2", "--space", "nilfil",
+         "--method", "residue", "--class", "5*c1^dual*c1"],
+        "b455d0a655fd6ea2d667209fcbcaef6183aa2606744860e1508dcc61f277ace8",
+        id="integrate-residue-n5-tail"),
 ]
 
 
