@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from collections import namedtuple
+from math import comb
 
 from .algebra import MAX_EXPONENT, SparsePolynomial, rational_equal
 from .errors import IndexOutOfRange, NahilbError, ParseError, TooManyPoints
@@ -72,6 +73,7 @@ class JobSpec(namedtuple(
 # class-spec parser
 
 MAX_NESTING = 100  # parenthesis depth of a class spec, five frames a level
+MAX_POWER_BITS = 1 << 21  # terms times bits of a class-spec power
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z]+\d*)"
                        r"|(?P<op>[-+*^()]))")
@@ -102,8 +104,10 @@ class _ClassParser:
     """Recursive descent over sums, products, powers and `^dual`.
 
     `dual` is a postfix marker on a Chern atom and must come before any
-    integer power, as in c2^dual^3.  Powers above MAX_EXPONENT, powers of
-    a constant c past MAX_EXPONENT bits (exponent * c.bit_length()),
+    integer power, as in c2^dual^3.  Powers above MAX_EXPONENT, powers
+    past MAX_POWER_BITS (MAX_EXPONENT for a constant) in size: the E-th
+    power of t terms of degree <= g in k variables has at most min(C(t +
+    E - 1, E), C(g E + k, k)) terms of E * bit_length(1-norm) bits each,
     parentheses nested deeper than MAX_NESTING and constants with more
     decimal digits than str() may write are refused.
     """
@@ -194,11 +198,13 @@ class _ClassParser:
             value = chern
         if exponent is None:
             return value
-        if value.terms.keys() == {0}:
-            bits = value.terms[0].bit_length()
-            if exponent * bits > MAX_EXPONENT:
-                raise ParseError(f"power {exponent} of a {bits}-bit constant"
-                                 f" exceeds {MAX_EXPONENT} bits")
+        names, rows = value.sorted_rows()
+        k, g, t = len(names), rows[0][0] if rows else 0, max(len(rows), 1)
+        terms = min(comb(t + exponent - 1, exponent), comb(g * exponent + k, k))
+        bits = exponent * sum(map(abs, value.terms.values())).bit_length()
+        if terms * bits > (cap := MAX_POWER_BITS if k else MAX_EXPONENT):
+            raise ParseError(f"power {exponent} would expand to about {terms}"
+                             f" terms of {bits} bits, past {cap} bits")
         return self.folded(value ** exponent)
 
     def atom(self):

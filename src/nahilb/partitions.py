@@ -13,7 +13,7 @@ that order.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 from .errors import (
     IndexOutOfRange,
@@ -282,34 +282,35 @@ def s_orbit(np_: NestedPartition) -> dict:
     return orbit
 
 
+def _block_orders(block: tuple) -> list:
+    """The orders of block in which each point follows its in-block
+    predecessors (mask need), lexicographic in block order: a search over
+    bitmasks of the points placed, one level per point."""
+    if len(block) < 2:
+        return [block]
+    bit = {p: 1 << k for k, p in enumerate(block)}
+    points = [(b, sum(bit.get(q, 0) for q in _predecessors(p)), p)
+              for p, b in bit.items()]
+    orders = [(0, ())]
+    for _ in block:
+        orders = [(mask | b, prefix + (p,)) for mask, prefix in orders
+                  for b, need, p in points if not (mask & b or need & ~mask)]
+    return [prefix for _, prefix in orders]
+
+
 def all_enumerations(np_: NestedPartition) -> list:
-    """Every valid enumeration of the chain, deterministically ordered."""
+    """Every valid enumeration of the chain, deterministically ordered:
+    each earlier layer is a whole ideal, so a block's points wait only on
+    their predecessors in it, and the products of the blocks' orders are
+    the enumerations."""
     if np_.d > MAX_ENUMERATION_POINTS:
         raise SizeGuardExceeded(
             f"{np_.d} points exceed the enumeration budget "
             f"{MAX_ENUMERATION_POINTS}")
     n, dims = np_.n, np_.dims
     w = point_levels(dims)
-    preds = {p: _predecessors(p) for p in np_.top()}
-    # each block in point_key order, so the depth-first search emits the
-    # enumerations already sorted; position k draws from block w[k]
-    blocks = np_.blocks
-    out, prefix, used = [], [], set()
-
-    def grow(k):
-        if k == len(w):
-            out.append(_enumeration(n, dims, tuple(prefix), w))
-            return
-        for p in blocks[w[k]]:
-            if p not in used and preds[p] <= used:
-                prefix.append(p)
-                used.add(p)
-                grow(k + 1)
-                prefix.pop()
-                used.remove(p)
-
-    grow(0)
-    return out
+    return [_enumeration(n, dims, sum(orders, ()), w)
+            for orders in product(*map(_block_orders, np_.blocks))]
 
 
 def is_admissible(np_: NestedPartition) -> bool:

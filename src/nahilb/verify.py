@@ -169,7 +169,9 @@ def check_hilb3_point_terms(seed: int):
 
 def check_admissibility_rank_gap(seed: int):
     """The coincidence ranks satisfy W_T <= W_B everywhere and equality
-    holds exactly on the admissible chains; exhaustive for d <= 6, n <= 3."""
+    holds exactly on the admissible chains; exhaustive for d <= 6, n <= 3.
+    fixed_ranks counts lattice points of boxes in the top ideal, so its
+    cross-check against the multisets' fixed parts joins two routes."""
     chains = 0
     for n in (1, 2, 3):
         for d in range(1, 7):

@@ -385,18 +385,28 @@ def fiber_tangent_class(e: Enumeration) -> SignedWeightMultiset:
     return _assemble(e, _fiber_steps)
 
 
+def _point_ranks(u) -> tuple:
+    """(t(u), b(u)), what the non-origin point u adds to fixed_ranks."""
+    box = tri = halves = eps = 1
+    for c in u:
+        box, tri = box * (c + 1), tri * (c + 1) * (c + 2) // 2
+        halves, eps = halves * (c // 2 + 1), eps & (1 - c % 2)
+    return max(box - 4 + eps, 0) // 2, (tri - 3 * box - halves + 4 + eps) // 2
+
+
 def fixed_ranks(e: Enumeration) -> tuple:
-    """(tangent fixed rank, obstruction fixed rank) from the coincidence
-    counts: a non-unit point u contributes (number of two-point sums
-    hitting u) - 1 on the tangent side and the number of three-point sums
-    u_i + u_j + u_k, i < k, hitting it on the obstruction side."""
-    q = _packed_points(e)[1:]
-    units = set(_packed_units(e.n)[1:])
-    pairs = Counter(starmap(add, combinations_with_replacement(q, 2)))
-    triples = Counter(starmap(add, product(starmap(add, combinations(q, 2)),
-                                           q)))
-    wt = sum(pairs[u] - 1 for u in q if u not in units)
-    wb = sum(triples[u] for u in q)
+    """(tangent fixed rank, obstruction fixed rank), which depend on the
+    top ideal alone: each non-origin point u adds t(u) = (number of pair
+    sums u_i + u_j, i <= j, hitting u) - 1, or 0 for a unit, and b(u) =
+    the number of triple sums u_i + u_j + u_k, i < k, hitting u.  The box
+    0 <= a <= u lies in the ideal.  With box = prod(u_c + 1), tri = prod
+    (u_c + 1)(u_c + 2)/2, halves = prod(u_c // 2 + 1) and eps(u) = 1 when
+    all u_c are even, the pairs (a, u - a), a != 0, u, number (box - 2 +
+    eps)/2, and the triples sum_{0 < b < u} (N(u - b) - eps(u - b))/2 =
+    (tri - 3 box - halves + 4 + eps)/2 with N(w) = prod(w_c + 1) - 2."""
+    wt = wb = 0
+    for t, b in map(_point_ranks, e.points[1:]):
+        wt, wb = wt + t, wb + b
     return wt, wb
 
 

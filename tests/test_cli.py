@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,20 @@ class TestClassSpecParser:
             parse_class_spec("2^200^200", 0, 1)
         assert parse_class_spec("(eta1 + 1)^2^3", 0, 2).poly \
             == (eta(1) + 1) ** 6
+
+    def test_power_refused_by_its_expanded_size(self):
+        # (eta1 + eta2)^E has E + 1 terms of up to 2E bits, past
+        # MAX_POWER_BITS at E = 4000 and 16000; refused before it expands
+        for exponent in (4000, 16000):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="would expand to about"):
+                parse_class_spec(f"(eta1 + eta2)^{exponent}", 0, 3)
+            assert time.perf_counter() - start < 0.1
+        # a power of many terms is bounded by its monomial count instead
+        with pytest.raises(ParseError, match="would expand to about"):
+            parse_class_spec("c1^8", 0, 14)
+        assert parse_class_spec("(eta1 + eta2)^3", 0, 3).poly \
+            == (eta(1) + eta(2)) ** 3
 
     def test_overlong_literal(self):
         with pytest.raises(ParseError, match="position 0"):
@@ -415,6 +430,8 @@ class TestMain:
          "--seed", "11"],
         ["integrate", "-n", "1", "--dims", "1", "--class", "(9^3000)^3000"],
         ["integrate", "-n", "1", "--dims", "1", "--class", "(9^6000)^6000"],
+        ["integrate", "-n", "2", "--dims", "1,1,1", "--class",
+         "(eta1+eta2)^16000"],
     ])
     def test_parser_errors_exit_1(self, capsys, argv):
         code, out, err = run_main(capsys, argv)

@@ -2,7 +2,7 @@
 and the three membership predicates.  Counts and memberships are checked
 against brute-force oracles built independently in this file."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -13,7 +13,9 @@ from nahilb.errors import (
     SizeGuardExceeded,
     TooManyPoints,
 )
+from nahilb import partitions
 from nahilb.partitions import (
+    MAX_ENUMERATION_POINTS,
     Enumeration,
     NestedPartition,
     all_enumerations,
@@ -272,6 +274,49 @@ def _compositions(max_d):
     for dims in out:  # the list grows while it is read
         out.extend(dims + (d,) for d in range(1, max_d - sum(dims) + 1))
     return out
+
+
+def _brute_orders(np_) -> list:
+    """Every point sequence of the chain: the product over its blocks of
+    the block's permutations whose prefixes, on top of the layer below,
+    are order ideals, sorted lexicographically by point_key."""
+    per_block = []
+    for below, layer in zip((frozenset(),) + np_.layers, np_.layers):
+        per_block.append([order for order in permutations(layer - below)
+                          if all(_downward_closed(below | set(order[:k]))
+                                 for k in range(1, len(order) + 1))])
+    orders = [sum(choice, ()) for choice in product(*per_block)]
+    return sorted(orders, key=lambda order: [point_key(p) for p in order])
+
+
+_ZERO_STEP_DIMS = [(0,), (0, 1), (1, 0), (1, 0, 1), (0, 2), (2, 0),
+                   (0, 0, 3), (1, 2, 0, 2), (0, 2, 0, 2), (1, 0, 0, 2, 1),
+                   (0, 1, 0, 1, 0, 1), (2, 0, 4), (0, 6)]
+
+
+class TestAllEnumerationsOracle:
+    """all_enumerations against the brute-force product of the blocks'
+    permutations: the exact list and its order."""
+
+    def test_every_chain_up_to_six_points(self):
+        chains = 0
+        for n in (1, 2, 3):
+            for dims in _compositions(6) + _ZERO_STEP_DIMS:
+                for np_ in enumerate_nested(n, dims):
+                    got = [e.points for e in all_enumerations(np_)]
+                    assert got == _brute_orders(np_)
+                    chains += 1
+        assert chains > 11521
+
+    def test_budget_refused_before_any_work(self, monkeypatch):
+        def no_search(block):
+            raise AssertionError("searched past the enumeration budget")
+        monkeypatch.setattr(partitions, "_block_orders", no_search)
+        d = MAX_ENUMERATION_POINTS + 1
+        for dims in [(d,), (1, d - 1), (0, d)]:
+            np_ = enumerate_nested(1, dims)[0]
+            with pytest.raises(SizeGuardExceeded, match="enumeration budget"):
+                all_enumerations(np_)
 
 
 class TestUncheckedConstruction:

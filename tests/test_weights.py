@@ -6,8 +6,10 @@ Grassmannian tower dimension, and Euler classes against hand-expanded
 products.  Sweeps here stay small; the acceptance tests run the big ones.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain as chain_terms
+from itertools import combinations, combinations_with_replacement, product
 from random import Random
 
 import pytest
@@ -36,6 +38,7 @@ from nahilb.partitions import (
 )
 from nahilb.weights import (
     GUARD,
+    _point_ranks,
     SignedWeightMultiset,
     epunct_class,
     euler_class,
@@ -455,6 +458,77 @@ class TestFixedRanks:
                     wt, wb = fixed_ranks(canonical_enumeration(np_))
                     assert wt <= wb
                     assert is_admissible(np_) == (wt == wb)
+
+
+def _counted_fixed_ranks(e):
+    """fixed_ranks by its definition over the non-origin points q: pair
+    sums over i <= j and triple sums u_i + u_j + u_k over i < k and any
+    j, counted at each point (a unit's pair count is not taken)."""
+    q = e.points[1:]
+
+    def vsum(*vs):
+        return tuple(map(sum, zip(*vs)))
+
+    pairs = Counter(vsum(a, b) for a, b in combinations_with_replacement(q, 2))
+    triples = Counter(vsum(a, b, c) for (a, b), c
+                      in product(combinations(q, 2), q))
+    wt = sum(pairs[u] - 1 for u in q if sum(u) > 1)
+    return wt, sum(triples[u] for u in q)
+
+
+class TestFixedRanksOracle:
+    """The box-count closed form against the coincidence counts."""
+
+    def test_every_order_ideal(self):
+        ideals = 0
+        for n, top in [(1, 12), (2, 9), (3, 8), (4, 7), (5, 6), (6, 6)]:
+            for size in range(1, top + 1):
+                for np_ in enumerate_nested(n, (size,)):
+                    e = canonical_enumeration(np_)
+                    assert fixed_ranks(e) == _counted_fixed_ranks(e)
+                    ideals += 1
+        assert ideals == 2480
+
+    @pytest.mark.parametrize("n, dims", [
+        (2, (1, 2, 2)), (2, (2, 3)), (2, (1, 0, 4)), (3, (1, 1, 3)),
+        (3, (2, 3)), (3, (0, 2, 0, 3)),
+    ])
+    def test_every_enumeration_of_multi_layer_chains(self, n, dims):
+        for np_ in enumerate_nested(n, dims):
+            for e in all_enumerations(np_):
+                assert fixed_ranks(e) == _counted_fixed_ranks(e)
+
+    def test_empty_chain(self):
+        for n in (1, 2, 3):
+            (np_,) = enumerate_nested(n, (0,))
+            e = canonical_enumeration(np_)
+            assert fixed_ranks(e) == _counted_fixed_ranks(e) == (0, 0)
+
+
+# the grids [0, m]^n of the per-point test: 5400 nonzero points
+_POINT_GRIDS = [(1, 29), (2, 14), (3, 8), (4, 5), (5, 4)]
+
+
+def test_point_ranks_gap_and_admissibility():
+    """t(u) <= b(u) at every nonzero grid point, with equality exactly
+    where is_admissible's support rule holds.  The terms read only the
+    nonzero coordinates of u, and a chain holding u holds its box of
+    prod(u_c + 1) <= HARD_MAX_POINTS = 14 points, so the grids cover every
+    point of every chain the budget admits: on each, W_T <= W_B with
+    equality exactly when the chain is admissible."""
+    points = equal = 0
+    for n, m in _POINT_GRIDS:
+        for u in product(range(m + 1), repeat=n):
+            if not any(u):
+                continue
+            t, b = _point_ranks(u)
+            # is_admissible reads the top layer one point at a time
+            one = NestedPartition._grown(n, (1,), (frozenset({u}),))
+            assert t <= b
+            assert (t == b) == is_admissible(one), u
+            points += 1
+            equal += t == b
+    assert points == 5400 and equal > 0
 
 
 class TestNetCounts:
