@@ -811,7 +811,7 @@ class FactoredRational:
             new_factors.append((nf, exp))
         return FactoredRational.build(self.scalar, new_poly, new_factors).simplify()
 
-    def relabel_s(self, perm) -> "FactoredRational":
+    def relabel_s(self, perm, forms: dict | None = None) -> "FactoredRational":
         """Rename s_(i+1) to s_(perm[i]+1), for perm a permutation of
         range(n) with n at least the largest s-index.
 
@@ -819,9 +819,13 @@ class FactoredRational:
         only signs change: a form whose leading coefficient turns negative
         is negated, and extract_content fixes the polynomial's.  No
         division is tried: renaming commutes with exact division, so a
-        simplified value stays simplified."""
+        simplified value stays simplified.  forms maps each (form,
+        tuple(perm)) renamed before to (renamed form, whether it was
+        negated) and gains the new ones, so a job that relabels many
+        values renames each form once per permutation."""
         if self.is_zero():
             return self
+        perm = tuple(perm)
         moves = [(var_shift(("s", i + 1)), var_shift(("s", j + 1)))
                  for i, j in enumerate(perm) if i != j]
         if not moves:
@@ -834,22 +838,28 @@ class FactoredRational:
                 key += ((m >> src) & FIELD_MASK) << dst
             terms[key] = c
         sign, poly = SparsePolynomial.from_packed(terms).extract_content()
+        if forms is None:
+            forms = {}
         names = {(0, i + 1): (0, j + 1) for i, j in enumerate(perm)}
         rows = []
         for form, e in self.factors:
-            key = sorted([(names.get(v, v), c) for v, c in form.key()])
-            if key[0][1] < 0:
-                key = [(v, -c) for v, c in key]
-                if e & 1:
-                    sign = -sign
-            rows.append((tuple(key), e))
-        # renaming is one to one, so the keys stay distinct and sorting
-        # the rows is canonical_factors
-        rows.sort()
-        # from the key: decoding the terms (from_packed) costs more
-        factors = tuple((LinearForm.__new__(LinearForm)._keyed(key), e)
-                        for key, e in rows)
-        return FactoredRational(self.scalar * sign, poly, factors)
+            done = forms.get((form, perm))
+            if done is None:
+                key = sorted([(names.get(v, v), c) for v, c in form.key()])
+                negated = key[0][1] < 0
+                if negated:
+                    key = [(v, -c) for v, c in key]
+                # from the key: decoding the terms (from_packed) costs more
+                done = forms[(form, perm)] = (
+                    LinearForm.__new__(LinearForm)._keyed(tuple(key)), negated)
+            renamed, negated = done
+            if negated and e & 1:
+                sign = -sign
+            rows.append((renamed, e))
+        # renaming is one to one, so the forms stay distinct and sorting
+        # them is canonical_factors
+        rows.sort(key=lambda fe: fe[0].key())
+        return FactoredRational(self.scalar * sign, poly, tuple(rows))
 
     def __str__(self) -> str:
         return rational_text(self, str(self.poly),

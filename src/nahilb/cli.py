@@ -39,7 +39,8 @@ from .partitions import (
     point_budget,
 )
 from .residues import integrate_residue_nilfil
-from .serialize import integral_result_to_json, nested_to_json, render_value
+from .serialize import (SharedDoc, integral_result_to_json, nested_to_json,
+                        render_value)
 from .weights import fixed_ranks
 
 
@@ -74,6 +75,7 @@ class JobSpec(namedtuple(
 
 MAX_NESTING = 100  # parenthesis depth of a class spec, five frames a level
 MAX_POWER_BITS = 1 << 21  # terms times bits of a class-spec power
+MAX_PRODUCT_WORK = 1 << 20  # term products of a class spec, all told
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z]+\d*)"
                        r"|(?P<op>[-+*^()]))")
@@ -109,7 +111,11 @@ class _ClassParser:
     power of t terms of degree <= g in k variables has at most min(C(t +
     E - 1, E), C(g E + k, k)) terms of E * bit_length(1-norm) bits each,
     parentheses nested deeper than MAX_NESTING and constants with more
-    decimal digits than str() may write are refused.
+    decimal digits than str() may write are refused.  So is a spec whose
+    products and powers would take more than MAX_PRODUCT_WORK term
+    products in all: a product of a and b takes len(a) * len(b), and a
+    power the products of its square-and-multiply steps, each factor's
+    terms bounded as above.  Each is refused before it is formed.
     """
 
     def __init__(self, tokens: list, q: int, d: int):
@@ -118,6 +124,7 @@ class _ClassParser:
         self.depth = 0
         self.q = q
         self.d = d
+        self.work = 0  # term products charged so far
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -159,11 +166,22 @@ class _ClassParser:
             value = self.folded(value + rhs if op == "+" else value - rhs)
         return value
 
+    def charge(self, work: int, what: str) -> None:
+        """Add work term products to the spec's total, refusing what
+        would take them when the total passes MAX_PRODUCT_WORK."""
+        self.work += work
+        if self.work > MAX_PRODUCT_WORK:
+            raise ParseError(
+                f"{what} would take about {work} term products, past the "
+                f"{MAX_PRODUCT_WORK} a class spec may take")
+
     def term(self) -> SparsePolynomial:
         value = self.signed()
         while self.peek() == ("op", "*"):
             self.take()
-            value = self.folded(value * self.signed())
+            rhs = self.signed()
+            self.charge(len(value.terms) * len(rhs.terms), "a product")
+            value = self.folded(value * rhs)
         return value
 
     def signed(self) -> SparsePolynomial:
@@ -200,11 +218,25 @@ class _ClassParser:
             return value
         names, rows = value.sorted_rows()
         k, g, t = len(names), rows[0][0] if rows else 0, max(len(rows), 1)
-        terms = min(comb(t + exponent - 1, exponent), comb(g * exponent + k, k))
+
+        def size(j: int) -> int:  # terms of value^j, at most
+            return min(comb(t + j - 1, j), comb(g * j + k, k))
+
+        terms = size(exponent)
         bits = exponent * sum(map(abs, value.terms.values())).bit_length()
         if terms * bits > (cap := MAX_POWER_BITS if k else MAX_EXPONENT):
             raise ParseError(f"power {exponent} would expand to about {terms}"
                              f" terms of {bits} bits, past {cap} bits")
+        # SparsePolynomial.__pow__'s steps: value^done * value^base when
+        # the bit is set, then value^base squared while bits remain
+        work, done, base, e = 0, 0, 1, exponent
+        while e:
+            if e & 1:
+                work, done = work + size(done) * size(base), done + base
+            if e > 1:
+                work, base = work + size(base) ** 2, 2 * base
+            e >>= 1
+        self.charge(work, f"power {exponent}")
         return self.folded(value ** exponent)
 
     def atom(self):
@@ -520,13 +552,19 @@ _FLUSH_AT = 4096  # fragments held before they are joined and written
 def write_json(doc, write) -> None:
     """Pass write() the text of json.dumps(doc, sort_keys=True, indent=2)
     + "\n" in pieces, which json.dumps would encode in pure Python.  Only
-    str, int, bool, None, list, tuple and dict with str keys are accepted;
-    anything else raises TypeError, a key through quote."""
+    str, int, bool, None, list, tuple, dict with str keys and SharedDoc
+    are accepted; anything else raises TypeError, a key through quote.
+    A SharedDoc is rendered once per indent (keyed by its id, as the
+    document holds it until the call returns) and its text repeated; no
+    flush falls inside that rendering, so it is one piece."""
     parts: list = []
     append = parts.append
     quote = json.encoder.encode_basestring_ascii
+    flush_at = _FLUSH_AT
+    shared: dict = {}  # (id of a SharedDoc, indent) -> its text
 
     def item(o, nl: str) -> None:
+        nonlocal flush_at
         t = type(o)
         if t is str:
             append(quote(o))
@@ -563,9 +601,19 @@ def write_json(doc, write) -> None:
                         item(v, inner)
                     sep = comma
             append(nl + ends[1] if o else ends)
-            if len(parts) >= _FLUSH_AT:
+            if len(parts) >= flush_at:
                 write("".join(parts))
                 parts.clear()
+        elif t is SharedDoc:
+            key = (id(o), nl)
+            text = shared.get(key)
+            if text is None:
+                start, held, flush_at = len(parts), flush_at, float("inf")
+                item(dict(o), nl)
+                flush_at = held
+                text = shared[key] = "".join(parts[start:])
+                del parts[start:]
+            append(text)
         else:
             raise TypeError(f"{t.__name__} is not a document type")
 

@@ -191,14 +191,16 @@ def passes_gate(tangent, obstruction) -> bool:
     return tangent.fixed_rank() == obstruction.fixed_rank()
 
 
-def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
+def gated_term(e: Enumeration, tangent, P: TautClass, extra=None,
+               forms: dict | None = None):
     """(value, tangent net rank - obstruction net rank) of one chain: the
     restriction of P times e(moving obstruction) over e(moving tangent)
     * e(extra), or zero when the chain fails the gate.
 
     The Euler class is taken once, of the signed multiset obstruction -
     tangent [- extra]: euler_class skips the zero weights and merges
-    proportional forms, so this is the quotient's canonical form."""
+    proportional forms, so this is the quotient's canonical form.  forms
+    is euler_class's table of the weights' forms."""
     obstruction = obstruction_class(e)
     rank = tangent.net_rank() - obstruction.net_rank()
     if not passes_gate(tangent, obstruction):
@@ -207,7 +209,7 @@ def gated_term(e: Enumeration, tangent, P: TautClass, extra=None):
     if extra is not None:
         weights = weights - extra
     value = FactoredRational.from_poly(restrict_class(P, e))
-    return (value * euler_class(weights, "s")).simplify(), rank
+    return (value * euler_class(weights, "s", forms)).simplify(), rank
 
 
 SPACES = ("nhilb", "nilfil")
@@ -241,23 +243,29 @@ def gated_terms(n: int, dims, P: TautClass, space: str, extra_of=None):
     computed once per orbit, at the first member enumeration reaches,
     and every other member gets it relabelled.  A relabelled term waits
     until its chain comes up; one still waiting at the end means the
-    chain filter or a builder is not invariant."""
+    chain filter or a builder is not invariant.
+
+    The job's linear forms come from a handful of weight vectors, so one
+    table serves the whole call: euler_class keeps each packed weight's
+    form in it and relabel_s each renamed form.  Its keys are packed
+    weights of this n and (form, perm) pairs, which never collide."""
     select, tangent_of, _ = _space(space)
     dims = _shape(n, dims)
     check_point_budget(dims)
     check_layer_symmetry(P, dims)
     vdim = _net_rank(n, dims, space)
     pending: dict = {}  # layers -> (perm, value) of a later member
+    forms: dict = {}
     for np_ in enumerate_nested(n, dims):
         if select is not None and not select(np_):
             continue
         if np_.layers in pending:
             perm, value = pending.pop(np_.layers)
-            yield np_, value.relabel_s(perm)
+            yield np_, value.relabel_s(perm, forms)
             continue
         e = canonical_enumeration(np_)
         extra = None if extra_of is None else extra_of(e)
-        value, rank = gated_term(e, tangent_of(e), P, extra)
+        value, rank = gated_term(e, tangent_of(e), P, extra, forms)
         if rank != vdim:
             raise InconsistentVirtualDimension(
                 f"{np_} reports {rank}, expected {vdim}")

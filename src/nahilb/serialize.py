@@ -29,6 +29,13 @@ from .localization import IntegralResult
 from .partitions import NestedPartition
 
 
+class SharedDoc(dict):
+    """A JSON object that one document holds in many places: the command
+    line's writer renders its text once per indent and repeats it."""
+
+    __slots__ = ()
+
+
 def linear_form_to_json(f: LinearForm) -> dict:
     rows: dict = {}
     for (rank, idx), c in f.key():
@@ -91,7 +98,8 @@ def nested_to_json(np_: NestedPartition) -> dict:
 def render_rational(r: FactoredRational, forms: dict) -> tuple:
     """(rational_to_json(r), str(r)) from one poly_to_json call, whose
     terms give the text too.  forms maps each LinearForm rendered before
-    to its (JSON document, text); a new form is rendered once and added."""
+    to its (JSON document, text); a new form is rendered once and added,
+    its document a SharedDoc, since every value it divides holds it."""
     numerator = poly_to_json(r.poly)
     terms = [term_text(mono_text(t["exps"].items()), t["coeff"])
              for t in numerator]
@@ -99,7 +107,8 @@ def render_rational(r: FactoredRational, forms: dict) -> tuple:
     for form, e in r.factors:
         done = forms.get(form)
         if done is None:
-            done = forms[form] = linear_form_to_json(form), str(form)
+            done = forms[form] = (SharedDoc(linear_form_to_json(form)),
+                                  str(form))
         factors.append([done[0], e])
         texts.append(done[1])
     doc = {"scalar": str(r.scalar), "numerator": numerator,

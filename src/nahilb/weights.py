@@ -410,26 +410,41 @@ def fixed_ranks(e: Enumeration) -> tuple:
     return wt, wb
 
 
-def euler_class(m: SignedWeightMultiset, namespace: str) -> FactoredRational:
+def euler_class(m: SignedWeightMultiset, namespace: str,
+                forms: dict | None = None) -> FactoredRational:
     """Product of the weight forms with their multiplicities.
 
     Zero weights are skipped regardless of multiplicity: the product runs
     over nonzero weights only.  A packed weight has the sign of its first
     nonzero coordinate, so its quotient by the signed gcd of its
-    coordinates packs its primitive form, and factors merge as ints."""
+    coordinates packs its primitive form, and factors merge as ints.
+    forms maps each packed weight met before to (signed gcd, primitive
+    form) and gains the new ones; a job passes one table for one n and
+    namespace, so each weight's form is built once per job."""
     n = m.n
+    if forms is None:
+        forms = {}
     exps: dict = {}
     num = den = 1
     for w, mult in m.counts.items():
         if w:
-            g = gcd(*unpack(w, n)) * (1 if w > 0 else -1)
-            num *= g ** max(mult, 0)
-            den *= g ** max(-mult, 0)
-            exps[w // g] = exps.get(w // g, 0) + mult
+            done = forms.get(w)
+            if done is None:
+                g = gcd(*unpack(w, n)) * (1 if w > 0 else -1)
+                # a weight's primitive is a weight of signed gcd 1
+                if w // g not in forms:
+                    forms[w // g] = 1, linear_form_of(unpack(w // g, n),
+                                                      namespace)
+                done = forms[w] = g, forms[w // g][1]
+            g = done[0]
+            if g != 1:
+                num *= g ** max(mult, 0)
+                den *= g ** max(-mult, 0)
+                w //= g
+            exps[w] = exps.get(w, 0) + mult
     return FactoredRational(Fraction(num, den), SparsePolynomial.one(),
-                            canonical_factors(
-                                (linear_form_of(unpack(w, n), namespace), e)
-                                for w, e in exps.items() if e))
+                            canonical_factors((forms[w][1], e)
+                                              for w, e in exps.items()))
 
 
 def flag_tangent_euler(sigma, n: int, dims) -> FactoredRational:

@@ -365,6 +365,15 @@ def _fields(r: FactoredRational) -> tuple:
     return r.scalar, r.poly.terms, r.factors
 
 
+def assert_same_fields(got: FactoredRational, want: FactoredRational):
+    """got and want agree in scalar, polynomial terms, factor order and
+    exponents, and each factor's key(), hash and terms, since == on
+    forms reads their terms alone."""
+    assert _fields(got) == _fields(want)
+    for (f, _), (g, _) in zip(got.factors, want.factors):
+        assert (f.key(), hash(f), f.terms) == (g.key(), hash(g), g.terms)
+
+
 _COEFF = st.sampled_from((1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-2, 3)))
 _FORM = st.dictionaries(st.sampled_from((sv(1), sv(2), sv(3), ("theta", 1),
                                          ("eta", 1), ("z", 2))),
@@ -440,11 +449,30 @@ class TestRelabel:
             a.scalar, a.poly.substitute(rename),
             [(f.substitute(rename), e) for f, e in a.factors])
         got = a.relabel_s(perm)
-        assert _fields(got) == _fields(want)
-        # == on forms reads their terms alone
-        for (f, _), (g, _) in zip(got.factors, want.factors):
-            assert (f.key(), hash(f), f.terms) == (g.key(), hash(g), g.terms)
+        assert_same_fields(got, want)
         assert _fields(got.simplify()) == _fields(got)
+
+    def test_one_table_across_calls(self):
+        # a list and a tuple of one permutation hit the same entries, and
+        # each other permutation adds its own
+        r = FactoredRational.build(
+            3, s(1) - 2 * s(3), [(lf(s1=1, s2=-1), -1), (lf(s1=1, s3=-1), 2),
+                                 (lf(s2=2, s3=1), -3)])
+        table: dict = {}
+        for perm in ([1, 0, 2], (1, 0, 2), (2, 0, 1), [0, 2, 1], (2, 0, 1)):
+            assert_same_fields(r.relabel_s(perm, table), r.relabel_s(perm))
+        assert len(table) == 3 * 3
+
+    @given(st.lists(_built(), min_size=1, max_size=4),
+           st.lists(st.permutations(range(3)), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_table_equals_table_free(self, values, perms):
+        table: dict = {}
+        for a in values:
+            for perm in perms:
+                assert_same_fields(a.relabel_s(perm, table), a.relabel_s(perm))
+                assert_same_fields(a.relabel_s(tuple(perm), table),
+                                   a.relabel_s(perm))
 
     def test_signs(self):
         # s1 - s2 turns into s2 - s1 = -(s1 - s2): an odd power flips

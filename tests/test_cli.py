@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from nahilb.localization import (
     integrate_localization,
     reduce_full_flag,
 )
-from nahilb.serialize import poly_from_json, rational_from_json
+from nahilb.serialize import SharedDoc, poly_from_json, rational_from_json
 
 
 def eta(j):
@@ -104,6 +105,35 @@ class TestClassSpecParser:
             parse_class_spec("c1^8", 0, 14)
         assert parse_class_spec("(eta1 + eta2)^3", 0, 3).poly \
             == (eta(1) + eta(2)) ** 3
+
+    def test_product_refused_by_its_work(self):
+        # c1^9 over 8 eta has 11440 terms; c1^9*c1^9 would take about 131M
+        # term products and c1^6*c1^6 about 2.9M: both refused before the
+        # product is formed, like c1^12 and c1^18 are by their size
+        for spec in ("c1^9*c1^9", "c1^6*c1^6"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="a product would take"):
+                parse_class_spec(spec, 0, 9)
+            assert time.perf_counter() - start < 0.5
+        assert parse_class_spec("c1^2*c1^3", 0, 9).poly \
+            == chern_taut(1, 0, 9).poly ** 5
+
+    def test_power_refused_by_its_work(self):
+        # within MAX_POWER_BITS in size, but the squarings of these take
+        # about 2.8M and 3.4M term products
+        for spec, d in (("c1^14", 8), ("(eta1+eta2+eta3+eta4)^43", 5)):
+            with pytest.raises(ParseError, match=r"power \d+ would take"):
+                parse_class_spec(spec, 0, d)
+
+    def test_work_is_counted_over_the_whole_spec(self, monkeypatch):
+        # each product of two variables takes one term product
+        monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 2)
+        assert parse_class_spec("eta1*eta1 + eta1*eta1", 0, 2).poly \
+            == eta(1) ** 2 * 2
+        with pytest.raises(ParseError, match="a product would take about 1"):
+            parse_class_spec("eta1*eta1*eta1*eta1", 0, 2)
+        with pytest.raises(ParseError, match="a product would take about 1"):
+            parse_class_spec("eta1*eta1 + eta1*eta1 + eta1*eta1", 0, 2)
 
     def test_overlong_literal(self):
         with pytest.raises(ParseError, match="position 0"):
@@ -216,6 +246,12 @@ class TestMain:
             "--method", "residue", "--class", "1"])
         assert code == 1
         assert err.startswith("error:")
+
+    def test_costly_product_exits_1(self, capsys):
+        code, out, err = run_main(capsys, [
+            "integrate", "-n", "1", "--dims", "9", "--class", "c1^9*c1^9"])
+        assert (code, out) == (1, "")
+        assert "term products" in err
 
     def test_coefficients_too_long_to_print_exit_1(self, capsys):
         limit = str(sys.get_int_max_str_digits())
@@ -627,8 +663,24 @@ class TestWriteJson:
         assert "".join(pieces) \
             == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
+    @pytest.mark.parametrize("flush_at", [1, 3, cli._FLUSH_AT])
+    def test_shared_documents_match_json_dumps(self, monkeypatch, flush_at):
+        # one SharedDoc at two depths and inside another, more than
+        # _FLUSH_AT times; with a small _FLUSH_AT a flush would fall inside
+        # its first rendering at each indent
+        monkeypatch.setattr(cli, "_FLUSH_AT", flush_at)
+        form = SharedDoc({"s": ["1", "-1"], "z": ["0", "2"]})
+        outer = SharedDoc({"form": form, "e": -1})
+        doc = {"rows": [[form, i] for i in range(4100)],
+               "deep": {"a": [{"b": [form, outer, form]}]}, "top": outer}
+        pieces = _written(doc)
+        assert len(pieces) > 1
+        assert "".join(pieces) \
+            == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
     @pytest.mark.parametrize("doc", [
         1.5, [Fraction(1, 2)], {"a": {1: "x"}}, {"a": [1, {(1, 2): 0}]},
+        {"a": OrderedDict(b="c")}, [type("Marked", (SharedDoc,), {})()],
     ])
     def test_other_types_raise(self, doc):
         with pytest.raises(TypeError):

@@ -26,6 +26,7 @@ from nahilb.localization import (
 )
 from nahilb.partitions import NestedPartition, enumerate_nested, porteous
 from nahilb.serialize import (
+    SharedDoc,
     integral_result_to_json,
     linear_form_from_json,
     linear_form_to_json,
@@ -143,9 +144,14 @@ def test_one_pass_render_matches_rational_to_json_and_str(a, b):
         doc, text = render_rational(r, forms)
         assert doc == rational_to_json(r)
         assert text == str(r)
-    # each distinct form is rendered once, with its own document and text
+        # every value holds the stored document of each of its forms
+        assert all(fdoc is forms[f][0]
+                   for (fdoc, _), (f, _) in zip(doc["factors"], r.factors))
+    # each distinct form is rendered once, with its own document and text,
+    # the document marked for the writer to render once per indent
     assert forms.keys() == {f for r in (a, b) for f, _ in r.factors}
     for form, (doc, text) in forms.items():
+        assert type(doc) is SharedDoc
         assert (doc, text) == (linear_form_to_json(form), str(form))
 
 

@@ -35,6 +35,7 @@ from nahilb.partitions import (
     is_nilfil,
     point_levels,
     porteous,
+    s_orbit,
 )
 from nahilb.weights import (
     GUARD,
@@ -70,6 +71,14 @@ def chain(n, dims, *layers):
 
 def msetdict(m):
     return dict(m.items())
+
+
+def assert_same_fields(got, want):
+    """Equal scalar, polynomial terms and factor order, and equal key(),
+    hash, terms and exponent of each factor."""
+    assert (got.scalar, got.poly.terms) == (want.scalar, want.poly.terms)
+    assert [(f.key(), hash(f), f.terms, e) for f, e in got.factors] \
+        == [(f.key(), hash(f), f.terms, e) for f, e in want.factors]
 
 
 def _tower_dim(n, dims):
@@ -620,6 +629,28 @@ class TestEulerClass:
         got = euler_class(m, namespace)
         assert (got.scalar, got.poly, got.factors) \
             == (want.scalar, want.poly, want.factors)
+        # a table already holding these weights gives the same fields
+        table: dict = {}
+        euler_class(m, namespace, table)
+        assert_same_fields(euler_class(m, namespace, table), got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_table_matches_table_free_calls(self, n):
+        # one table for every chain of this n with d <= 5: each Euler
+        # class of obstruction - tangent, and each relabelling of it to
+        # another chain of its orbit, perms given as lists and as tuples
+        table: dict = {}
+        for dims in _shapes(n, 5):
+            for np_ in enumerate_nested(n, dims):
+                e = canonical_enumeration(np_)
+                m = obstruction_class(e) - tangent_class(e)
+                value = euler_class(m, "s", table)
+                assert_same_fields(value, euler_class(m, "s"))
+                for perm in s_orbit(np_).values():
+                    want = value.relabel_s(perm)
+                    assert_same_fields(value.relabel_s(list(perm), table), want)
+                    assert_same_fields(value.relabel_s(tuple(perm), table),
+                                       want)
 
 
 class TestFlagTangentEuler:
