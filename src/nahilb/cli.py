@@ -22,6 +22,7 @@ from math import comb
 from .algebra import MAX_EXPONENT, SparsePolynomial, rational_equal
 from .errors import IndexOutOfRange, NahilbError, ParseError, TooManyPoints
 from .localization import (
+    MAX_Q,
     SPACES,
     TautClass,
     chern_taut,
@@ -56,8 +57,9 @@ class JobSpec(namedtuple(
     __slots__ = ()
 
     def validate(self) -> None:
-        if self.command in ("enumerate", "classify", "contribution",
-                            "integrate", "compare"):
+        if self.command not in _COMMANDS:
+            raise ParseError(f"unknown command {self.command!r}")
+        if _COMMANDS[self.command].chains:
             if self.n < 1:
                 raise ParseError(f"n must be >= 1, got {self.n}")
             if not self.dims or any(x < 0 for x in self.dims):
@@ -115,7 +117,9 @@ class _ClassParser:
     products and powers would take more than MAX_PRODUCT_WORK term
     products in all: a product of a and b takes len(a) * len(b), and a
     power the products of its square-and-multiply steps, each factor's
-    terms bounded as above.  Each is refused before it is formed.
+    terms bounded as above, and a Chern atom c_k its roots times the
+    terms of e_1..e_(k-1) plus its symmetry check.  Each is refused
+    before it is formed.
     """
 
     def __init__(self, tokens: list, q: int, d: int):
@@ -211,7 +215,15 @@ class _ClassParser:
             else:
                 raise ParseError(f"bad exponent {tok[1]!r}")
         if isinstance(chern, int):
-            value = chern_taut(chern, self.q, self.d, dual=dual).poly
+            q, d, k = self.q, self.d, chern
+            roots, m = q * d or d, q + d - 1  # c_k = e_k(roots), m variables
+            if q <= MAX_Q and 0 < k <= roots:  # else chern_taut refuses it
+                # e_1..e_k take each root in turn, then e_k is checked under
+                # q - 1 theta swaps, each some 8 term products a term
+                size = [min(comb(roots, t), comb(t + m, t))
+                        for t in range(k + 1)]
+                self.charge(roots * sum(size[:k]) + 8 * q * size[k], f"c{k}")
+            value = chern_taut(k, q, d, dual=dual).poly
         else:
             value = chern
         if exponent is None:
@@ -298,14 +310,7 @@ def cmd_enumerate(job: JobSpec) -> tuple:
             row["identity_fiber"] = fiber
             row["fixed_ranks"] = [wt, wb]
         rows.append(row)
-    doc = {
-        "command": job.command,
-        "n": job.n,
-        "dims": list(job.dims),
-        "count": len(rows),
-        "chains": rows,
-    }
-    return doc, 0
+    return _header(job, count=len(rows), chains=rows), 0
 
 
 def cmd_contribution(job: JobSpec) -> tuple:
@@ -315,15 +320,7 @@ def cmd_contribution(job: JobSpec) -> tuple:
     rows = [{"chain": nested_to_json(np_),
              "value": render_value(v, job.expand, forms)}
             for np_, v in gated_terms(job.n, job.dims, P, job.space)]
-    doc = {
-        "command": "contribution",
-        "n": job.n,
-        "dims": list(job.dims),
-        "space": job.space,
-        "class": job.class_spec,
-        "points": rows,
-    }
-    return doc, 0
+    return _header(job, space=job.space, points=rows), 0
 
 
 def cmd_integrate(job: JobSpec) -> tuple:
@@ -336,13 +333,7 @@ def cmd_integrate(job: JobSpec) -> tuple:
     else:
         res = integrate_residue_nilfil(job.n, job.dims, P)
     forms: dict = {}
-    doc = integral_result_to_json(res, job.expand, forms)
-    doc.update({
-        "command": "integrate",
-        "n": job.n,
-        "dims": list(job.dims),
-        "class": job.class_spec,
-    })
+    doc = _header(job, **integral_result_to_json(res, job.expand, forms))
     if job.cy:
         doc["cy_value"] = render_value(cy_restrict(res.value, job.n),
                                        job.expand, forms)
@@ -358,18 +349,10 @@ def cmd_compare(job: JobSpec) -> tuple:
     b = integrate_residue_nilfil(job.n, job.dims, P)
     equal = rational_equal(a.value, b.value)
     forms: dict = {}
-    doc = {
-        "command": "compare",
-        "n": job.n,
-        "dims": list(job.dims),
-        "class": job.class_spec,
-        "method_a": a.method,
-        "method_b": b.method,
-        "vdim": a.vdim,
-        "value_a": render_value(a.value, job.expand, forms),
-        "value_b": render_value(b.value, job.expand, forms),
-        "equal": equal,
-    }
+    doc = _header(job, method_a=a.method, method_b=b.method, vdim=a.vdim,
+                  value_a=render_value(a.value, job.expand, forms),
+                  value_b=render_value(b.value, job.expand, forms),
+                  equal=equal)
     return doc, 0 if equal else 2
 
 
@@ -379,34 +362,49 @@ def cmd_verify(job: JobSpec) -> tuple:
     results = run_checks(job.checks or None, seed=seed)
     rows = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
     all_ok = all(r.ok for r in results)
-    doc = {
-        "command": "verify",
-        "seed": seed,
-        "results": rows,
-        "all_ok": all_ok,
-    }
+    doc = {"command": "verify", "seed": seed, "results": rows,
+           "all_ok": all_ok}
     return doc, 0 if all_ok else 2
 
 
+# each command: its function, its --help summary, whether it takes -n
+# and --dims (a chain command) and whether it takes --class and its flags
+_Command = namedtuple("_Command", "run summary chains with_class")
 _COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "classify": cmd_enumerate,
-    "contribution": cmd_contribution,
-    "integrate": cmd_integrate,
-    "compare": cmd_compare,
-    "verify": cmd_verify,
+    "enumerate": _Command(cmd_enumerate, "list the fixed chains", True, False),
+    "classify": _Command(cmd_enumerate, "enumerate with classification flags",
+                         True, False),
+    "contribution": _Command(cmd_contribution, "per-chain localization terms",
+                             True, True),
+    "integrate": _Command(cmd_integrate, "equivariant virtual integral",
+                          True, True),
+    "compare": _Command(cmd_compare, "run both methods and compare",
+                        True, True),
+    "verify": _Command(cmd_verify, "run the verification suite",
+                       False, False),
 }
+
+
+def _header(job: JobSpec, **fields) -> dict:
+    """A chain command's document: command, n, dims and, for a command
+    that takes one, class, then fields."""
+    doc = {"command": job.command, "n": job.n, "dims": list(job.dims)}
+    if _COMMANDS[job.command].with_class:
+        doc["class"] = job.class_spec
+    doc.update(fields)
+    return doc
 
 
 def run(job: JobSpec) -> tuple:
     """Execute a job; returns (JSON document, exit code).  A job past
     the point budget is refused before its class is parsed."""
     job.validate()
+    command = _COMMANDS[job.command]
     token = point_budget.set(job.max_points)
     try:
-        if job.command != "verify":
+        if command.chains:
             check_point_budget(job.dims)
-        return _COMMANDS[job.command](job)
+        return command.run(job)
     finally:
         point_budget.reset(token)
 
@@ -468,8 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact equivariant integrals on nested Hilbert schemes"
                     " of points in affine space.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, summary, chains=True, with_class=True):
+    for name, (_, summary, chains, with_class) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
         if chains:
             sp.add_argument("-n", type=int, default=None,
@@ -490,19 +487,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="point budget override (capped at 14)")
         sp.add_argument("--output", default=None,
                         help="write the JSON document here instead of stdout")
-        return sp
-
-    add("enumerate", "list the fixed chains", with_class=False)
-    add("classify", "enumerate with classification flags", with_class=False)
-    add("contribution", "per-chain localization terms")
-    sp = add("integrate", "equivariant virtual integral")
+    sp = sub.choices["integrate"]  # the subparsers by name
     sp.add_argument("--method", choices=("localization", "residue"),
                     default=None)
     sp.add_argument("--cy", action="store_true", default=None,
                     help="also restrict to the trace-zero subtorus")
-    add("compare", "run both methods and compare")
-    sp = add("verify", "run the verification suite", chains=False,
-             with_class=False)
+    sp = sub.choices["verify"]
     sp.add_argument("--checks", default=None,
                     help="comma-separated check names (default: all)")
     sp.add_argument("--seed", type=int, default=None)

@@ -9,6 +9,7 @@ complexes have equal rank; chains failing that gate contribute zero.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (
@@ -125,21 +126,10 @@ def check_layer_symmetry(P: TautClass, dims) -> None:
         start += size
 
 
-class IntegralResult:
+class IntegralResult(namedtuple("IntegralResult", "value vdim method space")):
     """Value of a virtual integral together with how it was computed."""
 
-    __slots__ = ("value", "vdim", "method", "space")
-
-    def __init__(self, value: FactoredRational, vdim: int, method: str,
-                 space: str):
-        self.value = value
-        self.vdim = vdim
-        self.method = method
-        self.space = space
-
-    def __repr__(self) -> str:
-        return (f"IntegralResult({self.value}, vdim={self.vdim}, "
-                f"method={self.method}, space={self.space})")
+    __slots__ = ()
 
 
 def chern_taut(k: int, q: int, d: int, dual: bool = False) -> TautClass:

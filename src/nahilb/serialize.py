@@ -73,11 +73,7 @@ def poly_from_json(doc: list) -> SparsePolynomial:
 
 
 def rational_to_json(r: FactoredRational) -> dict:
-    return {
-        "scalar": str(r.scalar),
-        "numerator": poly_to_json(r.poly),
-        "factors": [[linear_form_to_json(f), e] for f, e in r.factors],
-    }
+    return render_rational(r, {})[0]
 
 
 def rational_from_json(doc: dict) -> FactoredRational:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 
@@ -61,20 +62,10 @@ from .weights import (
 DEFAULT_SEED = 20260815
 
 
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name ok detail seconds")):
     """Outcome of one named check."""
 
-    __slots__ = ("name", "ok", "detail", "seconds")
-
-    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.seconds = seconds
-
-    def __repr__(self) -> str:
-        state = "ok" if self.ok else "FAIL"
-        return f"CheckResult({self.name}: {state}, {self.detail!r})"
+    __slots__ = ()
 
 
 def _s(i: int) -> LinearForm:

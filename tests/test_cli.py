@@ -4,6 +4,7 @@ deterministic JSON output."""
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -19,8 +20,8 @@ import nahilb.localization as localization
 import nahilb.verify as verify
 from nahilb.algebra import FactoredRational, SparsePolynomial, rational_equal
 from nahilb.cli import JobSpec, main, parse_class_spec, run, write_json
-from nahilb.errors import (IndexOutOfRange, NotBisymmetric, ParseError,
-                           SizeGuardExceeded)
+from nahilb.errors import (IndexOutOfRange, NahilbError, NotBisymmetric,
+                           ParseError, SizeGuardExceeded)
 from nahilb.localization import (
     IntegralResult,
     TautClass,
@@ -167,6 +168,79 @@ class TestClassSpecParser:
     def test_negation(self):
         got = parse_class_spec("-eta1*eta1", 0, 2)
         assert got.poly == -(eta(1) * eta(1))
+
+    def test_chern_atom_refused_by_its_work(self):
+        # c8 over 6 roots at 8 points has 125,879 terms and took seconds;
+        # c8 at q = 16, d = 1 builds fast, but its theta check took ~1 s
+        for spec, q, d in (("c8", 6, 8), ("c10", 6, 8), ("c8", 16, 1),
+                           ("c1 + c7", 6, 8)):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match=r"c\d+ would take about"):
+                parse_class_spec(spec, q, d)
+            assert time.perf_counter() - start < 0.1
+        assert parse_class_spec("c5", 2, 9).poly == chern_taut(5, 2, 9).poly
+
+    def test_chern_atom_refusals_keep_their_order(self):
+        # the q cap and the index range come before the work charge
+        with pytest.raises(SizeGuardExceeded, match="q = 60 exceeds"):
+            parse_class_spec("c3", 60, 9)
+        with pytest.raises(IndexOutOfRange, match="no c_1000 with q=16"):
+            parse_class_spec("c1000", 16, 14)
+        with pytest.raises(IndexOutOfRange, match="block sizes q=0, d=0"):
+            parse_class_spec("c0", 0, 0)
+
+
+# class specs from the parser's grammar, with names, exponents, literals
+# and ^dual drawn from legal and illegal ranges
+_SPEC_ATOMS = st.one_of(
+    st.integers(0, 10 ** 6).map(str),
+    st.sampled_from(["9" * 4301, "2^16000", "0", "00"]),
+    st.builds("c{}{}".format, st.integers(0, 60),
+              st.sampled_from(["", "^dual", "^dual^2", "^2^dual"])),
+    st.builds("theta{}".format, st.integers(0, 8)),
+    st.builds("eta{}".format, st.integers(0, 10)),
+    st.sampled_from(["c", "dual", "theta", "gamma1", "c1x", "x"]),
+)
+_SPECS = st.recursive(_SPEC_ATOMS, lambda inner: st.one_of(
+    st.builds("({})".format, inner),
+    st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+    st.builds("-{}".format, inner),
+    st.builds("{}^{}".format, inner, st.integers(0, 5000)),
+    st.builds("{}^dual".format, inner),
+), max_leaves=12)
+# a spec with a broken or foreign token spliced in
+_BROKEN = st.builds(lambda spec, at, junk: spec[:at] + junk + spec[at:],
+                    _SPECS, st.integers(0, 40),
+                    st.sampled_from(["(", ")", "^", "*", "+", "$", "1.5",
+                                     "^^", "()", "c1(", "é", "\x00"]))
+
+
+class _TooSlow(Exception):
+    pass
+
+
+def _raise_too_slow(signum, frame):
+    raise _TooSlow
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(spec=_SPECS | _BROKEN, q=st.integers(0, 6), d=st.integers(0, 9))
+def test_class_spec_fuzz_returns_or_raises_typed(spec, q, d):
+    # every spec parses to a TautClass or is refused with a NahilbError,
+    # within a fixed time (a timer signal, so no thread is started)
+    previous = signal.signal(signal.SIGALRM, _raise_too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    slow = False
+    try:
+        assert isinstance(parse_class_spec(spec, q, d), TautClass)
+    except NahilbError:
+        pass
+    except _TooSlow:  # reported below, apart from the signal's traceback
+        slow = True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not slow, f"{spec!r} at q = {q}, d = {d} took over 2 s"
 
 
 class TestJobValidation:
@@ -413,6 +487,15 @@ class TestMain:
             verify.run_checks(["hilb3-closed-form", "no-such-check"])
         assert ran == []
 
+    def test_check_results_are_tuples(self, monkeypatch):
+        monkeypatch.setitem(verify.CHECKS, "hilb3-closed-form",
+                            lambda seed: (False, f"seed {seed}"))
+        [r] = verify.run_checks(["hilb3-closed-form"], seed=7)
+        name, ok, detail, seconds = r
+        assert r._fields == ("name", "ok", "detail", "seconds")
+        assert (name, ok, detail) == ("hilb3-closed-form", False, "seed 7")
+        assert r == verify.CheckResult(name, ok, detail, seconds)
+
     def test_bad_dims_exit_code(self, capsys):
         code, _, err = run_main(capsys, [
             "enumerate", "-n", "2", "--dims", "1,x"])
@@ -632,6 +715,10 @@ class TestRun:
         with pytest.raises(ParseError):
             run(JobSpec("compare", n=2, dims=(1, 1), space="nhilb"))
 
+    def test_unknown_command_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unknown command 'bogus'"):
+            run(JobSpec("bogus"))
+
 
 _LEAVES = (st.none() | st.booleans() | st.integers()
            | st.integers(-10 ** 40, 10 ** 40) | st.text())
@@ -832,13 +919,55 @@ GOLDEN = [
          "--method", "residue", "--class", "5*c1^dual*c1"],
         "b455d0a655fd6ea2d667209fcbcaef6183aa2606744860e1508dcc61f277ace8",
         id="integrate-residue-n5-tail"),
+    # recorded before the command table and the shared document header
+    pytest.param(
+        ["enumerate", "-n", "3", "--dims", "2,1"],
+        "12998c1798648203c22e0ba99500549bc383bbe7fe7ecf2b296eb4c20c1a4797",
+        id="enumerate"),
+    pytest.param(
+        ["verify", "--checks", "hilb3-closed-form,n-stability"],
+        "334da3b7a2a3f36a7a55ea20dd4d742c156b22e3400e0bbffef3cf95fdb607d4",
+        id="verify"),
 ]
+
+# sha256 of the --help text at 80 columns, recorded before the parser was
+# built from the command table; argparse's layout differs between Python
+# versions, so the digests hold for the version they were recorded with
+HELP = {
+    (): "d6915ccd8fa2331b4b16877e5a509b3653f5769f9c01a725311427e841e91553",
+    ("enumerate",):
+        "ec3e449f308db26e3573e20d548f832cdd79b8ba43b6349c5d87a1b0d831ce5d",
+    ("classify",):
+        "aefd8e6e1087b7c7905d5aa8da6d34da2ee9f20f56b72fde22ebffbb0a1d430b",
+    ("contribution",):
+        "bbc86f05deb99d1e1b8c14d159d4ff3bf4adbd4dc4e244489b74f51123ccc3b2",
+    ("integrate",):
+        "3a2b3a6fb8dcae3a89553361734cd033d0c5cfa8ad2cbf2a18c44234e6dd0e1f",
+    ("compare",):
+        "f6a61a46052c419124f910a2834c45903018107bd35f9b24272801b3f22fecbf",
+    ("verify",):
+        "053d5c7be173fdb91215e5d63749870df5deeaed90fa7eb9478ec45c45d1e7e6",
+}
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN)
 def test_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run_main(capsys, argv)
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help digests recorded with Python 3.11's argparse")
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param(argv, digest, id=" ".join(argv) or "nahilb")
+    for argv, digest in HELP.items()])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -599,6 +599,14 @@ class TestIntegralResult:
         assert "localization" in repr(r)
         assert "nhilb" in repr(r)
 
+    def test_is_a_tuple_compared_by_value(self):
+        r = IntegralResult(FactoredRational.one(), 3, "localization", "nhilb")
+        assert r._fields == ("value", "vdim", "method", "space")
+        assert r == IntegralResult(FactoredRational.one(), 3, "localization",
+                                   "nhilb")
+        assert r != r._replace(method="residue")
+        assert not hasattr(r, "__dict__")
+
 
 # ---------------------------------------------------------------------------
 # result guards are real checks, not asserts that python -O strips
