@@ -574,12 +574,13 @@ class LinearForm(SparsePolynomial):
 
     Its terms are packed single-variable monomials.  key() lists the
     (var_key, coefficient) pairs in variable order; it orders factor
-    lists and gives the hash.  Arithmetic is the polynomial arithmetic
-    and returns plain SparsePolynomials; FactoredRational.build turns a
-    degree-one result back into a primitive form.
+    lists and gives the hash, computed once when the key is set.
+    Arithmetic is the polynomial arithmetic and returns plain
+    SparsePolynomials; FactoredRational.build turns a degree-one result
+    back into a primitive form.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash")
 
     def __init__(self, coeffs: dict | None = None):
         """Form of {var: coefficient}; zero coefficients are dropped."""
@@ -591,6 +592,7 @@ class LinearForm(SparsePolynomial):
         """self with the given key, ((rank, index), nonzero coefficient)
         pairs in variable order, and the packed terms it names."""
         self._key = key
+        self._hash = hash(key)
         self.terms = {1 << var_shift((NAMESPACES[r], i)): c
                       for (r, i), c in key}
         return self
@@ -602,10 +604,11 @@ class LinearForm(SparsePolynomial):
         form.terms = terms
         form._key = tuple(sorted(((r, i), c) for m, c in terms.items()
                                  for r, i, _ in _fields(m)))
+        form._hash = hash(form._key)
         return form
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def key(self):
         return self._key

@@ -25,7 +25,7 @@ from .localization import (
     MAX_Q,
     SPACES,
     TautClass,
-    chern_taut,
+    chern_poly,
     cy_restrict,
     gated_terms,
     integrate_localization,
@@ -40,8 +40,8 @@ from .partitions import (
     point_budget,
 )
 from .residues import integrate_residue_nilfil
-from .serialize import (SharedDoc, integral_result_to_json, nested_to_json,
-                        render_value)
+from .serialize import (SharedDoc, SharedList, integral_result_to_json,
+                        nested_to_json, render_value)
 from .weights import fixed_ranks
 
 
@@ -118,8 +118,10 @@ class _ClassParser:
     products in all: a product of a and b takes len(a) * len(b), and a
     power the products of its square-and-multiply steps, each factor's
     terms bounded as above, and a Chern atom c_k its roots times the
-    terms of e_1..e_(k-1) plus its symmetry check.  Each is refused
-    before it is formed.
+    terms of e_1..e_(k-1).  Each is refused before it is formed, and so
+    is the parsed spec when TautClass's theta symmetry check of it would
+    pass the total (parse_class_spec); a Chern atom or a power is
+    refused already when that check of its own terms would.
     """
 
     def __init__(self, tokens: list, q: int, d: int):
@@ -170,14 +172,22 @@ class _ClassParser:
             value = self.folded(value + rhs if op == "+" else value - rhs)
         return value
 
-    def charge(self, work: int, what: str) -> None:
+    def charge(self, work: int, what: str, ahead: int = 0) -> None:
         """Add work term products to the spec's total, refusing what
-        would take them when the total passes MAX_PRODUCT_WORK."""
+        would take them when the total, with ahead products that what
+        leaves to come, passes MAX_PRODUCT_WORK."""
         self.work += work
-        if self.work > MAX_PRODUCT_WORK:
+        if self.work + ahead > MAX_PRODUCT_WORK:
             raise ParseError(
-                f"{what} would take about {work} term products, past the "
-                f"{MAX_PRODUCT_WORK} a class spec may take")
+                f"{what} would take about {work + ahead} term products, past "
+                f"the {MAX_PRODUCT_WORK} a class spec may take")
+
+    def check_work(self, terms: int) -> int:
+        """Term products of TautClass's theta symmetry check of a
+        polynomial of that many terms: q - 1 swaps, each some 8 term
+        products a term; none when TautClass refuses q or d first."""
+        q = self.q
+        return 8 * (q - 1) * terms if 1 < q <= MAX_Q and self.d >= 1 else 0
 
     def term(self) -> SparsePolynomial:
         value = self.signed()
@@ -217,13 +227,15 @@ class _ClassParser:
         if isinstance(chern, int):
             q, d, k = self.q, self.d, chern
             roots, m = q * d or d, q + d - 1  # c_k = e_k(roots), m variables
-            if q <= MAX_Q and 0 < k <= roots:  # else chern_taut refuses it
-                # e_1..e_k take each root in turn, then e_k is checked under
-                # q - 1 theta swaps, each some 8 term products a term
+            if q <= MAX_Q and 0 < k <= roots:  # else chern_poly refuses it
+                # e_1..e_k take each root in turn; the spec's theta check
+                # (parse_class_spec) charges e_k's terms at the end, but
+                # c_k is refused now when that charge would pass the cap
                 size = [min(comb(roots, t), comb(t + m, t))
                         for t in range(k + 1)]
-                self.charge(roots * sum(size[:k]) + 8 * q * size[k], f"c{k}")
-            value = chern_taut(k, q, d, dual=dual).poly
+                self.charge(roots * sum(size[:k]), f"c{k}",
+                            self.check_work(size[k]))
+            value = chern_poly(k, q, d, dual)
         else:
             value = chern
         if exponent is None:
@@ -248,7 +260,8 @@ class _ClassParser:
             if e > 1:
                 work, base = work + size(base) ** 2, 2 * base
             e >>= 1
-        self.charge(work, f"power {exponent}")
+        # refused now, as c_k is, when the check of its terms would pass
+        self.charge(work, f"power {exponent}", self.check_work(terms))
         return self.folded(value ** exponent)
 
     def atom(self):
@@ -283,8 +296,12 @@ class _ClassParser:
 
 def parse_class_spec(text: str, q: int, d: int) -> TautClass:
     """Parse sums, products and powers of c_k, c_k^dual, theta_i, eta_j,
-    and integer literals into a validated integrand."""
-    poly = _ClassParser(_tokenize(text), q, d).parse()
+    and integer literals into a validated integrand.  The theta symmetry
+    check TautClass makes of it is charged to the spec's work first."""
+    parser = _ClassParser(_tokenize(text), q, d)
+    poly = parser.parse()
+    parser.charge(parser.check_work(len(poly.terms)),
+                  "the theta symmetry check")
     return TautClass(poly, q, d)
 
 
@@ -293,9 +310,10 @@ def parse_class_spec(text: str, q: int, d: int) -> TautClass:
 
 def cmd_enumerate(job: JobSpec) -> tuple:
     chains = enumerate_nested(job.n, job.dims)
+    docs: dict = {}  # the job's chain table (serialize.nested_to_json)
     rows = []
     for np_ in chains:
-        row = {"chain": nested_to_json(np_)}
+        row = {"chain": nested_to_json(np_, docs)}
         if job.command == "classify":
             # nilfil needs pointed dims and the identity fiber needs
             # room for its flag; where they do not apply the row says null
@@ -315,9 +333,11 @@ def cmd_enumerate(job: JobSpec) -> tuple:
 
 def cmd_contribution(job: JobSpec) -> tuple:
     P = parse_class_spec(job.class_spec, job.q, sum(job.dims))
-    # the job's one dict of rendered linear forms (serialize.render_rational)
+    # the job's tables of chain documents (serialize.nested_to_json) and
+    # of rendered linear forms (serialize.render_rational)
+    docs: dict = {}
     forms: dict = {}
-    rows = [{"chain": nested_to_json(np_),
+    rows = [{"chain": nested_to_json(np_, docs),
              "value": render_value(v, job.expand, forms)}
             for np_, v in gated_terms(job.n, job.dims, P, job.space)]
     return _header(job, space=job.space, points=rows), 0
@@ -542,16 +562,17 @@ _FLUSH_AT = 4096  # fragments held before they are joined and written
 def write_json(doc, write) -> None:
     """Pass write() the text of json.dumps(doc, sort_keys=True, indent=2)
     + "\n" in pieces, which json.dumps would encode in pure Python.  Only
-    str, int, bool, None, list, tuple, dict with str keys and SharedDoc
-    are accepted; anything else raises TypeError, a key through quote.
-    A SharedDoc is rendered once per indent (keyed by its id, as the
-    document holds it until the call returns) and its text repeated; no
-    flush falls inside that rendering, so it is one piece."""
+    str, int, bool, None, list, tuple, dict with str keys, SharedDoc and
+    SharedList are accepted; anything else raises TypeError, a key
+    through quote.  A SharedDoc or SharedList is rendered once per indent
+    (keyed by its id, as the document holds it until the call returns)
+    and its text repeated; no flush falls inside that rendering, so it is
+    one piece."""
     parts: list = []
     append = parts.append
     quote = json.encoder.encode_basestring_ascii
     flush_at = _FLUSH_AT
-    shared: dict = {}  # (id of a SharedDoc, indent) -> its text
+    shared: dict = {}  # (id of a shared document, indent) -> its text
 
     def item(o, nl: str) -> None:
         nonlocal flush_at
@@ -594,12 +615,12 @@ def write_json(doc, write) -> None:
             if len(parts) >= flush_at:
                 write("".join(parts))
                 parts.clear()
-        elif t is SharedDoc:
+        elif t is SharedDoc or t is SharedList:
             key = (id(o), nl)
             text = shared.get(key)
             if text is None:
                 start, held, flush_at = len(parts), flush_at, float("inf")
-                item(dict(o), nl)
+                item(dict(o) if t is SharedDoc else list(o), nl)
                 flush_at = held
                 text = shared[key] = "".join(parts[start:])
                 del parts[start:]

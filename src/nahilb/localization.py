@@ -139,10 +139,18 @@ def chern_taut(k: int, q: int, d: int, dual: bool = False) -> TautClass:
     For q = 0 the roots degenerate to the d values -eta_j, or eta_j when
     dual is set.
     """
+    return TautClass(chern_poly(k, q, d, dual), q, d)
+
+
+def chern_poly(k: int, q: int, d: int, dual: bool = False) -> SparsePolynomial:
+    """chern_taut's polynomial, not checked for theta symmetry: it is
+    symmetric by construction, and the check costs q - 1 substitutions."""
     _check_q(q)
     limit = d if q == 0 else q * d
     if not 0 <= k <= limit:
         raise IndexOutOfRange(f"no c_{k} with q={q}, d={d}")
+    if d < 1:  # c_0 = 1, which TautClass refuses at these sizes
+        raise IndexOutOfRange(f"invalid block sizes q={q}, d={d}")
     roots = []
     sign = -1 if dual else 1
     for j in range(d):
@@ -156,7 +164,7 @@ def chern_taut(k: int, q: int, d: int, dual: bool = False) -> TautClass:
     for root in roots:
         for t in range(min(k, len(roots)), 0, -1):
             elem[t] = elem[t] + root * elem[t - 1]
-    return TautClass(elem[k], q, d)
+    return elem[k]
 
 
 def _restrict_etas(P: TautClass, d: int, value_of) -> SparsePolynomial:

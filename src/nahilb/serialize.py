@@ -26,12 +26,19 @@ from .algebra import (
 )
 from .errors import NotPolynomial, SizeGuardExceeded
 from .localization import IntegralResult
-from .partitions import NestedPartition
+from .partitions import NestedPartition, point_key
 
 
 class SharedDoc(dict):
     """A JSON object that one document holds in many places: the command
     line's writer renders its text once per indent and repeats it."""
+
+    __slots__ = ()
+
+
+class SharedList(list):
+    """A JSON array that one document holds in many places, written as a
+    SharedDoc is."""
 
     __slots__ = ()
 
@@ -84,11 +91,32 @@ def rational_from_json(doc: dict) -> FactoredRational:
     )
 
 
-def nested_to_json(np_: NestedPartition) -> dict:
-    return {
-        "dims": list(np_.dims),
-        "layers": [[list(p) for p in layer] for layer in np_.key()],
-    }
+def nested_to_json(np_: NestedPartition, docs: dict | None = None) -> dict:
+    """The chain's dims and its layers, each in point_key order.  docs
+    maps each dims tuple, point tuple and layer seen before to its
+    SharedList and gains the new ones, so a job that writes many chains
+    sorts and builds each distinct layer and point once.  One table
+    serves one job, whose chains share their dims: a chain that holds a
+    point c has at least prod(c_i + 1) > sum(c_i) points, so no point
+    equals the dims."""
+    if docs is None:
+        docs = {}
+    dims = docs.get(np_.dims)
+    if dims is None:
+        dims = docs[np_.dims] = SharedList(np_.dims)
+    layers = []
+    for layer in np_.layers:
+        doc = docs.get(layer)
+        if doc is None:
+            points = []
+            for p in sorted(layer, key=point_key):
+                point = docs.get(p)
+                if point is None:
+                    point = docs[p] = SharedList(p)
+                points.append(point)
+            doc = docs[layer] = SharedList(points)
+        layers.append(doc)
+    return {"dims": dims, "layers": layers}
 
 
 def render_rational(r: FactoredRational, forms: dict) -> tuple:

@@ -133,6 +133,32 @@ class TestLinearForm:
                 (i for (n, i), c in coeffs.items() if n == ns and c),
                 default=0)
 
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+           st.sampled_from(NAMESPACES), st.integers(-3, 3),
+           st.permutations(range(4)))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_hash_is_the_key_hash(self, weight, ns, scale, perm):
+        # the hash set with the key, on every way a form is made
+        assume(any(weight))
+        made = linear_form_of(weight, ns)
+        coeffs = {(ns, i + 1): c for i, c in enumerate(weight) if c}
+        scaled = LinearForm({v: scale * c for v, c in coeffs.items()})
+        table: dict = {}
+        r = FactoredRational.build(
+            1, SparsePolynomial.one(),
+            [(linear_form_of(weight, "s"), -1), (lf(s1=1, s4=-2), 2)])
+        relabelled = r.relabel_s(perm, table).factors
+        forms = [made, LinearForm(coeffs), LinearForm.from_packed(made.terms),
+                 scaled, scaled.primitive()[1], made.primitive()[1],
+                 *(f for f, _ in relabelled),
+                 *(renamed for renamed, _ in table.values())]
+        for f in forms:
+            assert hash(f) == hash(f.key())
+        for f in forms:
+            for g in forms:
+                if f == g:
+                    assert hash(f) == hash(g)
+
 
 class TestEvaluate:
     def test_linear(self):

@@ -29,7 +29,8 @@ from nahilb.localization import (
     integrate_localization,
     reduce_full_flag,
 )
-from nahilb.serialize import SharedDoc, poly_from_json, rational_from_json
+from nahilb.serialize import (SharedDoc, SharedList, poly_from_json,
+                              rational_from_json)
 
 
 def eta(j):
@@ -186,8 +187,58 @@ class TestClassSpecParser:
             parse_class_spec("c3", 60, 9)
         with pytest.raises(IndexOutOfRange, match="no c_1000 with q=16"):
             parse_class_spec("c1000", 16, 14)
-        with pytest.raises(IndexOutOfRange, match="block sizes q=0, d=0"):
-            parse_class_spec("c0", 0, 0)
+        for spec in ("c0", "c0 + gamma1"):
+            with pytest.raises(IndexOutOfRange, match="block sizes q=0, d=0"):
+                parse_class_spec(spec, 0, 0)
+        # and before the theta check's charge, as are TautClass's own
+        # refusals of q and d: big has 15,504 terms, whose check would
+        # take about 1.9M products
+        big = "(" + "+".join(f"theta{i}" for i in range(1, 17)) + ")^5"
+        with pytest.raises(SizeGuardExceeded, match="q = 60 exceeds"):
+            parse_class_spec(big, 60, 1)
+        with pytest.raises(IndexOutOfRange, match="block sizes q=16, d=0"):
+            parse_class_spec(big, 16, 0)
+
+    def test_theta_check_refused_by_its_work(self):
+        # (theta1+...+theta16)^6 has 54,264 terms, which TautClass's 15
+        # theta swaps took about 2 s to check: about 6.5M term products,
+        # refused before the power is formed
+        thetas = "+".join(f"theta{i}" for i in range(1, 17))
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power 6 would take about"):
+            parse_class_spec(f"({thetas})^6", 16, 1)
+        assert time.perf_counter() - start < 0.1
+        # each factor passes, but the product's 19,380 terms would take
+        # about 2.3M products to check
+        start = time.perf_counter()
+        with pytest.raises(ParseError,
+                           match="the theta symmetry check would take about"):
+            parse_class_spec(f"({thetas})^4*(1+{thetas})", 16, 1)
+        assert time.perf_counter() - start < 0.5
+        # c5 at q = 16 is charged its loop and one check, about 0.56M
+        assert parse_class_spec("c5", 16, 1).poly == chern_taut(5, 16, 1).poly
+
+    def test_chern_atom_is_checked_once(self, monkeypatch):
+        # the spec's TautClass checks theta symmetry; the atom does not
+        checks = []
+        check = localization._check_swaps
+        monkeypatch.setattr(localization, "_check_swaps", lambda *args: (
+            checks.append(args[1]), check(*args)))
+        parse_class_spec("c3 + c2^dual", 4, 2)
+        assert checks == ["theta"]
+
+    def test_theta_check_is_charged_8_per_term_per_swap(self, monkeypatch):
+        # theta1 + theta2 at q = 2: one swap of two terms, 16 products;
+        # q <= 1 checks nothing and is charged nothing
+        monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 16)
+        assert parse_class_spec("theta1 + theta2", 2, 1).poly \
+            == theta(1) + theta(2)
+        monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 15)
+        with pytest.raises(ParseError, match="check would take about 16 "):
+            parse_class_spec("theta1 + theta2", 2, 1)
+        monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 0)
+        assert parse_class_spec("theta1 + 1", 1, 3).poly == theta(1) + 1
+        assert parse_class_spec("eta1 + eta2", 0, 3).poly == eta(1) + eta(2)
 
 
 # class specs from the parser's grammar, with names, exponents, literals
@@ -326,6 +377,16 @@ class TestMain:
             "integrate", "-n", "1", "--dims", "9", "--class", "c1^9*c1^9"])
         assert (code, out) == (1, "")
         assert "term products" in err
+
+    def test_costly_theta_check_exits_1(self, capsys):
+        spec = "(" + "+".join(f"theta{i}" for i in range(1, 17)) + ")^6"
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, [
+            "integrate", "-n", "1", "--dims", "1", "--q", "16",
+            "--class", spec])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: power 6 would take about")
 
     def test_coefficients_too_long_to_print_exit_1(self, capsys):
         limit = str(sys.get_int_max_str_digits())
@@ -754,12 +815,17 @@ class TestWriteJson:
     def test_shared_documents_match_json_dumps(self, monkeypatch, flush_at):
         # one SharedDoc at two depths and inside another, more than
         # _FLUSH_AT times; with a small _FLUSH_AT a flush would fall inside
-        # its first rendering at each indent
+        # its first rendering at each indent; likewise a SharedList inside
+        # a SharedDoc and one holding a SharedDoc, each at two depths
         monkeypatch.setattr(cli, "_FLUSH_AT", flush_at)
-        form = SharedDoc({"s": ["1", "-1"], "z": ["0", "2"]})
+        point = SharedList([0, 2, 1])
+        form = SharedDoc({"s": ["1", "-1"], "z": ["0", "2"], "p": point})
         outer = SharedDoc({"form": form, "e": -1})
+        pair = SharedList([form, -2])
         doc = {"rows": [[form, i] for i in range(4100)],
-               "deep": {"a": [{"b": [form, outer, form]}]}, "top": outer}
+               "pairs": [pair] * 50, "points": [[point, pair]] * 3,
+               "deep": {"a": [{"b": [form, outer, form, pair, point]}]},
+               "top": outer, "pair": pair, "point": point}
         pieces = _written(doc)
         assert len(pieces) > 1
         assert "".join(pieces) \
@@ -768,6 +834,7 @@ class TestWriteJson:
     @pytest.mark.parametrize("doc", [
         1.5, [Fraction(1, 2)], {"a": {1: "x"}}, {"a": [1, {(1, 2): 0}]},
         {"a": OrderedDict(b="c")}, [type("Marked", (SharedDoc,), {})()],
+        {"a": [type("Marked", (SharedList,), {})([1])]},
     ])
     def test_other_types_raise(self, doc):
         with pytest.raises(TypeError):
@@ -928,6 +995,20 @@ GOLDEN = [
         ["verify", "--checks", "hilb3-closed-form,n-stability"],
         "334da3b7a2a3f36a7a55ea20dd4d742c156b22e3400e0bbffef3cf95fdb607d4",
         id="verify"),
+    # recorded before the chain documents were shared within a job
+    pytest.param(
+        ["contribution", "-n", "3", "--dims", "1,1,1,1,1", "--space",
+         "nilfil", "--class", "2*c2^dual"],
+        "cb9ba73c6c6a03e04f11f96b124ed5a605d176fabf19684f834d46e3edd39383",
+        id="contribution-n3-d5"),
+    pytest.param(
+        ["contribution", "-n", "2", "--dims", "2,2,1", "--class", "c1"],
+        "d3ed65574613af3b95f1bad2550da8c53b3517dd19116bf5893919057ff91120",
+        id="contribution-shared-chains"),
+    pytest.param(
+        ["classify", "-n", "3", "--dims", "1,2,1"],
+        "1b29324e06f4a058677c478a9ca606fca29ab068fc855a34052c1e33727e89ba",
+        id="classify-n3"),
 ]
 
 # sha256 of the --help text at 80 columns, recorded before the parser was

@@ -7,6 +7,7 @@ reproduce an equal object.  Fractions survive as exact strings.
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from nahilb.localization import (
 from nahilb.partitions import NestedPartition, enumerate_nested, porteous
 from nahilb.serialize import (
     SharedDoc,
+    SharedList,
     integral_result_to_json,
     linear_form_from_json,
     linear_form_to_json,
@@ -171,6 +173,31 @@ class TestCombinatorics:
         for np_ in enumerate_nested(2, (1, 1, 2)):
             doc = roundtrip_doc(nested_to_json(np_))
             assert nested_of(doc) == np_
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_job_table_equals_table_free_and_shares(self, n):
+        # every dims of d <= 5 points in at most 5 steps with at most one
+        # zero step, one table per job: the documents equal the plain
+        # lists, and a repeated dims, point or layer is one SharedList
+        shapes = [dims for k in range(1, 6)
+                  for dims in product(range(6), repeat=k)
+                  if 1 <= sum(dims) <= 5 and dims.count(0) <= 1]
+        for dims in shapes:
+            docs: dict = {}
+            seen: dict = {}
+            for np_ in enumerate_nested(n, dims):
+                doc = nested_to_json(np_, docs)
+                assert doc == {
+                    "dims": list(np_.dims),
+                    "layers": [[list(p) for p in layer]
+                               for layer in np_.key()]}
+                assert doc == nested_to_json(np_)
+                parts = [doc["dims"], *doc["layers"],
+                         *(p for layer in doc["layers"] for p in layer)]
+                for part in parts:
+                    assert type(part) is SharedList
+                    key = json.dumps(part)
+                    assert seen.setdefault(key, part) is part
 
 
 class TestResults:
