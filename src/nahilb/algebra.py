@@ -365,22 +365,21 @@ class SparsePolynomial:
             n >>= 1
         return result
 
-    def homogeneous_degree(self) -> int | None:
-        """Common degree of all terms, or None if degrees are mixed.
-
-        The zero polynomial reports 0.  A term's degree is its packed
+    def degrees(self) -> set:
+        """The degrees of the terms.  A term's degree is its packed
         monomial mod FIELD_MASK while the degree of the OR of the keys,
         which bounds every term's, stays below FIELD_MASK; past it the
-        fields are summed one by one.
-        """
+        fields are summed one by one."""
         terms = self.terms
-        if not terms:
-            return 0
         # 2^16 = 1 mod 2^16 - 1, so m % FIELD_MASK is the sum of m's fields
-        if _mono_degree(reduce(or_, terms)) < FIELD_MASK:
-            degs = {m % FIELD_MASK for m in terms}
-        else:
-            degs = set(map(_mono_degree, terms))
+        if _mono_degree(reduce(or_, terms, 0)) < FIELD_MASK:
+            return {m % FIELD_MASK for m in terms}
+        return set(map(_mono_degree, terms))
+
+    def homogeneous_degree(self) -> int | None:
+        """Common degree of all terms, or None if degrees are mixed; the
+        zero polynomial reports 0."""
+        degs = self.degrees() or {0}
         return degs.pop() if len(degs) == 1 else None
 
     def variables(self) -> set:

@@ -76,7 +76,6 @@ class JobSpec(namedtuple(
 # class-spec parser
 
 MAX_NESTING = 100  # parenthesis depth of a class spec, five frames a level
-MAX_POWER_BITS = 1 << 21  # terms times bits of a class-spec power
 MAX_PRODUCT_WORK = 1 << 20  # term products of a class spec, all told
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z]+\d*)"
@@ -108,20 +107,16 @@ class _ClassParser:
     """Recursive descent over sums, products, powers and `^dual`.
 
     `dual` is a postfix marker on a Chern atom and must come before any
-    integer power, as in c2^dual^3.  Powers above MAX_EXPONENT, powers
-    past MAX_POWER_BITS (MAX_EXPONENT for a constant) in size: the E-th
-    power of t terms of degree <= g in k variables has at most min(C(t +
-    E - 1, E), C(g E + k, k)) terms of E * bit_length(1-norm) bits each,
+    integer power, as in c2^dual^3.  Exponents above MAX_EXPONENT,
     parentheses nested deeper than MAX_NESTING and constants with more
     decimal digits than str() may write are refused.  So is a spec whose
-    products and powers would take more than MAX_PRODUCT_WORK term
-    products in all: a product of a and b takes len(a) * len(b), and a
-    power the products of its square-and-multiply steps, each factor's
-    terms bounded as above, and a Chern atom c_k its roots times the
-    terms of e_1..e_(k-1).  Each is refused before it is formed, and so
-    is the parsed spec when TautClass's theta symmetry check of it would
-    pass the total (parse_class_spec); a Chern atom or a power is
-    refused already when that check of its own terms would.
+    products would take more than MAX_PRODUCT_WORK term products in all.
+    Each product, a `*` or a square-and-multiply step of a power, is
+    charged just before it runs (in product), and a Chern atom c_k its
+    roots times the terms of e_1..e_(k-1) before it is built.  Either is
+    refused already when TautClass's theta symmetry check of a bound on
+    its terms would pass the total; parse_class_spec charges that check
+    of the parsed spec at the end.
     """
 
     def __init__(self, tokens: list, q: int, d: int):
@@ -131,6 +126,9 @@ class _ClassParser:
         self.q = q
         self.d = d
         self.work = 0  # term products charged so far
+        # term products a term of TautClass's theta symmetry check: q - 1
+        # swaps at some 8 a term; none when TautClass refuses q or d first
+        self.check_rate = 8 * (q - 1) if 1 < q <= MAX_Q and d >= 1 else 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -172,30 +170,42 @@ class _ClassParser:
             value = self.folded(value + rhs if op == "+" else value - rhs)
         return value
 
-    def charge(self, work: int, what: str, ahead: int = 0) -> None:
+    def charge(self, work: int, what: str, terms: int = 0) -> None:
         """Add work term products to the spec's total, refusing what
-        would take them when the total, with ahead products that what
-        leaves to come, passes MAX_PRODUCT_WORK."""
+        would take them when the total, with TautClass's theta symmetry
+        check of a polynomial of that many terms still to come, passes
+        MAX_PRODUCT_WORK."""
+        ahead = self.check_rate * terms
         self.work += work
         if self.work + ahead > MAX_PRODUCT_WORK:
             raise ParseError(
                 f"{what} would take about {work + ahead} term products, past "
                 f"the {MAX_PRODUCT_WORK} a class spec may take")
 
-    def check_work(self, terms: int) -> int:
-        """Term products of TautClass's theta symmetry check of a
-        polynomial of that many terms: q - 1 swaps, each some 8 term
-        products a term; none when TautClass refuses q or d first."""
-        q = self.q
-        return 8 * (q - 1) * terms if 1 < q <= MAX_Q and self.d >= 1 else 0
+    def product(self, a: SparsePolynomial, b: SparsePolynomial,
+                what: str) -> SparsePolynomial:
+        """a * b, folded.  Charged first len(a) * len(b) term products
+        times the 64-bit limbs of a's and b's largest coefficients, and
+        ahead the check of at most the smaller of the pairs and the
+        monomials of its degree in its variables."""
+        pairs = work = len(a.terms) * len(b.terms)
+        for p in (a, b):
+            work *= (max(map(abs, p.terms.values()), default=0).bit_length()
+                     + 63) // 64
+        terms = 0
+        if self.check_rate:
+            degree = max(a.degrees(), default=0) + max(b.degrees(), default=0)
+            k = len(a.variables() | b.variables())
+            terms = min(pairs, comb(degree + k, k))
+        self.charge(work, what, terms)
+        return self.folded(a * b)
 
     def term(self) -> SparsePolynomial:
         value = self.signed()
         while self.peek() == ("op", "*"):
             self.take()
             rhs = self.signed()
-            self.charge(len(value.terms) * len(rhs.terms), "a product")
-            value = self.folded(value * rhs)
+            value = self.product(value, rhs, "a product")
         return value
 
     def signed(self) -> SparsePolynomial:
@@ -229,40 +239,24 @@ class _ClassParser:
             roots, m = q * d or d, q + d - 1  # c_k = e_k(roots), m variables
             if q <= MAX_Q and 0 < k <= roots:  # else chern_poly refuses it
                 # e_1..e_k take each root in turn; the spec's theta check
-                # (parse_class_spec) charges e_k's terms at the end, but
-                # c_k is refused now when that charge would pass the cap
+                # (parse_class_spec) charges e_k's terms at the end
                 size = [min(comb(roots, t), comb(t + m, t))
                         for t in range(k + 1)]
-                self.charge(roots * sum(size[:k]), f"c{k}",
-                            self.check_work(size[k]))
+                self.charge(roots * sum(size[:k]), f"c{k}", size[k])
             value = chern_poly(k, q, d, dual)
         else:
             value = chern
         if exponent is None:
             return value
-        names, rows = value.sorted_rows()
-        k, g, t = len(names), rows[0][0] if rows else 0, max(len(rows), 1)
-
-        def size(j: int) -> int:  # terms of value^j, at most
-            return min(comb(t + j - 1, j), comb(g * j + k, k))
-
-        terms = size(exponent)
-        bits = exponent * sum(map(abs, value.terms.values())).bit_length()
-        if terms * bits > (cap := MAX_POWER_BITS if k else MAX_EXPONENT):
-            raise ParseError(f"power {exponent} would expand to about {terms}"
-                             f" terms of {bits} bits, past {cap} bits")
-        # SparsePolynomial.__pow__'s steps: value^done * value^base when
-        # the bit is set, then value^base squared while bits remain
-        work, done, base, e = 0, 0, 1, exponent
-        while e:
-            if e & 1:
-                work, done = work + size(done) * size(base), done + base
-            if e > 1:
-                work, base = work + size(base) ** 2, 2 * base
-            e >>= 1
-        # refused now, as c_k is, when the check of its terms would pass
-        self.charge(work, f"power {exponent}", self.check_work(terms))
-        return self.folded(value ** exponent)
+        # SparsePolynomial.__pow__'s steps, each a charged product
+        result, what = SparsePolynomial.one(), f"power {exponent}"
+        while exponent:
+            if exponent & 1:
+                result = self.product(result, value, what)
+            if exponent > 1:
+                value = self.product(value, value, what)
+            exponent >>= 1
+        return result
 
     def atom(self):
         tok = self.take()
@@ -300,8 +294,7 @@ def parse_class_spec(text: str, q: int, d: int) -> TautClass:
     check TautClass makes of it is charged to the spec's work first."""
     parser = _ClassParser(_tokenize(text), q, d)
     poly = parser.parse()
-    parser.charge(parser.check_work(len(poly.terms)),
-                  "the theta symmetry check")
+    parser.charge(0, "the theta symmetry check", len(poly.terms))
     return TautClass(poly, q, d)
 
 
@@ -416,14 +409,17 @@ def _header(job: JobSpec, **fields) -> dict:
 
 
 def run(job: JobSpec) -> tuple:
-    """Execute a job; returns (JSON document, exit code).  A job past
-    the point budget is refused before its class is parsed."""
+    """Execute a job; returns (JSON document, exit code).  A chain job
+    past the point budget is refused before its class is parsed; the
+    budget applies to chain jobs only, as verify's checks have fixed
+    sizes."""
     job.validate()
     command = _COMMANDS[job.command]
+    if not command.chains:
+        return command.run(job)
     token = point_budget.set(job.max_points)
     try:
-        if command.chains:
-            check_point_budget(job.dims)
+        check_point_budget(job.dims)
         return command.run(job)
     finally:
         point_budget.reset(token)

@@ -243,6 +243,13 @@ class TestHomogeneousDegree:
         assert SparsePolynomial({top + ((sv(3), 2),): 1, ((sv(4), 1),): 1}) \
             .homogeneous_degree() is None
 
+    def test_degrees(self):
+        assert (s(1) * s(1) * 3 + s(2) - 1).degrees() == {0, 1, 2}
+        assert SparsePolynomial.zero().degrees() == set()
+        top = ((sv(1), MAX_EXPONENT), (sv(2), MAX_EXPONENT))
+        assert SparsePolynomial({top + ((sv(3), 2),): 1, ((sv(4), 1),): 1}) \
+            .degrees() == {65536, 1}
+
 
 class TestSumFactored:
     def test_antisymmetric_pair(self):

@@ -41,6 +41,76 @@ def theta(i):
     return SparsePolynomial.variable(("theta", i))
 
 
+# every spec that this file's tests accept, with q, d and a sha256 prefix
+# of its polynomial's text, recorded when each power's size and steps
+# were still estimated ahead of the products
+_ACCEPTED = [
+    ("1", 0, 2, "6b86b273ff34fce1"),
+    ("c2^dual^3", 0, 3, "7f59f2df31fcf88a"),
+    ("2*c1 - (eta1 + 1)^2", 0, 2, "5b882111193af87b"),
+    ("theta1", 1, 2, "2c5d7d7e052c1055"),
+    ("eta1", 0, 3, "edf0581bb2c42df3"),
+    ("(eta1 + 1)^2^3", 0, 2, "88ac92c63debca84"),
+    ("(eta1 + eta2)^3", 0, 3, "015c36e4d3095301"),
+    ("c1^2*c1^3", 0, 9, "71dac2b910056210"),
+    ("eta1*eta1 + eta1*eta1", 0, 2, "2a58f93c8866621d"),
+    ("-" * 3001 + "2", 0, 1, "cf3bae39dd692048"),
+    ("-eta1*eta1", 0, 2, "7a8931ba6324ae88"),
+    ("c5", 2, 9, "83e5f8306b7fd5f7"),
+    ("c5", 16, 1, "64f2e2f5395e0e7b"),
+    ("c3 + c2^dual", 4, 2, "a535fd42ace76245"),
+    ("theta1 + theta2", 2, 1, "67f9526cd946419d"),
+    ("theta1 + 1", 1, 3, "70501a029e6bd946"),
+    ("eta1 + eta2", 0, 3, "31ca5a05dc193a41"),
+    ("65536", 4, 3, "0f255ec16482c343"),
+    ("4", 4, 3, "4b227777d4dd1fc6"),
+    ("4", 3, 3, "4b227777d4dd1fc6"),
+    ("3", 3, 3, "4e07408562bedb8b"),
+    ("((eta2 - c0))", 5, 9, "5368f62d8a23fa49"),
+    ("((eta2 - eta2))", 5, 9, "5feceb66ffc86f38"),
+    ("((eta2 - eta5))", 5, 9, "f321ffb2413a62eb"),
+    ("((eta5 - eta5))", 5, 9, "5feceb66ffc86f38"),
+    ("(186)", 4, 3, "2811745d7b8d8874"),
+    ("(186)", 0, 3, "2811745d7b8d8874"),
+    ("0^617", 0, 1, "5feceb66ffc86f38"),
+    ("0^0", 0, 1, "6b86b273ff34fce1"),
+    ("7753^147", 1, 4, "fc1caed2bd04a7ad"),
+    ("7753^1", 1, 4, "20333b30ef06813d"),
+    ("7753^0", 1, 4, "6b86b273ff34fce1"),
+    ("7753^0", 0, 4, "6b86b273ff34fce1"),
+    ("4^0", 0, 4, "6b86b273ff34fce1"),
+    ("4^4", 0, 4, "51e8ea280b44e169"),
+    ("4^4", 4, 4, "51e8ea280b44e169"),
+    ("eta1", 0, 2, "edf0581bb2c42df3"),
+    ("1", 0, 3, "6b86b273ff34fce1"),
+    ("2^14283*c2", 0, 3, "d61fab517ab42a85"),
+    ("c2^dual", 0, 3, "0d86099a7637db40"),
+    ("1", 0, 1, "6b86b273ff34fce1"),
+    ("c1", 0, 3, "e45d9024134b95e4"),
+    ("c1^2", 0, 4, "fe94c2b1c5e313f4"),
+    ("eta1^2", 0, 2, "8f72464af68daf0d"),
+    ("eta2", 0, 3, "5985c80dfe5d0b98"),
+    ("c2^dual", 0, 4, "e37c5bf86024ce15"),
+    ("eta1*eta2", 0, 3, "0d86099a7637db40"),
+    ("c1^2*c2", 0, 4, "773cee9f104ee07d"),
+    ("theta1*c1", 1, 3, "c74fa3e65c3576a3"),
+    ("c2", 0, 5, "75b0483e13071d7d"),
+    ("c1", 0, 4, "bb3d1b9564ba1536"),
+    ("1+c1", 0, 3, "3cd65f4d22c0d533"),
+    ("c1^3", 0, 4, "1c41dacc8f7cc785"),
+    ("c2^dual", 0, 5, "75b0483e13071d7d"),
+    ("theta1*c1", 1, 4, "2167693144d9665f"),
+    ("1+theta1*c1", 1, 4, "ff5e9a72d10a031b"),
+    ("c2^dual^2*c1", 0, 3, "9c97b3bc90cc4ef3"),
+    ("c1^5", 0, 4, "d5a00d64cd417cad"),
+    ("c1^13", 0, 2, "b819b942f3483102"),
+    ("c1", 0, 5, "448c0ba4705c0e55"),
+    ("1", 0, 5, "6b86b273ff34fce1"),
+    ("5*c1^dual*c1", 0, 4, "d11437ea5693fe14"),
+    ("2*c2^dual", 0, 5, "e5b92ab147c193d3"),
+]
+
+
 class TestClassSpecParser:
     def test_constant(self):
         assert parse_class_spec("1", 0, 2).poly == SparsePolynomial.one()
@@ -95,15 +165,18 @@ class TestClassSpecParser:
             == (eta(1) + 1) ** 6
 
     def test_power_refused_by_its_expanded_size(self):
-        # (eta1 + eta2)^E has E + 1 terms of up to 2E bits, past
-        # MAX_POWER_BITS at E = 4000 and 16000; refused before it expands
+        # (eta1 + eta2)^E has E + 1 terms of up to E bits; squaring the
+        # 257 terms of (eta1 + eta2)^256, of 4 limbs each, would take
+        # 257^2 * 4 * 4 > MAX_PRODUCT_WORK term products on its own, so
+        # E = 4000 and 16000 are refused there, long before they expand
         for exponent in (4000, 16000):
             start = time.perf_counter()
-            with pytest.raises(ParseError, match="would expand to about"):
+            with pytest.raises(ParseError,
+                               match=f"power {exponent} would take about"):
                 parse_class_spec(f"(eta1 + eta2)^{exponent}", 0, 3)
             assert time.perf_counter() - start < 0.1
-        # a power of many terms is bounded by its monomial count instead
-        with pytest.raises(ParseError, match="would expand to about"):
+        # a power of many terms is refused by its terms alone
+        with pytest.raises(ParseError, match="power 8 would take about"):
             parse_class_spec("c1^8", 0, 14)
         assert parse_class_spec("(eta1 + eta2)^3", 0, 3).poly \
             == (eta(1) + eta(2)) ** 3
@@ -111,7 +184,8 @@ class TestClassSpecParser:
     def test_product_refused_by_its_work(self):
         # c1^9 over 8 eta has 11440 terms; c1^9*c1^9 would take about 131M
         # term products and c1^6*c1^6 about 2.9M: both refused before the
-        # product is formed, like c1^12 and c1^18 are by their size
+        # product is formed, like a square-and-multiply step of c1^12 and
+        # one of c1^18
         for spec in ("c1^9*c1^9", "c1^6*c1^6"):
             start = time.perf_counter()
             with pytest.raises(ParseError, match="a product would take"):
@@ -121,11 +195,47 @@ class TestClassSpecParser:
             == chern_taut(1, 0, 9).poly ** 5
 
     def test_power_refused_by_its_work(self):
-        # within MAX_POWER_BITS in size, but the squarings of these take
-        # about 2.8M and 3.4M term products
+        # a square-and-multiply step of each would take about 2.8M and
+        # 2.4M term products
         for spec, d in (("c1^14", 8), ("(eta1+eta2+eta3+eta4)^43", 5)):
             with pytest.raises(ParseError, match=r"power \d+ would take"):
                 parse_class_spec(spec, 0, d)
+
+    def test_first_refused_power_of_a_binomial(self):
+        # each square-and-multiply step is charged len(a) * len(b) times the
+        # 64-bit limbs of a's and b's largest coefficients; E = 479 stays
+        # within MAX_PRODUCT_WORK, and the last step of E = 480, the 225
+        # terms of (eta1 + eta2)^224 times the 257 of (eta1 + eta2)^256,
+        # 4 limbs each, would take the total past it, so that power is
+        # never formed
+        assert parse_class_spec("(eta1 + eta2)^479", 0, 3).poly \
+            == (eta(1) + eta(2)) ** 479
+        start = time.perf_counter()
+        with pytest.raises(ParseError,
+                           match="power 480 would take about 925200 "):
+            parse_class_spec("(eta1 + eta2)^480", 0, 3)
+        assert time.perf_counter() - start < 0.1
+
+    def test_constant_power_refused_by_its_charge(self):
+        # with no digit limit to fold against, the squarings of 10^4000
+        # grow in limbs until one would pass MAX_PRODUCT_WORK
+        held = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ParseError,
+                               match="power 32767 would take about"):
+                parse_class_spec("(10^4000)^32767", 0, 1)
+            assert time.perf_counter() - start < 0.1
+        finally:
+            sys.set_int_max_str_digits(held)
+
+    def test_accepted_specs_parse_as_before(self):
+        # charging each product as it runs changes no accepted polynomial
+        changed = [(spec, q, d) for spec, q, d, digest in _ACCEPTED
+                   if hashlib.sha256(str(parse_class_spec(spec, q, d).poly)
+                                     .encode()).hexdigest()[:16] != digest]
+        assert changed == []
 
     def test_work_is_counted_over_the_whole_spec(self, monkeypatch):
         # each product of two variables takes one term product
@@ -208,11 +318,11 @@ class TestClassSpecParser:
         with pytest.raises(ParseError, match="power 6 would take about"):
             parse_class_spec(f"({thetas})^6", 16, 1)
         assert time.perf_counter() - start < 0.1
-        # each factor passes, but the product's 19,380 terms would take
-        # about 2.3M products to check
+        # each factor passes, but the check of the product's terms, at
+        # most the 20,349 monomials of degree <= 5 in 16 thetas, would take
+        # about 2.4M products: refused before the product is formed
         start = time.perf_counter()
-        with pytest.raises(ParseError,
-                           match="the theta symmetry check would take about"):
+        with pytest.raises(ParseError, match="a product would take about"):
             parse_class_spec(f"({thetas})^4*(1+{thetas})", 16, 1)
         assert time.perf_counter() - start < 0.5
         # c5 at q = 16 is charged its loop and one check, about 0.56M
@@ -330,6 +440,17 @@ def run_main(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, reported by the lengths and the first differing offset
+    with some context: pytest's diff of two documents of a megabyte takes
+    a minute or more to build."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        near = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ"
+                    f" from offset {at}: {got[near]!r} against {want[near]!r}")
 
 
 class TestMain:
@@ -669,6 +790,14 @@ class TestMain:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_verify_ignores_the_point_budget(self, capsys):
+        # the budget bounds jobs on dims; verify's checks have fixed sizes
+        code, out, _ = run_main(capsys, [
+            "verify", "--checks", "hilb3-closed-form,admissibility-rank-gap",
+            "--max-points", "1"])
+        assert code == 0
+        assert json.loads(out)["all_ok"] is True
+
     @pytest.mark.parametrize("argv, message", [
         (["integrate", "-n", "2", "--dims", "1,2", "--class", "eta1"],
          "error: not symmetric under eta_1 <-> eta_2\n"),
@@ -808,8 +937,8 @@ class TestWriteJson:
         doc = {"rows": [{"k": [i, str(i)]} for i in range(3000)]}
         pieces = _written(doc)
         assert len(pieces) > 1
-        assert "".join(pieces) \
-            == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert_same_text("".join(pieces),
+                         json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     @pytest.mark.parametrize("flush_at", [1, 3, cli._FLUSH_AT])
     def test_shared_documents_match_json_dumps(self, monkeypatch, flush_at):
@@ -828,8 +957,8 @@ class TestWriteJson:
                "top": outer, "pair": pair, "point": point}
         pieces = _written(doc)
         assert len(pieces) > 1
-        assert "".join(pieces) \
-            == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert_same_text("".join(pieces),
+                         json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     @pytest.mark.parametrize("doc", [
         1.5, [Fraction(1, 2)], {"a": {1: "x"}}, {"a": [1, {(1, 2): 0}]},
@@ -1058,5 +1187,6 @@ def test_stdout_is_json_dumps_of_the_document(capsys, argv):
     # the writer against json.dumps on real documents, whose rendered
     # linear forms are shared between values
     doc, code = run(cli._job_from_args(cli._build_parser().parse_args(argv)))
-    assert run_main(capsys, argv) \
-        == (code, json.dumps(doc, sort_keys=True, indent=2) + "\n", "")
+    got, out, err = run_main(capsys, argv)
+    assert (got, err) == (code, "")
+    assert_same_text(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -467,6 +467,33 @@ def test_gated_term_is_the_written_quotient(n):
     assert gated > 0
 
 
+@pytest.mark.parametrize("n, most", [(1, 5), (2, 5), (3, 4)])
+def test_denominator_within_the_proven_bound(n, most):
+    """README's denominator bound: on every nhilb shape of N <= most
+    points, each denominator form a.s of the reduced integral of 1, c1 and
+    (from two points) c2^dual has every a_i >= 0 and an exponent at most
+    min(m_loc, N // |a|), where m_loc is the form's largest exponent in a
+    chain's term.  n = 3 with five points holds too but takes seconds."""
+    broken = []
+    for N in range(1, most + 1):
+        classes = [TautClass(1, 0, N), chern_taut(1, 0, N)]
+        if N > 1:
+            classes.append(chern_taut(2, 0, N, dual=True))
+        for dims in _compositions(N):
+            for P in classes:
+                m_loc: dict = {}
+                for _, v in gated_terms(n, dims, P, "nhilb"):
+                    for form, e in v.factors:
+                        m_loc[form] = max(m_loc.get(form, 0), -e)
+                value = integrate_localization(n, dims, "nhilb", P).value
+                for form, e in value.factors:
+                    a = form.terms.values()
+                    if e < 0 and (min(a) < 0 or -e > min(m_loc.get(form, 0),
+                                                         N // sum(a))):
+                        broken.append((dims, str(P.poly), str(form), -e))
+    assert broken == []
+
+
 def _is_relabelled(np_, seen: set) -> bool:
     """True when a coordinate permutation of np_ is in seen, the layers of
     the chains before it; adds np_'s own layers to seen."""
