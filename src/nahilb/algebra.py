@@ -21,7 +21,9 @@ A monomial is one int with a fixed bit field per variable (see
 ``var_shift``), so multiplying monomials is an int addition.  The order
 is decoded only where it is visible, in ``sorted_rows`` and
 ``leading`` (``_graded_rows``): they read once, from the OR of a
-polynomial's keys, which fields it uses, and decode only those.
+polynomial's keys, which fields it uses, and decode only those.  The
+leading sign that ``extract_content`` needs is found without decoding
+(``_leading_key``).
 Printing goes through ``sorted_terms`` and the serializer through
 ``sorted_rows``, which decodes each variable once per polynomial.
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb, gcd, lcm, prod
 from operator import or_
 
@@ -226,6 +228,25 @@ def _graded_rows(terms: dict) -> tuple:
         es = [(m >> sh) & FIELD_MASK for sh in shifts]
         rows.append((sum(es), es, m))
     return names, rows
+
+
+def _leading_key(terms: dict) -> int:
+    """The packed monomial of the leading term of nonempty terms, with
+    no term decoded: the top degree from m % FIELD_MASK under the guard
+    of degrees(), then among the terms of that degree the largest
+    exponent of each variable in turn, in variable order, until one term
+    is left."""
+    if _mono_degree(reduce(or_, terms)) >= FIELD_MASK:
+        return max(_graded_rows(terms)[1])[2]
+    top = max(m % FIELD_MASK for m in terms)
+    tied = [m for m in terms if m % FIELD_MASK == top]
+    for r, i, _ in _fields(reduce(or_, tied)):
+        if len(tied) == 1:
+            break
+        sh = var_shift((NAMESPACES[r], i))
+        e = max((m >> sh) & FIELD_MASK for m in tied)
+        tied = [m for m in tied if (m >> sh) & FIELD_MASK == e]
+    return tied[0]
 
 
 def add_products(out: dict, terms: dict, rows) -> None:
@@ -458,7 +479,8 @@ class SparsePolynomial:
         den = lcm(*(c.denominator for c in values))
         # only the leading sign matters, and a one-signed polynomial
         # needs no search for its leading term
-        if min(nums) < 0 and (max(nums) < 0 or self.leading()[1] < 0):
+        if min(nums) < 0 and (max(nums) < 0
+                              or self.terms[_leading_key(self.terms)] < 0):
             g = -g
         if g == den == 1 and all(type(c) is int for c in values):
             return 1, self
@@ -548,24 +570,201 @@ def divide_slices(slices: dict, a, neg: dict, floor: int) -> dict:
     return out
 
 
-def exact_divide_linear(p: SparsePolynomial, form: "LinearForm") -> SparsePolynomial | None:
-    """Quotient p / form when the division is exact, else None.
+def _digit_width(bound: int) -> int:
+    """Bytes of a packed digit that holds a sign bit and every value of
+    absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
 
-    One pass of divide_slices in the leading variable x of the form,
-    exact iff its remainder vanishes; no monomial order is needed.
-    """
-    if form.is_zero():
-        raise DivisionByZero("division by the zero form")
+
+def _divide_dict(terms: dict, form: "LinearForm") -> dict | None:
+    """The packed quotient of terms by form when it is exact, else None:
+    one pass of divide_slices in the leading variable x of the form,
+    exact iff its remainder vanishes; no monomial order is needed."""
     (rank, i), a = form.key()[0]
-    x = (NAMESPACES[rank], i)
-    sx = var_shift(x)
+    sx = var_shift((NAMESPACES[rank], i))
     neg = {pv: -c for pv, c in form.terms.items() if pv != 1 << sx}
-    q = divide_slices(slices_of(p.terms, x), a, neg, -1)
+    q = divide_slices(slices_of(terms, (NAMESPACES[rank], i)), a, neg, -1)
     if -1 in q:
         return None
-    return SparsePolynomial.from_packed(
-        {key + off + (k << sx): c
-         for k, (off, qk) in q.items() for key, c in qk.items()})
+    return {key + off + (k << sx): c
+            for k, (off, qk) in q.items() for key, c in qk.items()}
+
+
+def _divide_unit(sl: list, a: int, neg: list) -> list | None:
+    """Slices of p / (a*x + r) from the slices sl of p, sl[k] the packed
+    int of the coefficient of x^k, and the (shift, coefficient) terms of
+    -r, or None when a remainder or a step that a does not divide proves
+    that a*x + r does not divide p: q_(k-1) = (p_k + (-r)*q_k) / a, from
+    the top slice down, and the remainder p_0 + (-r)*q_0 must vanish."""
+    out = [0] * (len(sl) - 1)
+    q = 0
+    for k in range(len(sl) - 1, -1, -1):
+        w = sl[k]
+        if q:
+            for sh, c in neg:
+                if c == 1:
+                    w += q << sh
+                elif c == -1:
+                    w -= q << sh
+                else:
+                    w += (q << sh) * c
+        if not k:
+            return None if w else out
+        if a != 1:
+            q, w = divmod(w, a)
+            if w:
+                return None
+        else:
+            q = w
+        out[k - 1] = q
+    return out
+
+
+def _slice_divide(terms: dict, d: int, units: list, x: int,
+                  shifts: list) -> tuple | None:
+    """(quotient, counts) of the packed terms, int coefficients and
+    homogeneous of degree d, divided by each (form, count) of units as
+    often as the form divides them, at most count times, on packed
+    slices.  Every form has int coefficients and a term in the variable x
+    (packed, exponent 1), and the variables of the terms and forms are
+    at bit offsets shifts.  None when the quotient fails its
+    certificate.
+
+    Of the variables other than x the first is set to 1 and the rest get
+    digits of radix d + 1, laid out as _kronecker_layout lays out a sum's
+    slots, with one slot per power of x: a slot is the coefficient of x^k
+    packed into one int, and dividing by a*x + r takes a few shifts, a
+    small multiply and an exact division by a per slot (_divide_unit).
+    Packing is evaluation at powers of two, a ring map, so a nonzero
+    remainder proves that a form does not divide.  A quotient Q counts
+    only after its certificate: every slot fits its width, so that one
+    to_bytes reads them all (_kronecker_decode); every coefficient of Q
+    times N, the product of the 1-norms of the units, stays below
+    2**(B-1) for B-bit digits, as do p's coefficients; and no exponent
+    of the variable set to 1 is negative.  Then Q times the forms
+    divided out is homogeneous of degree d, so each of its exponents is
+    below the radix, and its coefficients fit a digit.  Packing the
+    slots into one int, x set to a power of two too, is one to one on
+    such polynomials and maps that product and p to the same int, so
+    they are equal.
+    """
+    norm = 1
+    for f, count in units:
+        norm *= sum(map(abs, f.terms.values())) ** count
+    big = max(map(abs, terms.values()))
+    # a quotient's coefficients have stayed within twice the dividend's
+    width = _digit_width(4 * norm * big)
+    sx = x.bit_length() - 1
+    others = [sh for sh in shifts if sh != sx]
+    radix = [d + 1] * len(others)
+    steps = [0] + [8 * width * (d + 1) ** j for j in range(len(others) - 1)]
+    step = 8 * width * (d + 1) ** (len(others) - 1)
+    kept = list(zip(others[1:], steps[1:]))
+    sl = [0] * (d + 1)
+    if kept:
+        for m, c in terms.items():
+            sl[(m >> sx) & FIELD_MASK] += c << sum(
+                ((m >> sh) & FIELD_MASK) * st for sh, st in kept)
+    else:
+        for m, c in terms.items():
+            sl[(m >> sx) & FIELD_MASK] += c
+    digit = dict(zip(others, steps))
+    counts = []
+    for f, count in units:
+        neg = [(digit[m.bit_length() - 1], -c) for m, c in f.terms.items()
+               if m != x]
+        a = f.terms[x]
+        done = 0
+        while done < count:
+            q = _divide_unit(sl, a, neg)
+            if q is None:
+                break
+            sl, done = q, done + 1
+        counts.append(done)
+    if not any(counts):
+        return terms, counts
+    if any(v.bit_length() >= step for v in sl):
+        return None
+    total = 0
+    for v in reversed(sl):
+        total = (total << step) + v
+    d -= sum(counts)
+    out = _kronecker_decode(total, width, step,
+                            [(k << sx, d - k) for k in range(d + 1)],
+                            others, radix, steps)
+    if max(max(map(abs, out.values())) * norm, big) >> (8 * width - 1):
+        return None
+    # a negative exponent leaves a negative key or a guard bit
+    acc = reduce(or_, out, 0)
+    while acc > 0 and not acc & _GUARDS:
+        acc >>= _GUARD_SPAN
+    return None if acc else (out, counts)
+
+
+def divide_out(terms: dict, units: list) -> tuple:
+    """(quotient, counts): the packed terms divided by each (form, count)
+    of units as often as the form divides them, at most count times, and
+    how often it did.
+
+    Each run of forms with the same first variable x in bit order
+    divides on packed slices (_slice_divide) when the density rule takes
+    the layout.  The rule reads only the input: the terms must be
+    homogeneous of a degree d > 0, the terms and forms must have int
+    coefficients and two or more variables, (variables - 2) * d must stay
+    within the guard bit of a field, and the slots may hold at most
+    _DENSE_WASTE digits per term, (d + 1)**(variables - 1) in all.
+    Otherwise, and when the packed quotient fails its certificate, the
+    run takes one dict pass (_divide_dict) per unit.  Primitive forms
+    that are not proportional are coprime, so the counts do not depend
+    on the route.
+    """
+    marks = reduce(or_, (reduce(or_, f.terms) for f, _ in units),
+                   reduce(or_, terms, 0))
+    shifts, top = [], 0
+    for sh in range(0, marks.bit_length(), FIELD_BITS):
+        if (marks >> sh) & FIELD_MASK:
+            shifts.append(sh)
+            top += (marks >> sh) & FIELD_MASK
+    # top bounds every term's degree, as in degrees()
+    d = next(iter(terms), 0) % FIELD_MASK if top < FIELD_MASK else 0
+    # a negative exponent of the variable set to 1 must show as a guard
+    # bit, so the digit exponents may add up to at most the guard
+    packed = (d > 0 and len(shifts) > 1
+              and (len(shifts) - 2) * d <= MAX_EXPONENT + 1
+              and (d + 1) ** (len(shifts) - 1) <= _DENSE_WASTE * len(terms)
+              and {m % FIELD_MASK for m in terms} == {d}
+              and all(type(c) is int for c in terms.values())
+              and all(type(c) is int for f, _ in units
+                      for c in f.terms.values()))
+    counts = []
+    for x, run in groupby(units, key=lambda u: min(u[0].terms)):
+        run = list(run)
+        got = _slice_divide(terms, d, run, x, shifts) if packed else None
+        if got is None:
+            done = []
+            for form, count in run:
+                k = 0
+                while k < count:
+                    q = _divide_dict(terms, form)
+                    if q is None:
+                        break
+                    terms, k = q, k + 1
+                done.append(k)
+            got = terms, done
+        terms, done = got
+        counts += done
+        d -= sum(done)
+    return terms, counts
+
+
+def exact_divide_linear(p: SparsePolynomial,
+                        form: "LinearForm") -> SparsePolynomial | None:
+    """Quotient p / form when the division is exact, else None: divide_out
+    by one unit of the form."""
+    if form.is_zero():
+        raise DivisionByZero("division by the zero form")
+    q, (done,) = divide_out(p.terms, [(form, 1)])
+    return SparsePolynomial.from_packed(q) if done else None
 
 
 class LinearForm(SparsePolynomial):
@@ -749,21 +948,22 @@ class FactoredRational:
                                 canonical_factors(self.factors + inverse))
 
     def simplify(self) -> "FactoredRational":
-        """Cancel denominator factors that exactly divide the polynomial."""
+        """Cancel denominator factors that exactly divide the polynomial
+        (divide_out)."""
         if self.is_zero():
             return self
-        poly = self.poly
-        new_factors = []
-        for form, exp in self.factors:
-            while exp < 0:
-                q = exact_divide_linear(poly, form)
-                if q is None:
-                    break
-                poly = q
-                exp += 1
-            if exp:
-                new_factors.append((form, exp))
-        return FactoredRational(self.scalar, poly, tuple(new_factors))
+        units = [(form, -exp) for form, exp in self.factors if exp < 0]
+        if not units:
+            return self
+        terms, counts = divide_out(self.poly.terms, units)
+        if not any(counts):
+            return self
+        counts = iter(counts)
+        factors = [(form, exp + next(counts) if exp < 0 else exp)
+                   for form, exp in self.factors]
+        return FactoredRational(self.scalar,
+                                SparsePolynomial.from_packed(terms),
+                                tuple(fe for fe in factors if fe[1]))
 
     def expand(self) -> SparsePolynomial:
         """Multiply out; requires no remaining denominator factors."""
@@ -982,7 +1182,7 @@ def _kronecker_sum(summands, forms: list) -> dict:
     if top > MAX_EXPONENT:
         raise ExponentOverflow(
             f"degree {top} exceeds {MAX_EXPONENT}, the packed field limit")
-    width = bound.bit_length() // 8 + 1
+    width = _digit_width(bound)
     radix = [min(top, r) + 1 for r in reach]
     steps, step = _kronecker_layout(radix, width, len(slots))
     digit = dict(zip((1 << sh for sh in shifts), steps))
@@ -1040,7 +1240,10 @@ def _horner(groups: dict, times, plus):
 # digits per monomial of its degree.  Timed on the 28 conversions of the
 # residue benchmark, packing won by up to 2.8x at n <= 4, where a slot
 # has at most 5 digits per monomial, and the sparse terms won by up to
-# 1.2x at n = 5, with 13 to 15
+# 1.2x at n = 5, with 13 to 15.  divide_out packs while a layout has at
+# most this many digits per term: the n = 3 localization sums of the
+# loc-sum benchmark, 2.4 per term, divided about 3x faster packed, and
+# the n = 4 ones, about 30 per term, 2-3x slower
 _DENSE_WASTE = 8
 
 
@@ -1106,7 +1309,7 @@ def substitute_elementary(terms: dict, ys: list) -> dict:
     norms = [comb(n, j) for j in range(1, n + 1)]
     bound = int(scale * sum(abs(c) * prod(map(pow, norms, mu))
                             for mu, row in rows.items() for _, _, c in row))
-    width = bound.bit_length() // 8 + 1
+    width = _digit_width(bound)
     slots: dict = {}  # (monomial in the other variables, degree) -> slot
     steps, step = _kronecker_layout(
         radix, width, len({key for row in rows.values() for key, _, _ in row}))
@@ -1130,8 +1333,9 @@ def sum_factored(items) -> FactoredRational:
 
     The common denominator is the factorwise maximum of the negative
     exponents.  Each summand times its complement in it is expanded by
-    _kronecker_sum, with the scalars brought to one denominator, and the
-    result is simplified by trial division.
+    _kronecker_sum, with the scalars brought to one denominator, and
+    simplify divides the forms of the denominator out of the result
+    (divide_out), on packed slices where the density rule allows.
     """
     items = [r for r in items if not r.is_zero()]
     if not items:

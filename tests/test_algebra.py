@@ -902,3 +902,136 @@ def test_substitute_elementary_refuses_before_packing(monkeypatch):
     # no y-variable: nothing to pack
     plain = {1 << var_shift(sv(1)): 2}
     assert substitute_elementary(plain, ys) == plain
+
+
+# ---------------------------------------------------------------------------
+# exact division on packed slices against the dict route
+
+_DIV_VARS = [sv(1), sv(2), sv(3), ("theta", 1), ("eta", 2)]
+
+
+@st.composite
+def _division_cases(draw):
+    """A built rational in 2-4 variables of the s, theta and eta
+    namespaces whose polynomial is a base, homogeneous or not, times
+    powers of primitive forms (first coefficient 1-3, mixed signs), at
+    times plus a non-multiple, over a denominator of some of those forms
+    and others."""
+    names = draw(st.lists(st.sampled_from(_DIV_VARS), min_size=2,
+                          max_size=4, unique=True))
+    degree = draw(st.integers(0, 3)) if draw(st.booleans()) else None
+
+    def polys(deg):
+        size = (st.integers(deg, deg) if deg is not None
+                else st.integers(0, 4))
+        mono = size.flatmap(lambda k: st.lists(
+            st.sampled_from(names), min_size=k, max_size=k)).map(
+            lambda vs: tuple((v, 1) for v in vs))
+        return st.dictionaries(mono, st.integers(-5, 5).filter(bool),
+                               min_size=1, max_size=5).map(SparsePolynomial)
+
+    form = st.dictionaries(
+        st.sampled_from(names), st.integers(-3, 3).filter(bool),
+        min_size=1, max_size=3).map(lambda c: LinearForm(c).primitive()[1])
+    powers = draw(st.lists(st.tuples(form, st.integers(1, 3)), max_size=3))
+    p = draw(polys(degree))
+    for f, k in powers:
+        p = p * f ** k
+    if draw(st.booleans()):
+        top = p.homogeneous_degree()
+        p = p + draw(polys(top if degree is not None else None))
+    pool = [f for f, _ in powers] + draw(st.lists(form, max_size=2))
+    den = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 4)),
+                        max_size=4)) if pool else []
+    return FactoredRational.build(draw(_coeffs.filter(bool)), p,
+                                  [(f, -e) for f, e in den])
+
+
+def _simplified(r: FactoredRational, waste: int) -> FactoredRational:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_DENSE_WASTE", waste)
+        return r.simplify()
+
+
+@given(_division_cases())
+@example(FactoredRational.build(
+    1, (s(1) - 2 * s(2)) ** 3 * (s(1) + s(3)) * s(2),
+    [(lf(s1=1, s2=-2), -4), (lf(s1=1, s3=1), -1), (lf(s2=1), -2)]))
+@settings(max_examples=100, deadline=None)
+def test_simplify_matches_the_dict_route(r):
+    # _DENSE_WASTE = 0 sends every division to the dict route, the
+    # reference; the default and a huge one pack whatever they can
+    want = _simplified(r, 0)
+    for waste in (algebra._DENSE_WASTE, 10 ** 9):
+        assert_same_fields(_simplified(r, waste), want)
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The arguments of each call to algebra.name from now on."""
+    calls, real = [], getattr(algebra, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(algebra, name, spy)
+    return calls
+
+
+class TestPackedDivision:
+    def test_packed_route_takes_every_unit(self, monkeypatch):
+        dict_calls = _counted(monkeypatch, "_divide_dict")
+        form, other = lf(s1=1, s2=-2), lf(s1=2, s2=1, s3=-1)
+        q = s(1) * s(3) - 4 * s(2) ** 2
+        r = FactoredRational.build(
+            3, q * form ** 3 * other,
+            [(form, -2), (other, -2), (lf(s3=1), -1)])
+        want = FactoredRational.build(
+            3, q * form, [(other, -1), (lf(s3=1), -1)])
+        assert_same_fields(r.simplify(), want)
+        assert not dict_calls
+
+    # At one-byte digits, X = 256, the slots of s1's coefficients in
+    # these dividends are ints that the form's s1-coefficient a divides,
+    # 2 + X and 1 + 2X, though their digits are not all multiples of a;
+    # the packed recurrence then divides exactly to 129 and 171 in the
+    # slot of s1^0, which decode to s3 - 127*s2 and s3 - 85*s2, wrong
+    # quotients that the coefficient bound refuses.
+    @pytest.mark.parametrize("p, form", [
+        (2 * s(1) * s(2) + s(1) * s(3) - 127 * s(2) ** 2 + s(2) * s(3),
+         lf(s1=2, s2=1)),
+        (s(1) * s(2) + 2 * s(1) * s(3) - 85 * s(2) ** 2 + s(2) * s(3),
+         lf(s1=3, s2=1)),
+    ])
+    def test_divisible_slices_never_give_a_wrong_quotient(self, monkeypatch,
+                                                          p, form):
+        monkeypatch.setattr(algebra, "_digit_width", lambda bound: 1)
+        assert exact_divide_linear(p, form) is None
+        r = FactoredRational.build(1, p, [(form, -1)])
+        assert_same_fields(r.simplify(), r)
+
+    def test_narrow_digits_fall_back_to_the_dict_route(self, monkeypatch):
+        # 100 * |s1 - s2|_1 = 200 does not fit a one-byte digit, so the
+        # true packed quotient fails its bound and the dict route runs
+        form = lf(s1=1, s2=-1)
+        q = 100 * s(3) + s(2)
+        r = FactoredRational.build(1, q * form, [(form, -1)])
+        dict_calls = _counted(monkeypatch, "_divide_dict")
+        assert_same_fields(r.simplify(), FactoredRational.build(1, q))
+        assert not dict_calls
+        monkeypatch.setattr(algebra, "_digit_width", lambda bound: 1)
+        assert_same_fields(r.simplify(), FactoredRational.build(1, q))
+        assert len(dict_calls) == 1
+
+
+class TestLeadingKey:
+    @given(_polys(max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_leading(self, p):
+        assume(p.terms)
+        assert _unpack(algebra._leading_key(p.terms)) == p.leading()[0]
+
+    def test_degrees_past_the_field_modulus(self):
+        top = ((sv(1), MAX_EXPONENT), (sv(2), MAX_EXPONENT))
+        p = SparsePolynomial({top + ((sv(3), 2),): 1, ((sv(4), 1),): -1})
+        assert _unpack(algebra._leading_key(p.terms)) == p.leading()[0]
+        assert p.extract_content()[0] == 1

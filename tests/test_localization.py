@@ -9,12 +9,14 @@ reduction.  The fixed-rank gate and the degree law are property tests.
 import os
 import subprocess
 import sys
+import timeit
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 import nahilb
+import nahilb.algebra as algebra
 import nahilb.localization as localization
 from nahilb.algebra import (
     FactoredRational,
@@ -674,3 +676,60 @@ except {error}:
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "raised"
+
+
+# The density rule of algebra.divide_out keeps these sums' numerators on
+# the dict route: at n = 4, (1, 3) the homogeneous ones pack about 30
+# digits per term, (d + 1)**3 in all, and the theta class is not
+# homogeneous; the n = 7, (1, 1) numerator has seven variables.  Packed,
+# the n = 4 sums take 2-3 times as long, and a layout that packed every
+# variable took 0.4-0.6 s per sum, against 10-60 ms on the dict route.
+# Each must finish within twice the time it takes with every division
+# forced onto the dict route (_DENSE_WASTE = 0), best of 3 each.
+_WIDE_SUMS = {
+    "1": lambda: TautClass(1, 0, 4),
+    "c1": lambda: chern_taut(1, 0, 4),
+    "c2^dual": lambda: chern_taut(2, 0, 4, dual=True),
+    "1+theta1*c1": lambda: TautClass(
+        theta(1) * chern_taut(1, 1, 4).poly + 1, 1, 4),
+}
+
+
+def _packed_calls(monkeypatch) -> list:
+    calls, real = [], algebra._slice_divide
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(algebra, "_slice_divide", spy)
+    return calls
+
+
+def _best_and_dict_route(fn) -> tuple:
+    """Best of 3 times of fn, as it runs and with every division on the
+    dict route."""
+    best = min(timeit.repeat(fn, number=1, repeat=3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_DENSE_WASTE", 0)
+        return best, min(timeit.repeat(fn, number=1, repeat=3))
+
+
+@pytest.mark.parametrize("name", list(_WIDE_SUMS))
+def test_wide_nilfil_sums_stay_on_the_dict_route(monkeypatch, name):
+    values = [v for _, v in gated_terms(4, (1, 3), _WIDE_SUMS[name](),
+                                        "nilfil")]
+    packed = _packed_calls(monkeypatch)
+    best, reference = _best_and_dict_route(lambda: sum_factored(values))
+    assert not packed
+    assert best < 2 * reference, (name, best, reference)
+
+
+def test_many_variable_numerator_stays_on_the_dict_route(monkeypatch):
+    P = TautClass(1, 0, 2)
+    values = [v for _, v in gated_terms(7, (1, 1), P, "nhilb")]
+    packed = _packed_calls(monkeypatch)
+    sum_factored(values)
+    assert not packed
+    best, reference = _best_and_dict_route(
+        lambda: integrate_localization(7, (1, 1), "nhilb", P))
+    assert best < 2 * reference, (best, reference)
