@@ -647,6 +647,12 @@ def _slice_divide(terms: dict, d: int, units: list, x: int,
     slots into one int, x set to a power of two too, is one to one on
     such polynomials and maps that product and p to the same int, so
     they are equal.
+
+    The first two checks imply the third.  Slot by slot from the top,
+    the x coefficients' product times a slot of Q equals p's slot less
+    the forms' other terms times Q's higher slots, digit for digit, as
+    no digit sum carries; so no digit of Q lies past its slot's degree.
+    No dividend reaches the exponent check, which stays as a second line.
     """
     norm = 1
     for f, count in units:

@@ -19,21 +19,27 @@ import sys
 from collections import namedtuple
 from math import comb
 
-from .algebra import MAX_EXPONENT, SparsePolynomial, rational_equal
+from .algebra import (MAX_EXPONENT, FactoredRational, SparsePolynomial,
+                      rational_equal)
 from .errors import IndexOutOfRange, NahilbError, ParseError, TooManyPoints
 from .localization import (
     MAX_Q,
     SPACES,
+    IntegralResult,
     TautClass,
+    _net_rank,
+    check_layer_symmetry,
     chern_poly,
     cy_restrict,
     gated_terms,
     integrate_localization,
 )
 from .partitions import (
+    _shape,
     canonical_enumeration,
     check_point_budget,
     enumerate_nested,
+    has_nilfil_chain,
     in_flag_fiber,
     is_admissible,
     is_nilfil,
@@ -336,13 +342,48 @@ def cmd_contribution(job: JobSpec) -> tuple:
     return _header(job, space=job.space, points=rows), 0
 
 
+def _zero_vdim(job: JobSpec, P: TautClass, chains: bool) -> int | None:
+    """The virtual dimension of a nilfil job whose integral is provably
+    0, None for any other job, which the engines then run or refuse as
+    before.
+
+    The punctual locus is proper, so the integral is a polynomial of
+    degree deg P - vdim: a P of degree below vdim in every part gives 0.
+    With chains set, so does a shape with no nilfil fixed chain (Borel's
+    fixed-point theorem; has_nilfil_chain).  The localization engine
+    finds that out itself at no cost, the residue engine does not.
+
+    A 0 answer passes the engines' checks first: run has checked the
+    point budget and the class parser the q cap and the eta_j bound;
+    here come the n cap and, for pointed dims, the layer symmetry.
+    Unpointed dims go to the engines, which refuse them in their order."""
+    if job.space != "nilfil":
+        return None
+    dims = _shape(job.n, job.dims)
+    if dims[0] != 1:
+        return None
+    vdim = _net_rank(job.n, dims, "nilfil")
+    if (all(deg < vdim for deg in P.poly.degrees())
+            or chains and not has_nilfil_chain(job.n, dims)):
+        check_layer_symmetry(P, dims)
+        return vdim
+    return None
+
+
+def _zero_result(vdim: int, method: str) -> IntegralResult:
+    return IntegralResult(FactoredRational.zero(), vdim, method, "nilfil")
+
+
 def cmd_integrate(job: JobSpec) -> tuple:
     P = parse_class_spec(job.class_spec, job.q, sum(job.dims))
-    if job.method == "localization":
-        res = integrate_localization(job.n, job.dims, job.space, P)
-    elif job.space != "nilfil":
+    if job.method == "residue" and job.space != "nilfil":
         raise ParseError("the residue method computes nilfil integrals;"
                          " pass --space nilfil")
+    vdim = _zero_vdim(job, P, job.method == "residue")
+    if vdim is not None:
+        res = _zero_result(vdim, job.method)
+    elif job.method == "localization":
+        res = integrate_localization(job.n, job.dims, job.space, P)
     else:
         res = integrate_residue_nilfil(job.n, job.dims, P)
     forms: dict = {}
@@ -358,8 +399,12 @@ def cmd_compare(job: JobSpec) -> tuple:
         raise ParseError("compare runs both methods, so it needs a nilfil"
                          " integral; pass --space nilfil")
     P = parse_class_spec(job.class_spec, job.q, sum(job.dims))
-    a = integrate_localization(job.n, job.dims, job.space, P)
-    b = integrate_residue_nilfil(job.n, job.dims, P)
+    vdim = _zero_vdim(job, P, True)
+    if vdim is not None:
+        a, b = _zero_result(vdim, "localization"), _zero_result(vdim, "residue")
+    else:
+        a = integrate_localization(job.n, job.dims, job.space, P)
+        b = integrate_residue_nilfil(job.n, job.dims, P)
     equal = rational_equal(a.value, b.value)
     forms: dict = {}
     doc = _header(job, method_a=a.method, method_b=b.method, vdim=a.vdim,

@@ -37,6 +37,7 @@ from .partitions import (
     canonical_enumeration,
     check_point_budget,
     enumerate_nested,
+    has_nilfil_chain,
     is_nilfil,
     s_orbit,
 )
@@ -336,9 +337,12 @@ def cy_restrict(v: FactoredRational, n: int) -> FactoredRational:
 
 def virtual_dimension(n: int, dims, space: str) -> int:
     """Net tangent rank minus obstruction rank, constant over the fixed
-    set; raises when the space has no fixed points at all."""
-    select = _space(space)[0]
+    set; raises when the space has no fixed points at all.  nhilb always
+    has one, since any ideal grows by any number of points; whether
+    nilfil has one is has_nilfil_chain's search."""
+    _space(space)  # refuses an unknown space first
     dims = _shape(n, dims)
-    if not any(select is None or select(p) for p in enumerate_nested(n, dims)):
+    check_point_budget(dims)
+    if space == "nilfil" and not has_nilfil_chain(n, dims):
         raise NoFixedPoints(f"no fixed chains for n={n}, dims={dims}, {space}")
     return _net_rank(n, dims, space)

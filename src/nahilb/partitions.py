@@ -349,6 +349,39 @@ def is_nilfil(np_: NestedPartition) -> bool:
     return True
 
 
+def has_nilfil_chain(n: int, dims) -> bool:
+    """True when some chain of the pointed dims passes is_nilfil.
+
+    A nilfil block is exactly a set of corners (addable points) of the
+    layer below it: a block point with a predecessor outside that layer
+    would have it in its own block, a successor there; and corners added
+    together are an order ideal with no successor among them.  Every
+    nonempty ideal in n variables has at least n corners, its pure powers
+    k*e_i with k the least not in it, so a chain exists when every block
+    after the first has at most n points.  Otherwise a depth-first search
+    over corner subsets, lowest degree first and memoized on the ideal,
+    stops at the first complete chain."""
+    dims = require_pointed(_shape(n, dims))
+    check_point_budget(dims)
+    blocks = [b for b in dims[1:] if b]  # an empty block adds nothing
+    dead = set()  # ideals no chain of the remaining blocks grows from
+
+    def grows(ideal: frozenset, k: int) -> bool:
+        if all(b <= n for b in blocks[k:]):
+            return True
+        if ideal in dead:
+            return False
+        corners = sorted(addable_points(ideal, n),
+                         key=lambda p: (sum(p), point_key(p)))
+        if any(grows(ideal.union(block), k + 1)
+               for block in combinations(corners, blocks[k])):
+            return True
+        dead.add(ideal)
+        return False
+
+    return grows(frozenset({(0,) * n}), 0)
+
+
 def check_flag_room(n: int, d: int) -> None:
     """Refuse d chain points in fewer than d - 1 coordinates: the flag
     through them takes one unit vector per step."""

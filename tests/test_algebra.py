@@ -1009,6 +1009,18 @@ class TestPackedDivision:
         r = FactoredRational.build(1, p, [(form, -1)])
         assert_same_fields(r.simplify(), r)
 
+    def test_a_slot_past_its_width_falls_back_to_the_dict_route(
+            self, monkeypatch):
+        # at one-byte digits a slot of s1^0 holds the two digits of s3^0
+        # and s3^1, 16 bits; the quotient 2**16 is past them, and read out
+        # without the slot-width check it overflows the decode's bytes
+        form = lf(s1=1, s2=1, s3=1)
+        monkeypatch.setattr(algebra, "_digit_width", lambda bound: 1)
+        dict_calls = _counted(monkeypatch, "_divide_dict")
+        q = exact_divide_linear(2 ** 16 * (s(1) + s(2) + s(3)), form)
+        assert q == SparsePolynomial.constant(2 ** 16)
+        assert len(dict_calls) == 1
+
     def test_narrow_digits_fall_back_to_the_dict_route(self, monkeypatch):
         # 100 * |s1 - s2|_1 = 200 does not fit a one-byte digit, so the
         # true packed quotient fails its bound and the dict route runs

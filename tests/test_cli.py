@@ -10,6 +10,7 @@ import sys
 import time
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from nahilb.localization import (
     integrate_localization,
     reduce_full_flag,
 )
+from nahilb.residues import integrate_residue_nilfil
 from nahilb.serialize import (SharedDoc, SharedList, poly_from_json,
                               rational_from_json)
 
@@ -841,8 +843,9 @@ class TestBudgetBeforeWork:
         def tripped(*args, **kwargs):
             raise AssertionError("ran before the point budget refused")
         monkeypatch.setattr(cli, "parse_class_spec", tripped)
-        monkeypatch.setattr(localization, "check_layer_symmetry", tripped)
-        monkeypatch.setattr(localization, "_net_rank", tripped)
+        for module in (localization, cli):
+            monkeypatch.setattr(module, "check_layer_symmetry", tripped)
+            monkeypatch.setattr(module, "_net_rank", tripped)
 
     @pytest.mark.parametrize("argv", [
         ["integrate"], ["contribution"], ["compare", "--space", "nilfil"],
@@ -858,6 +861,134 @@ class TestBudgetBeforeWork:
             integrate_localization(2, (40,), "nhilb", TautClass(1, 0, 40))
         with pytest.raises(SizeGuardExceeded, match="point budget 12$"):
             reduce_full_flag(2, 40, TautClass(1, 0, 41))
+
+
+def _pointed(max_d: int) -> list:
+    """Every pointed dims of at most max_d points, each grown once from
+    the shape before it by a new last block or a larger one."""
+    shapes = [(1,)]
+    for dims in shapes:
+        if sum(dims) < max_d:
+            shapes.append(dims + (1,))
+            if len(dims) > 1:
+                shapes.append(dims[:-1] + (dims[-1] + 1,))
+    return shapes
+
+
+class TestProvableZero:
+    """A nilfil job whose integral is 0 by degree, or for the residue
+    method and compare by a shape with no nilfil chain, is answered at the
+    job layer with the engines' own document, after every check they
+    make."""
+
+    @staticmethod
+    def engines_only(monkeypatch):
+        monkeypatch.setattr(cli, "_zero_vdim", lambda job, P, chains: None)
+
+    @staticmethod
+    def no_engines(monkeypatch):
+        def tripped(*args, **kwargs):
+            raise AssertionError("an engine ran on a provable zero")
+        monkeypatch.setattr(cli, "integrate_localization", tripped)
+        monkeypatch.setattr(cli, "integrate_residue_nilfil", tripped)
+
+    def test_short_cut_answers_are_the_engines(self):
+        # every job the short-cut answers, against the library engines:
+        # both where d <= 4, the localization sum beyond
+        answered = empty = 0
+        for n, dims in product((1, 2, 3), _pointed(6)):
+            d = sum(dims)
+            for spec in ("1", "c1", "c2^dual", "1+c1"):
+                if spec == "c2^dual" and d < 2:
+                    continue
+                job = JobSpec("compare", n, dims, "nilfil", class_spec=spec)
+                P = parse_class_spec(spec, 0, d)
+                vdim = cli._zero_vdim(job, P, True)
+                if vdim is None:
+                    continue
+                answered += 1
+                empty += cli._zero_vdim(job, P, False) is None
+                res = integrate_localization(n, dims, "nilfil", P)
+                assert (res.value.is_zero(), res.vdim) == (True, vdim)
+                if d <= 4:
+                    res = integrate_residue_nilfil(n, dims, P)
+                    assert (res.value.is_zero(), res.vdim) == (True, vdim)
+        assert (answered, empty) == (173, 160)
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--method", "residue"], ["integrate"], ["compare"]])
+    def test_documents_match_the_engine_route(self, monkeypatch, argv):
+        for n, dims in product((1, 2, 3), _pointed(4)):
+            for spec in ("1", "c1", "1+c1"):
+                job = cli._job_from_args(cli._build_parser().parse_args(
+                    argv + ["-n", str(n), "--dims", ",".join(map(str, dims)),
+                            "--space", "nilfil", "--class", spec]))
+                chains = "residue" in argv or job.command == "compare"
+                P = parse_class_spec(spec, 0, sum(dims))
+                if cli._zero_vdim(job, P, chains) is None:
+                    continue
+                with monkeypatch.context() as m:
+                    self.no_engines(m)
+                    got = run(job)
+                with monkeypatch.context() as m:
+                    self.engines_only(m)
+                    assert run(job) == got
+
+    @pytest.mark.parametrize("argv", [
+        ["-n", "3", "--dims", "1,1,4", "--class", "1"],
+        ["-n", "2", "--dims", "1,4,0,1", "--class", "c2^dual"],
+        ["-n", "2", "--dims", "1,4", "--q", "1", "--class", "1+theta1*c1"],
+        ["-n", "2", "--dims", "1,4", "--class", "c1"],
+        ["-n", "2", "--dims", "1,1,3", "--class", "1"],
+    ])
+    def test_empty_shapes_answer_at_once(self, capsys, argv):
+        # each residue took 1 s to over a minute to return 0
+        for head in (["integrate", "--method", "residue"], ["compare"]):
+            start = time.perf_counter()
+            code, out, err = run_main(capsys, head + ["--space", "nilfil"]
+                                      + argv)
+            assert time.perf_counter() - start < 0.5
+            assert (code, err) == (0, "")
+            values = 2 if head == ["compare"] else 1
+            assert out.count('"display": "0"') == values
+
+    def test_a_refused_sum_is_zero_by_degree(self, capsys, monkeypatch):
+        argv = ["integrate", "-n", "8", "--dims", "1,1,1,1", "--space",
+                "nilfil", "--class", "1"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["display"], doc["vdim"]) == ("0", 11)
+        self.engines_only(monkeypatch)
+        assert run_main(capsys, argv)[:2] == (1, "")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["-n", "2", "--dims", "2,2", "--class", "eta2"],
+                     id="unpointed-and-asymmetric"),
+        pytest.param(["-n", "2", "--dims", "2,1", "--class", "1"],
+                     id="unpointed"),
+        pytest.param(["-n", "2", "--dims", "1,3", "--class", "eta4"],
+                     id="eta-past-the-chain"),
+        pytest.param(["-n", "2", "--dims", "1,3", "--class", "eta1"],
+                     id="asymmetric-in-a-layer"),
+        pytest.param(["-n", "5", "--dims", "1,2", "--class", "eta1"],
+                     id="asymmetric-below-vdim"),
+        pytest.param(["-n", "2", "--dims", "1,20", "--class", "1"],
+                     id="point-budget"),
+        pytest.param(["-n", "2", "--dims", "1,3", "--q", "17", "--class",
+                      "1"], id="q-cap"),
+        pytest.param(["-n", "65", "--dims", "1,3", "--class", "1"],
+                     id="n-cap"),
+    ])
+    def test_refusals_keep_their_order(self, capsys, monkeypatch, argv):
+        for head in (["integrate"], ["integrate", "--method", "residue"],
+                     ["compare"]):
+            full = head + ["--space", "nilfil"] + argv
+            got = run_main(capsys, full)
+            assert got[0] == 1 and got[2].startswith("error: ")
+            with monkeypatch.context() as m:
+                self.engines_only(m)
+                assert run_main(capsys, full) == got
 
 
 def _src_env() -> dict:
@@ -1138,6 +1269,22 @@ GOLDEN = [
         ["classify", "-n", "3", "--dims", "1,2,1"],
         "1b29324e06f4a058677c478a9ca606fca29ab068fc855a34052c1e33727e89ba",
         id="classify-n3"),
+    # recorded before nilfil integrals that are 0 by degree or by an empty
+    # fixed locus were answered ahead of the engines
+    pytest.param(
+        ["integrate", "-n", "2", "--dims", "1,3", "--space", "nilfil",
+         "--method", "residue", "--class", "1"],
+        "2c82dd6bb0e4c97c3e80e177af69f4f19946b698c9fbb5cf6abd7aeaa7eede49",
+        id="integrate-residue-no-chain"),
+    pytest.param(
+        ["integrate", "-n", "3", "--dims", "1,1", "--space", "nilfil",
+         "--class", "1"],
+        "e5feaff745437551d04c707a634ff379b3b7e350fd058eebaf7b6d1a15bffc72",
+        id="integrate-below-vdim"),
+    pytest.param(
+        ["compare", "-n", "1", "--dims", "1,2", "--class", "c1"],
+        "9b3f7f411d046633a6083c2026fefba8b536223a04e76577ce10a3b350846fdf",
+        id="compare-no-chain"),
 ]
 
 # sha256 of the --help text at 80 columns, recorded before the parser was

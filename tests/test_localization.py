@@ -601,6 +601,18 @@ class TestCyRestrict:
         assert val == Fraction(1, 2)
 
 
+def _pointed(max_d: int) -> list:
+    """Every pointed dims of at most max_d points, each grown once from
+    the shape before it by a new last block or a larger one."""
+    shapes = [(1,)]
+    for dims in shapes:
+        if sum(dims) < max_d:
+            shapes.append(dims + (1,))
+            if len(dims) > 1:
+                shapes.append(dims[:-1] + (dims[-1] + 1,))
+    return shapes
+
+
 class TestVirtualDimension:
     def test_three_points_in_three_space(self):
         assert virtual_dimension(3, (3,), "nhilb") == 6
@@ -616,6 +628,24 @@ class TestVirtualDimension:
     def test_no_fixed_points(self):
         with pytest.raises(NoFixedPoints):
             virtual_dimension(1, (1, 2), "nilfil")
+
+    def test_no_fixed_points_exactly_where_no_nilfil_chain(self):
+        for n in (1, 2, 3):
+            for dims in _pointed(6):
+                if any(is_nilfil(np_) for np_ in enumerate_nested(n, dims)):
+                    assert virtual_dimension(n, dims, "nilfil") == \
+                        localization._net_rank(n, dims, "nilfil")
+                else:
+                    with pytest.raises(NoFixedPoints):
+                        virtual_dimension(n, dims, "nilfil")
+
+    def test_enumerates_nothing(self, monkeypatch):
+        # both took most of a second in chain enumeration
+        def tripped(*args):
+            raise AssertionError("enumerated")
+        monkeypatch.setattr(localization, "enumerate_nested", tripped)
+        assert virtual_dimension(12, (1, 1, 1, 1, 1), "nhilb") == 35
+        assert virtual_dimension(12, (1, 1, 1, 1, 1), "nilfil") == 13
 
     def test_unknown_space(self):
         with pytest.raises(ParseError):

@@ -20,8 +20,10 @@ from nahilb.partitions import (
     NestedPartition,
     all_enumerations,
     canonical_enumeration,
+    addable_points,
     enumerate_nested,
     flag_cosets,
+    has_nilfil_chain,
     in_flag_fiber,
     is_admissible,
     is_nilfil,
@@ -390,6 +392,71 @@ class TestNilfil:
             ideal(pt(0), pt(1)), ideal(pt(0), pt(1), pt(2))])
         with pytest.raises(RequiresPointedDims):
             is_nilfil(np_)
+
+
+def _pointed(max_d: int) -> list:
+    """Every pointed dims of at most max_d points, each grown once from
+    the shape before it by a new last block or a larger one."""
+    shapes = [(1,)]
+    for dims in shapes:
+        if sum(dims) < max_d:
+            shapes.append(dims + (1,))
+            if len(dims) > 1:
+                shapes.append(dims[:-1] + (dims[-1] + 1,))
+    return shapes
+
+
+class TestNilfilChain:
+    @pytest.mark.parametrize("n, max_d", [(1, 6), (2, 8), (3, 6), (4, 6)])
+    def test_matches_the_enumeration(self, n, max_d):
+        empty = 0
+        for dims in _pointed(max_d):
+            chains = enumerate_nested(n, dims)
+            want = any(is_nilfil(np_) for np_ in chains)
+            assert has_nilfil_chain(n, dims) == want, dims
+            empty += not want
+        assert empty  # the search decides some shapes empty
+
+    def test_nilfil_blocks_are_the_corner_sets(self):
+        # the lemma the search rests on: a chain is nilfil exactly when
+        # each block after the first is a set of addable points of the
+        # layer below
+        for n in (1, 2, 3):
+            for dims in _pointed(5):
+                for np_ in enumerate_nested(n, dims):
+                    corners = all(set(block) <= addable_points(below, n)
+                                  for below, block in zip(np_.layers,
+                                                          np_.blocks[1:]))
+                    assert is_nilfil(np_) == corners
+
+    def test_every_nonempty_ideal_has_its_pure_powers_as_corners(self):
+        for n in (1, 2, 3):
+            for size in range(1, 7):
+                for cur in ideals(n, size):
+                    corners = addable_points(cur, n)
+                    for i in range(n):
+                        k = min(k for k in range(size + 1)
+                                if (0,) * i + (k,) + (0,) * (n - i - 1)
+                                not in cur)
+                        assert (0,) * i + (k,) + (0,) * (n - i - 1) in corners
+                    assert len(corners) >= n
+
+    def test_blocks_of_at_most_n_points_need_no_search(self, monkeypatch):
+        def tripped(*args):
+            raise AssertionError("searched")
+        monkeypatch.setattr(partitions, "addable_points", tripped)
+        assert has_nilfil_chain(5, (1, 5, 0, 5, 1))
+        assert has_nilfil_chain(1, (1, 1, 1, 1))
+
+    def test_empty_blocks_add_nothing(self):
+        assert has_nilfil_chain(2, (1, 2, 0, 3)) == has_nilfil_chain(2, (1, 2, 3))
+        assert not has_nilfil_chain(2, (1, 0, 3))
+
+    def test_refusals(self):
+        with pytest.raises(RequiresPointedDims):
+            has_nilfil_chain(2, (2, 1))
+        with pytest.raises(SizeGuardExceeded, match="point budget"):
+            has_nilfil_chain(2, (1, 20))
 
 
 class TestFlagFiber:
