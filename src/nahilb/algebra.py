@@ -93,8 +93,9 @@ def parse_var(name: str) -> Var:
 
 def mono_text(pairs) -> str:
     """Display text of a monomial from its (variable name, exponent)
-    pairs."""
-    return "*".join([f"{name}^{e}" if e > 1 else name for name, e in pairs])
+    pairs; a pair of exponent 0 is left out."""
+    return "*".join([f"{name}^{e}" if e > 1 else name
+                     for name, e in pairs if e])
 
 
 def term_text(mono: str, coeff: str) -> str:
@@ -516,9 +517,12 @@ def monomial_root(a, neg: dict):
     return None
 
 
-def divide_slices(slices: dict, a, neg: dict, floor: int) -> dict:
+def divide_slices(slices: dict, a, neg: dict, floor: int,
+                  integral: bool = False) -> dict | None:
     """Slices of p / (a*x + r) as a Laurent series in 1/x, kept down to
-    x^floor, from the slices of p and neg = -r as packed terms.
+    x^floor, from the slices of p and neg = -r as packed terms.  With
+    integral set, the caller knows that an exact quotient has int
+    coefficients, and a step that a does not divide returns None.
 
     A slice is a pair (offset, terms): the packed monomial offset
     multiplies every key of terms, so key + offset is the monomial; keys
@@ -563,6 +567,8 @@ def divide_slices(slices: dict, a, neg: dict, floor: int) -> dict:
         elif p:
             off, q = p
         if a != 1:
+            if integral and any(c % a for c in q.values()):
+                return None
             q = {key: c // a if not c % a else Fraction(c, a)
                  for key, c in q.items()}
         if q:
@@ -577,14 +583,18 @@ def _digit_width(bound: int) -> int:
 
 
 def _divide_dict(terms: dict, form: "LinearForm") -> dict | None:
-    """The packed quotient of terms by form when it is exact, else None:
-    one pass of divide_slices in the leading variable x of the form,
-    exact iff its remainder vanishes; no monomial order is needed."""
+    """The packed quotient of terms by the primitive form when it is
+    exact, else None: one pass of divide_slices in the leading variable
+    x of the form, exact iff its remainder vanishes; no monomial order is
+    needed.  An exact quotient of int terms by a primitive form has int
+    coefficients (Gauss's lemma), so over int terms the pass stops at the
+    first step that the x-coefficient does not divide."""
     (rank, i), a = form.key()[0]
     sx = var_shift((NAMESPACES[rank], i))
     neg = {pv: -c for pv, c in form.terms.items() if pv != 1 << sx}
-    q = divide_slices(slices_of(terms, (NAMESPACES[rank], i)), a, neg, -1)
-    if -1 in q:
+    q = divide_slices(slices_of(terms, (NAMESPACES[rank], i)), a, neg, -1,
+                      all(type(c) is int for c in terms.values()))
+    if q is None or -1 in q:
         return None
     return {key + off + (k << sx): c
             for k, (off, qk) in q.items() for key, c in qk.items()}
@@ -710,7 +720,9 @@ def _slice_divide(terms: dict, d: int, units: list, x: int,
 def divide_out(terms: dict, units: list) -> tuple:
     """(quotient, counts): the packed terms divided by each (form, count)
     of units as often as the form divides them, at most count times, and
-    how often it did.
+    how often it did.  The forms are primitive, as FactoredRational's
+    are: a step that a form's coefficient does not divide then ends its
+    division (_divide_unit, _divide_dict).
 
     Each run of forms with the same first variable x in bit order
     divides on packed slices (_slice_divide) when the density rule takes
@@ -766,11 +778,15 @@ def divide_out(terms: dict, units: list) -> tuple:
 def exact_divide_linear(p: SparsePolynomial,
                         form: "LinearForm") -> SparsePolynomial | None:
     """Quotient p / form when the division is exact, else None: divide_out
-    by one unit of the form."""
+    by one unit of the form's primitive part, then by its content."""
     if form.is_zero():
         raise DivisionByZero("division by the zero form")
+    content, form = form.primitive()
     q, (done,) = divide_out(p.terms, [(form, 1)])
-    return SparsePolynomial.from_packed(q) if done else None
+    if not done:
+        return None
+    q = SparsePolynomial.from_packed(q)
+    return q if content == 1 else q * (1 / content)
 
 
 class LinearForm(SparsePolynomial):
@@ -1029,8 +1045,10 @@ class FactoredRational:
         division is tried: renaming commutes with exact division, so a
         simplified value stays simplified.  forms maps each (form,
         tuple(perm)) renamed before to (renamed form, whether it was
-        negated) and gains the new ones, so a job that relabels many
-        values renames each form once per permutation."""
+        negated) and each form to itself, and gains the new ones, so a
+        job that relabels many values renames each form once per
+        permutation, and a renamed form equal to one in forms is that
+        object (as in weights.euler_class)."""
         if self.is_zero():
             return self
         perm = tuple(perm)
@@ -1058,8 +1076,9 @@ class FactoredRational:
                 if negated:
                     key = [(v, -c) for v, c in key]
                 # from the key: decoding the terms (from_packed) costs more
+                renamed = LinearForm.__new__(LinearForm)._keyed(tuple(key))
                 done = forms[(form, perm)] = (
-                    LinearForm.__new__(LinearForm)._keyed(tuple(key)), negated)
+                    forms.setdefault(renamed, renamed), negated)
             renamed, negated = done
             if negated and e & 1:
                 sign = -sign

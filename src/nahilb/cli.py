@@ -46,8 +46,8 @@ from .partitions import (
     point_budget,
 )
 from .residues import integrate_residue_nilfil
-from .serialize import (SharedDoc, SharedList, integral_result_to_json,
-                        nested_to_json, render_value)
+from .serialize import (SharedDoc, SharedList, Terms,
+                        integral_result_to_json, nested_to_json, render_value)
 from .weights import fixed_ranks
 
 
@@ -342,10 +342,11 @@ def cmd_contribution(job: JobSpec) -> tuple:
     return _header(job, space=job.space, points=rows), 0
 
 
-def _zero_vdim(job: JobSpec, P: TautClass, chains: bool) -> int | None:
-    """The virtual dimension of a nilfil job whose integral is provably
-    0, None for any other job, which the engines then run or refuse as
-    before.
+def _nilfil_vdim(job: JobSpec, P: TautClass, chains: bool) -> tuple:
+    """(vdim, zero): the virtual dimension of a nilfil job on pointed
+    dims, which the engines then take instead of computing it again, and
+    whether its integral is provably 0; (None, False) for any other job,
+    which the engines run or refuse as before.
 
     The punctual locus is proper, so the integral is a polynomial of
     degree deg P - vdim: a P of degree below vdim in every part gives 0.
@@ -358,16 +359,16 @@ def _zero_vdim(job: JobSpec, P: TautClass, chains: bool) -> int | None:
     here come the n cap and, for pointed dims, the layer symmetry.
     Unpointed dims go to the engines, which refuse them in their order."""
     if job.space != "nilfil":
-        return None
+        return None, False
     dims = _shape(job.n, job.dims)
     if dims[0] != 1:
-        return None
+        return None, False
     vdim = _net_rank(job.n, dims, "nilfil")
     if (all(deg < vdim for deg in P.poly.degrees())
             or chains and not has_nilfil_chain(job.n, dims)):
         check_layer_symmetry(P, dims)
-        return vdim
-    return None
+        return vdim, True
+    return vdim, False
 
 
 def _zero_result(vdim: int, method: str) -> IntegralResult:
@@ -379,13 +380,13 @@ def cmd_integrate(job: JobSpec) -> tuple:
     if job.method == "residue" and job.space != "nilfil":
         raise ParseError("the residue method computes nilfil integrals;"
                          " pass --space nilfil")
-    vdim = _zero_vdim(job, P, job.method == "residue")
-    if vdim is not None:
+    vdim, zero = _nilfil_vdim(job, P, job.method == "residue")
+    if zero:
         res = _zero_result(vdim, job.method)
     elif job.method == "localization":
-        res = integrate_localization(job.n, job.dims, job.space, P)
+        res = integrate_localization(job.n, job.dims, job.space, P, vdim)
     else:
-        res = integrate_residue_nilfil(job.n, job.dims, P)
+        res = integrate_residue_nilfil(job.n, job.dims, P, vdim)
     forms: dict = {}
     doc = _header(job, **integral_result_to_json(res, job.expand, forms))
     if job.cy:
@@ -399,12 +400,12 @@ def cmd_compare(job: JobSpec) -> tuple:
         raise ParseError("compare runs both methods, so it needs a nilfil"
                          " integral; pass --space nilfil")
     P = parse_class_spec(job.class_spec, job.q, sum(job.dims))
-    vdim = _zero_vdim(job, P, True)
-    if vdim is not None:
+    vdim, zero = _nilfil_vdim(job, P, True)
+    if zero:
         a, b = _zero_result(vdim, "localization"), _zero_result(vdim, "residue")
     else:
-        a = integrate_localization(job.n, job.dims, job.space, P)
-        b = integrate_residue_nilfil(job.n, job.dims, P)
+        a = integrate_localization(job.n, job.dims, job.space, P, vdim)
+        b = integrate_residue_nilfil(job.n, job.dims, P, vdim)
     equal = rational_equal(a.value, b.value)
     forms: dict = {}
     doc = _header(job, method_a=a.method, method_b=b.method, vdim=a.vdim,
@@ -601,14 +602,15 @@ _FLUSH_AT = 4096  # fragments held before they are joined and written
 
 
 def write_json(doc, write) -> None:
-    """Pass write() the text of json.dumps(doc, sort_keys=True, indent=2)
-    + "\n" in pieces, which json.dumps would encode in pure Python.  Only
-    str, int, bool, None, list, tuple, dict with str keys, SharedDoc and
-    SharedList are accepted; anything else raises TypeError, a key
-    through quote.  A SharedDoc or SharedList is rendered once per indent
-    (keyed by its id, as the document holds it until the call returns)
-    and its text repeated; no flush falls inside that rendering, so it is
-    one piece."""
+    """Pass write() the text of json.dumps(doc, sort_keys=True, indent=2,
+    default=lambda t: t.doc()) + "\n" in pieces, which json.dumps would
+    encode in pure Python.  Only str, int, bool, None, list, tuple, dict
+    with str keys, SharedDoc, SharedList and Terms are accepted; anything
+    else raises TypeError, a key through quote.  A SharedDoc or
+    SharedList is rendered once per indent (keyed by its id, as the
+    document holds it until the call returns) and its text repeated; no
+    flush falls inside that rendering, so it is one piece.  A Terms node
+    is written a term at a time from its rows, with no dict per term."""
     parts: list = []
     append = parts.append
     quote = json.encoder.encode_basestring_ascii
@@ -656,6 +658,27 @@ def write_json(doc, write) -> None:
             if len(parts) >= flush_at:
                 write("".join(parts))
                 parts.clear()
+        elif t is Terms:
+            # one piece per term, straight from its row: the term's dict
+            # at inner, its keys at keys, its exponents at deep
+            inner = nl + "  "
+            keys = inner + "  "
+            deep = [f"{keys}  {name}: " for name in o.names]
+            order = o.order
+            head = f'{{{keys}"coeff": "'
+            exps = f'",{keys}"exps": {{'
+            close, bare = f"{keys}}}{inner}}}", f"}}{inner}}}"
+            sep, comma = "[" + inner, "," + inner
+            for c, es in o.rows:
+                pairs = ",".join([f"{deep[j]}{es[j]}" for j in order
+                                  if es[j]])
+                append(f"{sep}{head}{c}{exps}{pairs}{close}" if pairs
+                       else f"{sep}{head}{c}{exps}{bare}")
+                sep = comma
+                if len(parts) >= flush_at:
+                    write("".join(parts))
+                    parts.clear()
+            append(nl + "]" if o.rows else "[]")
         elif t is SharedDoc or t is SharedList:
             key = (id(o), nl)
             text = shared.get(key)

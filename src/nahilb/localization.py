@@ -236,23 +236,42 @@ def gated_terms(n: int, dims, P: TautClass, space: str, extra_of=None):
 
     Refuses a bad shape or one past the point budget before anything
     loops over n or dims, P when it is not symmetric in the eta_j of
-    each layer, and a chain whose net rank is not the space's virtual
-    dimension.  Permuting the coordinates maps fixed chains to fixed
-    chains and renames s_1..s_n in their gated terms, so the term is
-    computed once per orbit, at the first member enumeration reaches,
-    and every other member gets it relabelled.  A relabelled term waits
-    until its chain comes up; one still waiting at the end means the
-    chain filter or a builder is not invariant.
+    each layer (_checked), and a chain whose net rank is not the space's
+    virtual dimension."""
+    dims, vdim = _checked(n, dims, P, space)
+    yield from _gated(n, dims, P, space, vdim, extra_of)
 
-    The job's linear forms come from a handful of weight vectors, so one
-    table serves the whole call: euler_class keeps each packed weight's
-    form in it and relabel_s each renamed form.  Its keys are packed
-    weights of this n and (form, perm) pairs, which never collide."""
-    select, tangent_of, _ = _space(space)
+
+def _checked(n: int, dims, P: TautClass, space: str,
+             vdim: int | None = None) -> tuple:
+    """(dims as a shape, vdim) of a job over the fixed chains of the
+    space, once its refusals are made: a bad shape or one past the point
+    budget before anything loops over n or dims, then P when it is not
+    symmetric in the eta_j of each layer.  vdim is the space's virtual
+    dimension, computed here unless the caller has it."""
     dims = _shape(n, dims)
     check_point_budget(dims)
     check_layer_symmetry(P, dims)
-    vdim = _net_rank(n, dims, space)
+    return dims, _net_rank(n, dims, space) if vdim is None else vdim
+
+
+def _gated(n: int, dims: tuple, P: TautClass, space: str, vdim: int,
+           extra_of):
+    """gated_terms of a checked job (_checked) of virtual dimension vdim.
+
+    Permuting the coordinates maps fixed chains to fixed chains and
+    renames s_1..s_n in their gated terms, so the term is computed once
+    per orbit, at the first member enumeration reaches, and every other
+    member gets it relabelled.  A relabelled term waits until its chain
+    comes up; one still waiting at the end means the chain filter or a
+    builder is not invariant.
+
+    The job's linear forms come from a handful of weight vectors, so one
+    table serves the whole call: euler_class keeps each packed weight's
+    form in it and relabel_s each renamed form, and both keep one object
+    per form in it.  Its keys are packed weights of this n, (form, perm)
+    pairs and forms, which never collide."""
+    select, tangent_of, _ = _space(space)
     pending: dict = {}  # layers -> (perm, value) of a later member
     forms: dict = {}
     for np_ in enumerate_nested(n, dims):
@@ -288,17 +307,23 @@ def contribution(e: Enumeration, space: str, P: TautClass) -> FactoredRational:
     return gated_term(e, tangent_of(e), P)[0]
 
 
-def integrate_localization(n: int, dims, space: str,
-                           P: TautClass) -> IntegralResult:
-    """Equivariant virtual integral of P as a sum over fixed chains."""
-    value = sum_factored([v for _, v in gated_terms(n, dims, P, space)])
-    return _integral(value, P, n, dims, space, "localization")
+def integrate_localization(n: int, dims, space: str, P: TautClass,
+                           vdim: int | None = None) -> IntegralResult:
+    """Equivariant virtual integral of P as a sum over fixed chains; vdim
+    is the space's virtual dimension when the caller has computed it."""
+    dims, vdim = _checked(n, dims, P, space, vdim)
+    value = sum_factored([v for _, v in _gated(n, dims, P, space, vdim,
+                                                None)])
+    return _integral(value, P, n, dims, space, "localization", vdim)
 
 
 def _integral(value: FactoredRational, P: TautClass, n: int, dims,
-              space: str, method: str) -> IntegralResult:
-    """The integral of P as value, once its degree is checked."""
-    vdim = _net_rank(n, dims, space)
+              space: str, method: str,
+              vdim: int | None = None) -> IntegralResult:
+    """The integral of P as value, once its degree is checked against
+    the space's virtual dimension vdim, computed here unless given."""
+    if vdim is None:
+        vdim = _net_rank(n, dims, space)
     _check_degree(value, P, vdim)
     return IntegralResult(value, vdim, method, space)
 

@@ -364,8 +364,10 @@ def _zform_of(vec, k: int) -> LinearForm:
     return linear_form_of(vec[:k], "z")
 
 
-def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
-    """Nil-fil integral of P by the closed residue formula.
+def integrate_residue_nilfil(n: int, dims, P: TautClass,
+                             vdim: int | None = None) -> IntegralResult:
+    """Nil-fil integral of P by the closed residue formula; vdim is the
+    space's virtual dimension when the caller has computed it.
 
     Needs no fixed-point enumeration and no bound between the chain
     length and n; agreement with the localization sum where both apply
@@ -380,7 +382,7 @@ def integrate_residue_nilfil(n: int, dims, P: TautClass) -> IntegralResult:
     num = _restrict_etas(P, len(w), lambda j: SparsePolynomial.variable(("z", j)))
     obstruction = [(form, 1) for _, form in term_zforms(obstruction_terms(w))]
     value = _residue(num, n, punctual_terms(w, n), w, deferred=obstruction)
-    return _integral(value, P, n, dims, "nilfil", "residue")
+    return _integral(value, P, n, dims, "nilfil", "residue", vdim)
 
 
 def residue_term(np_: NestedPartition, P: TautClass) -> SparsePolynomial:

@@ -4,13 +4,17 @@ readers for the rationals and their parts.
 
 Coefficients serialize as "num/den" strings so arbitrary precision
 survives the round trip; layers are plain integer arrays in a
-deterministic order.
+deterministic order.  The command line's documents hold each polynomial
+array as a Terms node, which its writer writes from packed rows;
+poly_to_json, rational_to_json and poly_from_json give and read plain
+JSON.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 
 from .algebra import (
     NAMESPACES,
@@ -41,6 +45,39 @@ class SharedList(list):
     SharedDoc is."""
 
     __slots__ = ()
+
+
+class Terms:
+    """A polynomial's array of {"coeff", "exps"} terms in a command's
+    document, held as rows that the command line's writer turns into
+    text with no dict per term: rows are (coefficient text, exponents of
+    the variables) per term, leading first, names the quoted variable
+    names in variable order and order their indices in the order of the
+    JSON keys, string order, so "s10" comes before "s2".
+
+    Not a list or a dict, so json.dumps refuses it (TypeError) instead
+    of encoding it wrongly; doc() gives its plain JSON, and a Terms
+    compares equal to what has the same."""
+
+    __slots__ = ("poly", "rows", "names", "order")
+
+    def __init__(self, poly: SparsePolynomial, rows: list, names: list,
+                 order: list):
+        self.poly = poly
+        self.rows = rows
+        self.names = names
+        self.order = order
+
+    def doc(self) -> list:
+        return poly_to_json(self.poly)
+
+    def __eq__(self, other) -> bool:
+        return self.doc() == (other.doc() if type(other) is Terms else other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Terms({self.poly})"
 
 
 def linear_form_to_json(f: LinearForm) -> dict:
@@ -80,7 +117,9 @@ def poly_from_json(doc: list) -> SparsePolynomial:
 
 
 def rational_to_json(r: FactoredRational) -> dict:
-    return render_rational(r, {})[0]
+    doc = render_rational(r, {})[0]
+    doc["numerator"] = poly_to_json(r.poly)
+    return doc
 
 
 def rational_from_json(doc: dict) -> FactoredRational:
@@ -119,14 +158,34 @@ def nested_to_json(np_: NestedPartition, docs: dict | None = None) -> dict:
     return {"dims": dims, "layers": layers}
 
 
+def poly_terms(p: SparsePolynomial, table: dict) -> tuple:
+    """(Terms node of p, display names of its variables in variable
+    order) from p.sorted_rows().  table maps each tuple of variables met
+    before to their display names, quoted names and JSON key order and
+    gains the new ones, so a job sorts each set of names once."""
+    names, rows = p.sorted_rows()
+    key = tuple(names)
+    done = table.get(key)
+    if done is None:
+        shown = [var_name(v) for v in names]
+        done = table[key] = (shown, [quote(name) for name in shown],
+                             sorted(range(len(shown)), key=shown.__getitem__))
+    shown, quoted, order = done
+    terms = p.terms
+    return Terms(p, [(str(terms[m]), es) for _, es, m in rows], quoted,
+                 order), shown
+
+
 def render_rational(r: FactoredRational, forms: dict) -> tuple:
-    """(rational_to_json(r), str(r)) from one poly_to_json call, whose
-    terms give the text too.  forms maps each LinearForm rendered before
-    to its (JSON document, text); a new form is rendered once and added,
-    its document a SharedDoc, since every value it divides holds it."""
-    numerator = poly_to_json(r.poly)
-    terms = [term_text(mono_text(t["exps"].items()), t["coeff"])
-             for t in numerator]
+    """(document, str(r)): rational_to_json(r) with its numerator a Terms
+    node, whose rows give the text too.  forms maps each LinearForm
+    rendered before to its (JSON document, text); a new form is rendered
+    once and added, its document a SharedDoc, since every value it
+    divides holds it.  forms is poly_terms's table of names as well: a
+    tuple of variables never equals a LinearForm."""
+    numerator, names = poly_terms(r.poly, forms)
+    terms = [term_text(mono_text(zip(names, es)), c)
+             for c, es in numerator.rows]
     factors, texts = [], []
     for form, e in r.factors:
         done = forms.get(form)
@@ -150,7 +209,7 @@ def render_value(v: FactoredRational, expand: bool, forms: dict) -> dict:
         factored, text = render_rational(v, forms)
         doc = {"factored": factored, "display": text}
         if expand:
-            doc["expanded"] = poly_to_json(v.expand())
+            doc["expanded"] = poly_terms(v.expand(), forms)[0]
     except NotPolynomial:
         pass
     except ValueError as exc:  # past sys.get_int_max_str_digits()

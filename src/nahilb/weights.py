@@ -419,8 +419,9 @@ def euler_class(m: SignedWeightMultiset, namespace: str,
     nonzero coordinate, so its quotient by the signed gcd of its
     coordinates packs its primitive form, and factors merge as ints.
     forms maps each packed weight met before to (signed gcd, primitive
-    form) and gains the new ones; a job passes one table for one n and
-    namespace, so each weight's form is built once per job."""
+    form) and each form to itself, and gains the new ones; a job passes
+    one table for one n and namespace, so each weight's form is built
+    once per job, and a form equal to one in the table is that object."""
     n = m.n
     if forms is None:
         forms = {}
@@ -433,8 +434,8 @@ def euler_class(m: SignedWeightMultiset, namespace: str,
                 g = gcd(*unpack(w, n)) * (1 if w > 0 else -1)
                 # a weight's primitive is a weight of signed gcd 1
                 if w // g not in forms:
-                    forms[w // g] = 1, linear_form_of(unpack(w // g, n),
-                                                      namespace)
+                    form = linear_form_of(unpack(w // g, n), namespace)
+                    forms[w // g] = 1, forms.setdefault(form, form)
                 done = forms[w] = g, forms[w // g][1]
             g = done[0]
             if g != 1:

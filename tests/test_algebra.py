@@ -151,7 +151,8 @@ class TestLinearForm:
         forms = [made, LinearForm(coeffs), LinearForm.from_packed(made.terms),
                  scaled, scaled.primitive()[1], made.primitive()[1],
                  *(f for f, _ in relabelled),
-                 *(renamed for renamed, _ in table.values())]
+                 *(table[k][0] for k in table if type(k) is tuple),
+                 *(k for k in table if type(k) is not tuple)]
         for f in forms:
             assert hash(f) == hash(f.key())
         for f in forms:
@@ -494,7 +495,12 @@ class TestRelabel:
         table: dict = {}
         for perm in ([1, 0, 2], (1, 0, 2), (2, 0, 1), [0, 2, 1], (2, 0, 1)):
             assert_same_fields(r.relabel_s(perm, table), r.relabel_s(perm))
-        assert len(table) == 3 * 3
+        pairs = [k for k in table if type(k) is tuple]
+        assert len(pairs) == 3 * 3
+        # the rest map each renamed form to itself, the one object of it
+        renamed = {id(table[k][0]) for k in pairs}
+        assert {id(table[k]) for k in table if type(k) is not tuple} \
+            == {id(k) for k in table if type(k) is not tuple} == renamed
 
     @given(st.lists(_built(), min_size=1, max_size=4),
            st.lists(st.permutations(range(3)), min_size=1, max_size=4))
@@ -1020,6 +1026,37 @@ class TestPackedDivision:
         q = exact_divide_linear(2 ** 16 * (s(1) + s(2) + s(3)), form)
         assert q == SparsePolynomial.constant(2 ** 16)
         assert len(dict_calls) == 1
+
+    @pytest.mark.parametrize("waste", [0, algebra._DENSE_WASTE])
+    @pytest.mark.parametrize("p, form, want", [
+        (s(1) + 2 * s(2), lf(s1=2, s2=4), SparsePolynomial.constant(
+            Fraction(1, 2))),
+        ((s(1) + 2 * s(2)) * (s(1) - 3 * s(3)), lf(s1=-2, s2=-4),
+         (3 * s(3) - s(1)) * Fraction(1, 2)),
+        ((s(1) + 2 * s(2)) * (s(2) + s(3)), lf(s1=Fraction(1, 3),
+                                              s2=Fraction(2, 3)),
+         3 * (s(2) + s(3))),
+    ])
+    def test_a_form_that_is_not_primitive_divides(self, monkeypatch, waste,
+                                                  p, form, want):
+        # its coefficients' gcd 2 does not divide p's, yet the quotient is
+        # exact, on the dict route (waste 0) and the packed one
+        monkeypatch.setattr(algebra, "_DENSE_WASTE", waste)
+        assert exact_divide_linear(p, form) == want
+        assert exact_divide_linear(p + s(3) ** 2, form) is None
+
+    def test_the_dict_route_stops_at_a_step_it_cannot_divide(
+            self, monkeypatch):
+        # 2*s1 + s2 divides no int polynomial whose top s1-slice is odd:
+        # over int terms no Fraction is built to learn that
+        def tripped(*args):
+            raise AssertionError("built a Fraction")
+        monkeypatch.setattr(algebra, "_DENSE_WASTE", 0)
+        p = 3 * s(1) ** 2 * s(2) + 4 * s(1) * s(2) ** 2 + s(2) ** 3
+        monkeypatch.setattr(algebra, "Fraction", tripped)
+        assert exact_divide_linear(p, lf(s1=2, s2=1)) is None
+        r = FactoredRational(1, p, ((lf(s1=2, s2=1), -1),))
+        assert r.simplify() is r
 
     def test_narrow_digits_fall_back_to_the_dict_route(self, monkeypatch):
         # 100 * |s1 - s2|_1 = 200 does not fit a one-byte digit, so the

@@ -31,8 +31,8 @@ from nahilb.localization import (
     reduce_full_flag,
 )
 from nahilb.residues import integrate_residue_nilfil
-from nahilb.serialize import (SharedDoc, SharedList, poly_from_json,
-                              rational_from_json)
+from nahilb.serialize import (SharedDoc, SharedList, Terms, poly_from_json,
+                              poly_terms, poly_to_json, rational_from_json)
 
 
 def eta(j):
@@ -625,8 +625,8 @@ class TestMain:
         assert doc["method_b"] == "residue"
 
     def test_compare_detects_mismatch(self, capsys, monkeypatch):
-        def skewed(n, dims, P):
-            res = integrate_localization(n, dims, "nilfil", P)
+        def skewed(n, dims, P, vdim=None):
+            res = integrate_localization(n, dims, "nilfil", P, vdim)
             wrong = FactoredRational.from_poly(SparsePolynomial.constant(7))
             return IntegralResult(wrong, res.vdim, "residue", "nilfil")
 
@@ -863,6 +863,53 @@ class TestBudgetBeforeWork:
             reduce_full_flag(2, 40, TautClass(1, 0, 41))
 
 
+class TestOncePerJob:
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--space", "nilfil", "--method", "residue"],
+        ["integrate", "--space", "nilfil"],
+        ["integrate", "--space", "nhilb"],
+        ["compare"],
+    ])
+    @pytest.mark.parametrize("shape", [
+        ["-n", "2", "--dims", "1,2", "--class", "c1^2"],
+        ["-n", "3", "--dims", "1,1,1", "--class", "c2"],
+        ["-n", "3", "--dims", "1,1", "--class", "1"],  # 0 by degree
+    ])
+    def test_the_virtual_dimension(self, capsys, monkeypatch, argv, shape):
+        # the job layer or the engine computes it, and hands it on
+        calls = []
+        net_rank = localization._net_rank
+
+        def counted(*args):
+            calls.append(args)
+            return net_rank(*args)
+        for module in (localization, cli):
+            monkeypatch.setattr(module, "_net_rank", counted)
+        code, out, err = run_main(capsys, argv + shape)
+        assert (code, err) == (0, "")
+        assert len(calls) == 1
+
+    def test_relabelled_forms_are_the_jobs_objects(self, monkeypatch):
+        # every value of a contribution job holds one object per distinct
+        # form, whether euler_class built it or relabel_s renamed it
+        values = []
+        render = cli.render_value
+
+        def kept(v, expand, forms):
+            values.append(v)
+            return render(v, expand, forms)
+        monkeypatch.setattr(cli, "render_value", kept)
+        for dims, space in (((1, 2, 2), "nilfil"), ((2, 2), "nhilb")):
+            values.clear()
+            run(JobSpec("contribution", 3, dims, space, class_spec="c1"))
+            objects: dict = {}
+            for v in values:
+                for form, _ in v.factors:
+                    objects.setdefault(form.key(), set()).add(id(form))
+            assert len(values) >= 18 and len(objects) >= 20
+            assert all(len(ids) == 1 for ids in objects.values())
+
+
 def _pointed(max_d: int) -> list:
     """Every pointed dims of at most max_d points, each grown once from
     the shape before it by a new last block or a larger one."""
@@ -883,7 +930,8 @@ class TestProvableZero:
 
     @staticmethod
     def engines_only(monkeypatch):
-        monkeypatch.setattr(cli, "_zero_vdim", lambda job, P, chains: None)
+        monkeypatch.setattr(cli, "_nilfil_vdim",
+                            lambda job, P, chains: (None, False))
 
     @staticmethod
     def no_engines(monkeypatch):
@@ -903,11 +951,11 @@ class TestProvableZero:
                     continue
                 job = JobSpec("compare", n, dims, "nilfil", class_spec=spec)
                 P = parse_class_spec(spec, 0, d)
-                vdim = cli._zero_vdim(job, P, True)
-                if vdim is None:
+                vdim, zero = cli._nilfil_vdim(job, P, True)
+                if not zero:
                     continue
                 answered += 1
-                empty += cli._zero_vdim(job, P, False) is None
+                empty += not cli._nilfil_vdim(job, P, False)[1]
                 res = integrate_localization(n, dims, "nilfil", P)
                 assert (res.value.is_zero(), res.vdim) == (True, vdim)
                 if d <= 4:
@@ -925,7 +973,7 @@ class TestProvableZero:
                             "--space", "nilfil", "--class", spec]))
                 chains = "residue" in argv or job.command == "compare"
                 P = parse_class_spec(spec, 0, sum(dims))
-                if cli._zero_vdim(job, P, chains) is None:
+                if not cli._nilfil_vdim(job, P, chains)[1]:
                     continue
                 with monkeypatch.context() as m:
                     self.no_engines(m)
@@ -1051,6 +1099,22 @@ _TREES = st.recursive(
     max_leaves=40)
 
 
+# 0-12 variables over the four namespaces, int and Fraction coefficients,
+# with the zero and constant polynomials
+_TERMS_VARS = [(ns, i) for ns in ("s", "theta", "eta", "z")
+               for i in (1, 2, 3, 9, 10, 11)]
+_TERMS_POLYS = st.one_of(
+    st.just(SparsePolynomial.zero()), st.just(SparsePolynomial.one()),
+    st.builds(SparsePolynomial.constant,
+              st.fractions(max_denominator=9).filter(bool)),
+    st.lists(st.sampled_from(_TERMS_VARS), max_size=12, unique=True).flatmap(
+        lambda names: st.dictionaries(
+            st.lists(st.tuples(st.sampled_from(names), st.integers(1, 3)),
+                     max_size=4).map(tuple) if names else st.just(()),
+            st.integers(-10 ** 20, 10 ** 20) | st.fractions(max_denominator=9),
+            max_size=8)).map(SparsePolynomial))
+
+
 def _written(doc) -> list:
     pieces: list = []
     write_json(doc, pieces.append)
@@ -1099,6 +1163,40 @@ class TestWriteJson:
     def test_other_types_raise(self, doc):
         with pytest.raises(TypeError):
             write_json(doc, lambda text: None)
+
+    @given(_TERMS_POLYS, st.integers(0, 3), st.sampled_from([1, 2, 5]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_terms_match_json_dumps_of_poly_to_json(self, p, depth, flush_at):
+        # a Terms node at depth 0-3, alone and beside plain values, with
+        # flushes falling inside its array
+        node = poly_terms(p, {})[0]
+        doc = plain = None
+        for level in range(depth + 1):
+            doc = node if not level else {"b": [doc, 1], "a": "x"}
+            plain = p if not level else {"b": [plain, 1], "a": "x"}
+        held = cli._FLUSH_AT
+        cli._FLUSH_AT = flush_at
+        try:
+            pieces = _written(doc)
+        finally:
+            cli._FLUSH_AT = held
+        assert "".join(pieces) == json.dumps(
+            plain, sort_keys=True, indent=2, default=poly_to_json) + "\n"
+        # a long array is flushed within, not held whole
+        assert len(pieces) > len(node.rows) // (flush_at + 1)
+        with pytest.raises(TypeError):
+            json.dumps(doc)
+
+    def test_command_documents_refuse_json_dumps(self):
+        # a command's document holds Terms nodes, which json.dumps refuses
+        # rather than encoding them as something else
+        doc, _ = run(JobSpec("integrate", 2, (1, 1), "nilfil", class_spec="c1",
+                             expand=True, cy=True))
+        with pytest.raises(TypeError, match="Terms"):
+            json.dumps(doc)
+        assert type(doc["value"]["factored"]["numerator"]) is Terms
+        assert type(doc["value"]["expanded"]) is Terms
+        assert type(doc["cy_value"]["factored"]["numerator"]) is Terms
 
 
 # sha256 of stdout, recorded before the JSON writer and the factor merges
@@ -1285,6 +1383,13 @@ GOLDEN = [
         ["compare", "-n", "1", "--dims", "1,2", "--class", "c1"],
         "9b3f7f411d046633a6083c2026fefba8b536223a04e76577ce10a3b350846fdf",
         id="compare-no-chain"),
+    # recorded before polynomial arrays were written from packed rows; the
+    # JSON keys put "s10" before "s2", the display puts s10 last
+    pytest.param(
+        ["integrate", "-n", "10", "--dims", "1,1", "--space", "nilfil",
+         "--method", "residue", "--class", "c1^11"],
+        "4e8d97946ce041f385b2f8ecc1b9f967265181cb7cf2f08be95469d4d304612d",
+        id="integrate-residue-s10-key-order"),
 ]
 
 # sha256 of the --help text at 80 columns, recorded before the parser was
@@ -1332,8 +1437,10 @@ def test_help_text_is_pinned(capsys, monkeypatch, argv, digest):
     pytest.param(p.values[0], id=p.id) for p in GOLDEN])
 def test_stdout_is_json_dumps_of_the_document(capsys, argv):
     # the writer against json.dumps on real documents, whose rendered
-    # linear forms are shared between values
+    # linear forms are shared between values; json.dumps gets each
+    # polynomial array as its plain JSON, poly_to_json
     doc, code = run(cli._job_from_args(cli._build_parser().parse_args(argv)))
     got, out, err = run_main(capsys, argv)
     assert (got, err) == (code, "")
-    assert_same_text(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert_same_text(out, json.dumps(doc, sort_keys=True, indent=2,
+                                     default=lambda t: t.doc()) + "\n")

@@ -29,6 +29,7 @@ from nahilb.partitions import NestedPartition, enumerate_nested, porteous
 from nahilb.serialize import (
     SharedDoc,
     SharedList,
+    Terms,
     integral_result_to_json,
     linear_form_from_json,
     linear_form_to_json,
@@ -47,7 +48,10 @@ def s(i):
 
 
 def roundtrip_doc(doc):
-    return json.loads(json.dumps(doc, sort_keys=True))
+    # a command's polynomial arrays are Terms nodes, encoded as their
+    # plain JSON (Terms.doc)
+    return json.loads(json.dumps(doc, sort_keys=True,
+                                 default=lambda t: t.doc()))
 
 
 def nested_of(doc):
@@ -144,14 +148,22 @@ def test_one_pass_render_matches_rational_to_json_and_str(a, b):
     forms: dict = {}
     for r in (a, b, a):
         doc, text = render_rational(r, forms)
+        assert type(doc["numerator"]) is Terms
         assert doc == rational_to_json(r)
         assert text == str(r)
         # every value holds the stored document of each of its forms
         assert all(fdoc is forms[f][0]
                    for (fdoc, _), (f, _) in zip(doc["factors"], r.factors))
     # each distinct form is rendered once, with its own document and text,
-    # the document marked for the writer to render once per indent
-    assert forms.keys() == {f for r in (a, b) for f, _ in r.factors}
+    # the document marked for the writer to render once per indent; the
+    # table also holds the names of each set of numerator variables
+    names = {tuple(r.poly.sorted_rows()[0]) for r in (a, b)}
+    assert forms.keys() == {f for r in (a, b) for f, _ in r.factors} | names
+    for key in names:
+        shown, quoted, order = forms.pop(key)
+        assert shown == [f"{ns}{i}" for ns, i in key]
+        assert quoted == [json.dumps(name) for name in shown]
+        assert [shown[j] for j in order] == sorted(shown)
     for form, (doc, text) in forms.items():
         assert type(doc) is SharedDoc
         assert (doc, text) == (linear_form_to_json(form), str(form))
@@ -232,6 +244,6 @@ class TestResults:
 
     def test_documents_are_deterministic(self):
         res = integrate_localization(2, (1, 1), "nilfil", TautClass(1, 0, 2))
-        a = json.dumps(integral_result_to_json(res, False, {}), sort_keys=True)
-        b = json.dumps(integral_result_to_json(res, False, {}), sort_keys=True)
+        a = roundtrip_doc(integral_result_to_json(res, False, {}))
+        b = roundtrip_doc(integral_result_to_json(res, False, {}))
         assert a == b
